@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-json bench-compare ci fig6 results clean
+.PHONY: all build test test-short race bench bench-compare ci fig6 results clean
 
 all: build test
 
@@ -20,8 +20,11 @@ race:
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/sched/ ./internal/controller/ ./internal/faults/ ./internal/telemetry/
 
 # Pre-merge gate (see README): formatting, vet, build, full race suite,
-# the full revised-vs-tableau differential sweep (600 seeded LPs, behind
-# the slow tag), a 1k-node multi-zone fleet solve with invariant checks
+# the controller and experiment suites repeated at GOMAXPROCS 1, 2 and 4
+# (their resume and metrics comparisons must not depend on how a parallel
+# search splits its candidates), the full differential sweep against the
+# textbook simplex (600 seeded LPs with KKT certificates, behind the slow
+# tag), a 1k-node multi-zone fleet solve with invariant checks
 # (also behind the slow tag), short fuzz smokes on the workload parser,
 # the LU factorizer and the checkpoint journal decoder, the simplex and
 # fleet-scaling performance gates (the fleet family includes the
@@ -39,6 +42,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -count=3 -cpu 1,2,4 ./internal/controller ./internal/experiments
 	$(GO) test -tags slow -run TestDifferentialFull ./internal/linprog
 	$(GO) test -tags slow -run TestFleetSmoke1k ./internal/zones
 	$(GO) test -run '^$$' -fuzz FuzzLoadTasks -fuzztime 10s ./internal/workload
@@ -70,25 +74,16 @@ ci:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Stage-1 solver benchmark (legacy rebuild vs incremental solver, serial
-# and parallel) in machine-readable form.
-bench-json:
-	$(GO) test -run '^$$' -bench 'ThreeStagePaperScale' -benchtime 3x -json . > BENCH_stage1.json
-	@grep 'ns/op' BENCH_stage1.json | sed 's/.*"Test":"\([^"]*\)".*"Output":" *\([0-9]*\)\\t \([0-9]*\) ns.op.*/\1: \3 ns\/op (\2 runs)/' || true
-
 # Performance gates. The simplex pass records the flat-vs-legacy and
 # allocation subbenchmarks, then fails if the warm scratch path allocates
-# or the flat solver regresses below the legacy rebuild path; the
-# solver-serial-devex ablation is excluded (devex pricing only pays off on
-# LPs far larger than paper scale — see bench_test.go — so gating it here
-# would just burn CI time on a documented 2× slowdown). The fleet pass
+# or the flat solver regresses below the legacy rebuild path. The fleet pass
 # records the 1k/10k-node zone-decomposed solves and fails if ns/node
 # grows super-linearly with fleet size. BENCHTIME=1x (as in `make ci`)
 # keeps it quick; the default 3x smooths scheduler noise.
 BENCHTIME ?= 3x
 FLEETBENCHTIME ?= 1x
 bench-compare:
-	$(GO) test -run '^$$' -bench 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-parallel|solver-warm-epoch|warm-resolve-allocs|warm-dual-resolve|cold-dual-resolve)' \
+	$(GO) test -run '^$$' -bench 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-parallel|solver-warm-epoch|warm-resolve-allocs)' \
 		-benchtime $(BENCHTIME) -json . > BENCH_simplex.json
 	$(GO) run ./cmd/benchcheck BENCH_simplex.json
 	$(GO) test -run '^$$' -bench 'FleetStage1' -benchtime $(FLEETBENCHTIME) -json . > BENCH_fleet.json

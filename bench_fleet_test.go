@@ -16,7 +16,6 @@ import (
 	"os"
 	"testing"
 
-	"thermaldc/internal/linprog"
 	"thermaldc/internal/zones"
 )
 
@@ -45,8 +44,8 @@ func getFleet(b *testing.B, nz int) *zones.Fleet {
 }
 
 // BenchmarkFleetStage1 is the fleet-scale family: a full price-coordinated
-// Stage-1 solve per iteration, warm — the first solve primes the per-zone
-// LU bases outside the timer, so iterations measure the steady-state
+// Stage-1 solve per iteration, warm — the first solve sizes the per-zone
+// workspaces outside the timer, so iterations measure the steady-state
 // epoch re-solve the controller's zone fast path issues.
 func BenchmarkFleetStage1(b *testing.B) {
 	for _, sz := range []struct {
@@ -62,10 +61,7 @@ func BenchmarkFleetStage1(b *testing.B) {
 				b.Skip("set TAPO_BENCH_50K=1 to run the 50k-node point")
 			}
 			f := getFleet(b, sz.zones)
-			zs, err := zones.NewFleetSolver(f, zones.Config{
-				Method:    linprog.MethodRevised,
-				WarmStart: true,
-			})
+			zs, err := zones.NewFleetSolver(f, zones.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -96,11 +92,7 @@ func BenchmarkFleetStage1(b *testing.B) {
 	// the fleet family if this reports any allocs/op.
 	b.Run("zone-warm-resolve", func(b *testing.B) {
 		f := getFleet(b, 10)
-		zs, err := zones.NewFleetSolver(f, zones.Config{
-			Method:      linprog.MethodRevised,
-			WarmStart:   true,
-			Parallelism: 1,
-		})
+		zs, err := zones.NewFleetSolver(f, zones.Config{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"thermaldc/internal/assign"
 	"thermaldc/internal/experiments"
 	"thermaldc/internal/layout"
-	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
 	"thermaldc/internal/pwl"
 	"thermaldc/internal/scenario"
@@ -275,25 +274,15 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 	})
 
 	for _, bench := range []struct {
-		name    string
-		par     int
-		pricing linprog.Pricing
+		name string
+		par  int
 	}{
-		{"solver-serial", 1, linprog.PricingDantzig},
-		{"solver-parallel", 0, linprog.PricingDantzig},
-		// solver-serial-devex is an ablation, not a contender, at this
-		// scale: devex's reference-weight bookkeeping costs ~2× wall time
-		// on the paper's small dense LPs (hundreds of columns) and only
-		// pays off when steepest-edge-like pricing saves enough pivots,
-		// i.e. on LPs orders of magnitude larger. It is therefore
-		// excluded from the default `make bench-compare` gate (see the
-		// Makefile) and kept here for `go test -bench .` inspection.
-		{"solver-serial-devex", 1, linprog.PricingDevex},
+		{"solver-serial", 1},
+		{"solver-parallel", 0},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			opts := assign.DefaultOptions()
 			opts.Search.Parallelism = bench.par
-			opts.Pricing = bench.pricing
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := assign.ThreeStage(sc.DC, sc.Thermal, opts); err != nil {
@@ -352,62 +341,6 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 			}
 		}
 	})
-
-	// warm-dual-resolve and cold-dual-resolve isolate the controller's
-	// power-cap epoch re-solve under the revised core: fixed outlets, the
-	// cap stepping every iteration so the retained basis goes primal
-	// infeasible and must be repaired. The warm variant re-enters via the
-	// dual simplex from the previous optimal basis; the cold variant
-	// re-solves from scratch. Both report pivots/op, which benchcheck
-	// gates: warm must pivot strictly less than cold and stay at
-	// 0 allocs/op (make bench-compare fails otherwise).
-	for _, bench := range []struct {
-		name string
-		warm bool
-	}{
-		{"warm-dual-resolve", true},
-		{"cold-dual-resolve", false},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			arrs := make([]*pwl.Func, len(sc.DC.NodeTypes))
-			for j := range arrs {
-				f, err := assign.ARR(sc.DC, j, 50)
-				if err != nil {
-					b.Fatal(err)
-				}
-				arrs[j] = f
-			}
-			s := assign.NewStage1Solver(sc.DC, sc.Thermal, arrs)
-			s.SetMethod(linprog.MethodRevised)
-			s.SetWarmStart(bench.warm)
-			out := []float64{15, 15, 15}
-			base := sc.DC.Pconst
-			defer func() { sc.DC.Pconst = base }()
-			caps := [2]float64{1, 0.98}
-			for _, c := range caps {
-				sc.DC.Pconst = base * c
-				res, err := s.SolveScratch(out)
-				if err != nil || !res.Feasible {
-					b.Fatalf("warm-up solve at cap %g: %v (feasible=%v)", c, err, res != nil && res.Feasible)
-				}
-			}
-			s.TakeStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.DC.Pconst = base * caps[i%2]
-				if _, err := s.SolveScratch(out); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := s.TakeStats()
-			b.ReportMetric(float64(st.Pivots)/float64(b.N), "pivots/op")
-			if bench.warm && st.WarmHits != int64(b.N) {
-				b.Fatalf("warm hits %d over %d re-solves (rejects %d)", st.WarmHits, b.N, st.WarmRejects)
-			}
-		})
-	}
 
 	// warm-resolve-allocs-metrics repeats the contract with the metrics
 	// registry live (tracing still off, its default): counter increments

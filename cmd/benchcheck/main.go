@@ -8,15 +8,11 @@
 //
 // Simplex family (BenchmarkThreeStagePaperScale/...):
 //
-//   - warm-resolve-allocs, warm-resolve-allocs-metrics and
-//     warm-dual-resolve must report exactly 0 allocs/op (the warm Stage-1
-//     scratch path has a zero-allocation contract, with and without live
-//     metrics, and the dual warm-started re-solve inherits it),
+//   - warm-resolve-allocs and warm-resolve-allocs-metrics must report
+//     exactly 0 allocs/op (the warm Stage-1 scratch path has a
+//     zero-allocation contract, with and without live metrics), and
 //   - solver-serial (the flat incremental solver) must not be slower than
-//     legacy-rebuild (per-candidate tableau reconstruction), and
-//   - warm-dual-resolve must spend strictly fewer pivots/op than
-//     cold-dual-resolve (the dual warm start must beat re-solving the
-//     power-cap step from scratch).
+//     legacy-rebuild (per-candidate tableau reconstruction).
 //
 // Fleet family (BenchmarkFleetStage1/...): the 10k-node point's ns/node —
 // wall time per zone-decomposed Stage-1 solve divided by fleet node count —
@@ -45,21 +41,17 @@ import (
 )
 
 // benchLine matches a benchmark result row: the ns/op column, the optional
-// custom ns/node and pivots/op metrics (testing prints custom metrics in
-// unit order, so ns/node sorts before pivots/op), and the optional
-// -benchmem tail. The -NN GOMAXPROCS suffix is folded into the name.
+// custom ns/node metric, and the optional -benchmem tail. The -NN
+// GOMAXPROCS suffix is folded into the name.
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op` +
 		`(?:\s+([0-9.]+) ns/node)?` +
-		`(?:\s+([0-9.]+) pivots/op)?` +
 		`(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 type result struct {
 	nsPerOp     float64
 	nsPerNode   float64
 	hasNsNode   bool
-	pivotsPerOp float64
-	hasPivots   bool
 	allocsPerOp float64
 	hasAllocs   bool
 }
@@ -151,12 +143,8 @@ func parse(in io.Reader) (map[string]result, error) {
 			r.nsPerNode, _ = strconv.ParseFloat(m[4], 64)
 			r.hasNsNode = true
 		}
-		if m[5] != "" {
-			r.pivotsPerOp, _ = strconv.ParseFloat(m[5], 64)
-			r.hasPivots = true
-		}
-		if m[7] != "" {
-			r.allocsPerOp, _ = strconv.ParseFloat(m[7], 64)
+		if m[6] != "" {
+			r.allocsPerOp, _ = strconv.ParseFloat(m[6], 64)
 			r.hasAllocs = true
 		}
 		results[trimProcs(m[1])] = r
@@ -204,12 +192,10 @@ func checkSimplex(results map[string]result, tolerance float64) []string {
 		serial      = simplexPrefix + "solver-serial"
 		warm        = simplexPrefix + "warm-resolve-allocs"
 		warmMetrics = simplexPrefix + "warm-resolve-allocs-metrics"
-		warmDual    = simplexPrefix + "warm-dual-resolve"
-		coldDual    = simplexPrefix + "cold-dual-resolve"
 	)
 	var failures []string
 
-	for _, name := range []string{warm, warmMetrics, warmDual} {
+	for _, name := range []string{warm, warmMetrics} {
 		w, ok := results[name]
 		switch {
 		case !ok:
@@ -235,25 +221,6 @@ func checkSimplex(results map[string]result, tolerance float64) []string {
 		failures = append(failures, fmt.Sprintf(
 			"%s at %.0f ns/op is slower than %s at %.0f ns/op (×%.2f, tolerance ×%.2f)",
 			serial, s.nsPerOp, legacy, l.nsPerOp, s.nsPerOp/l.nsPerOp, tolerance))
-	}
-
-	wd, okW := results[warmDual]
-	cd, okC := results[coldDual]
-	if !okW {
-		failures = append(failures, warmDual+" missing from benchmark output")
-	}
-	if !okC {
-		failures = append(failures, coldDual+" missing from benchmark output")
-	}
-	if okW && okC {
-		switch {
-		case !wd.hasPivots || !cd.hasPivots:
-			failures = append(failures, "dual-resolve benchmarks report no pivots/op metric")
-		case wd.pivotsPerOp >= cd.pivotsPerOp:
-			failures = append(failures, fmt.Sprintf(
-				"%s at %g pivots/op does not beat %s at %g pivots/op (dual warm start lost its edge)",
-				warmDual, wd.pivotsPerOp, coldDual, cd.pivotsPerOp))
-		}
 	}
 	return failures
 }

@@ -10,8 +10,6 @@ BenchmarkThreeStagePaperScale/legacy-rebuild-4         	       3	 268833180 ns/o
 BenchmarkThreeStagePaperScale/solver-serial-4          	       3	 117461279 ns/op
 BenchmarkThreeStagePaperScale/warm-resolve-allocs-4    	       3	    552366 ns/op	       0 B/op	       0 allocs/op
 BenchmarkThreeStagePaperScale/warm-resolve-allocs-metrics-4    	       3	    553101 ns/op	       0 B/op	       0 allocs/op
-BenchmarkThreeStagePaperScale/warm-dual-resolve-4    	      50	    786837 ns/op	         6.000 pivots/op	       0 B/op	       0 allocs/op
-BenchmarkThreeStagePaperScale/cold-dual-resolve-4    	      50	   3528334 ns/op	        13.00 pivots/op	       0 B/op	       0 allocs/op
 PASS
 `
 
@@ -20,8 +18,6 @@ const jsonOK = `{"Action":"run","Test":"BenchmarkThreeStagePaperScale"}
 {"Action":"output","Output":"BenchmarkThreeStagePaperScale/solver-serial \t       3\t 117461279 ns/op\n"}
 {"Action":"output","Output":"BenchmarkThreeStagePaperScale/warm-resolve-allocs \t       3\t 552366 ns/op\t       0 B/op\t       0 allocs/op\n"}
 {"Action":"output","Output":"BenchmarkThreeStagePaperScale/warm-resolve-allocs-metrics \t       3\t 553101 ns/op\t       0 B/op\t       0 allocs/op\n"}
-{"Action":"output","Output":"BenchmarkThreeStagePaperScale/warm-dual-resolve \t      50\t 786837 ns/op\t 6.000 pivots/op\t       0 B/op\t       0 allocs/op\n"}
-{"Action":"output","Output":"BenchmarkThreeStagePaperScale/cold-dual-resolve \t      50\t 3528334 ns/op\t 13.00 pivots/op\t       0 B/op\t       0 allocs/op\n"}
 `
 
 const fleetOK = `goos: linux
@@ -40,8 +36,8 @@ func TestParseAndCheckPass(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if len(results) != 6 {
-			t.Fatalf("%s: parsed %d results, want 6", tc.name, len(results))
+		if len(results) != 4 {
+			t.Fatalf("%s: parsed %d results, want 4", tc.name, len(results))
 		}
 		f, checked := check(results, 1.05, 1.25)
 		if len(f) != 0 {
@@ -99,40 +95,8 @@ func TestCheckFailsOnMissingFamilyMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, checked := check(results, 1.05, 1.25)
-	// warm-dual-resolve is reported by both the allocs and the pivots
-	// checks, so 5 missing members yield 6 failures.
-	if checked != 1 || len(f) != 6 {
-		t.Fatalf("failures = %v (checked %d), want 6 missing-benchmark failures", f, checked)
-	}
-}
-
-// TestCheckFailsWhenWarmDualPivotsNotLower flips the pivot counts so the
-// warm dual re-solve no longer beats the cold one.
-func TestCheckFailsWhenWarmDualPivotsNotLower(t *testing.T) {
-	in := strings.Replace(plainOK, "6.000 pivots/op", "13.00 pivots/op", 1)
-	results, err := parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := check(results, 1.05, 1.25)
-	if len(f) != 1 || !strings.Contains(f[0], "lost its edge") {
-		t.Fatalf("failures = %v, want one pivots/op failure", f)
-	}
-}
-
-// TestCheckFailsOnWarmDualAllocs: the dual warm re-solve shares the
-// zero-allocation contract of the scratch path.
-func TestCheckFailsOnWarmDualAllocs(t *testing.T) {
-	in := strings.Replace(plainOK,
-		"6.000 pivots/op	       0 B/op	       0 allocs/op",
-		"6.000 pivots/op	      64 B/op	       2 allocs/op", 1)
-	results, err := parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, _ := check(results, 1.05, 1.25)
-	if len(f) != 1 || !strings.Contains(f[0], "zero-allocation contract") {
-		t.Fatalf("failures = %v, want one allocs-contract failure", f)
+	if checked != 1 || len(f) != 3 {
+		t.Fatalf("failures = %v (checked %d), want 3 missing-benchmark failures", f, checked)
 	}
 }
 

@@ -51,7 +51,6 @@ import (
 	"thermaldc/internal/assign"
 	"thermaldc/internal/experiments"
 	"thermaldc/internal/flightrec"
-	"thermaldc/internal/linprog"
 	"thermaldc/internal/persist"
 	"thermaldc/internal/report"
 	"thermaldc/internal/scenario"
@@ -63,36 +62,15 @@ import (
 var (
 	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	lpPricing    = flag.String("lp-pricing", "dantzig", "simplex pricing rule for the Stage-1 LPs: dantzig|devex")
-	lpMethod     = flag.String("lp-method", "tableau", "simplex core for the assignment LPs: tableau|revised")
-	lpWarm       = flag.Bool("lp-warm", false, "retain optimal bases and dual warm-start epoch re-solves (revised core only)")
 	logLevel     = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
 	logJSON      = flag.Bool("log-json", false, "emit logs as JSON lines instead of plain text")
 	serveMetrics = flag.String("serve-metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) for the duration of the run")
-)
-
-// pricing and method are the parsed -lp-pricing / -lp-method values,
-// applied to every assign.Options a subcommand builds.
-var (
-	pricing linprog.Pricing
-	method  linprog.Method
 )
 
 // recorder is the process-wide telemetry recorder, non-nil only when
 // -serve-metrics is given (subcommands with their own sinks, like
 // degraded -metrics-out, reuse it when present so one registry backs both).
 var recorder *telemetry.Recorder
-
-// tunePricing applies the -lp-pricing / -lp-method / -lp-warm selections
-// (and, when -serve-metrics is on, the process recorder) to a subcommand's
-// options. The defaults leave the options untouched, so default CLI output
-// is byte-identical to builds without these flags.
-func tunePricing(opts *assign.Options) {
-	opts.Pricing = pricing
-	opts.Method = method
-	opts.WarmStart = *lpWarm
-	opts.Recorder = recorder
-}
 
 // writeCSV writes one experiment result to path via the given writer
 // function ("" = skip). The write is atomic — temp file, fsync, rename —
@@ -120,28 +98,6 @@ func run() int {
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 
-	switch *lpPricing {
-	case "dantzig":
-		pricing = linprog.PricingDantzig
-	case "devex":
-		pricing = linprog.PricingDevex
-	default:
-		fmt.Fprintf(os.Stderr, "tapo: unknown -lp-pricing %q (want dantzig or devex)\n", *lpPricing)
-		return 2
-	}
-	switch *lpMethod {
-	case "tableau":
-		method = linprog.MethodTableau
-	case "revised":
-		method = linprog.MethodRevised
-	default:
-		fmt.Fprintf(os.Stderr, "tapo: unknown -lp-method %q (want tableau or revised)\n", *lpMethod)
-		return 2
-	}
-	if *lpWarm && method != linprog.MethodRevised {
-		fmt.Fprintln(os.Stderr, "tapo: -lp-warm requires -lp-method revised")
-		return 2
-	}
 	lvl, lvlErr := telemetry.ParseLevel(*logLevel)
 	if lvlErr != nil {
 		fmt.Fprintf(os.Stderr, "tapo: %v\n", lvlErr)
@@ -301,7 +257,6 @@ commands:
 global flags (before the command):
   -cpuprofile FILE     write a CPU profile (inspect with go tool pprof)
   -memprofile FILE     write a heap profile on exit
-  -lp-pricing RULE     simplex pricing for Stage-1 LPs: dantzig (default) | devex
   -log-level LEVEL     log verbosity: debug | info (default) | warn | error
   -log-json            emit logs as JSON lines instead of plain text
   -serve-metrics ADDR  serve /metrics, /debug/vars and /debug/pprof on ADDR
@@ -345,7 +300,7 @@ func runFig6(ctx context.Context, args []string) error {
 	cfg.SimHorizon = *simHorizon
 	cfg.SimPaperPolicy = *simPaper
 	cfg.Options.Search.Parallelism = *searchPar
-	tunePricing(&cfg.Options)
+	cfg.Options.Recorder = recorder
 	progress := func(line string) { telemetry.Default().Info(line) }
 	if *quiet {
 		progress = nil
@@ -449,7 +404,7 @@ func runSweep(ctx context.Context, args []string) error {
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.StaticShare, cfg.Vprop = *static, *vprop
 	cfg.Options.Search.Parallelism = *searchPar
-	tunePricing(&cfg.Options)
+	cfg.Options.Recorder = recorder
 	var res *experiments.SweepResult
 	var err error
 	switch *kind {
@@ -481,7 +436,7 @@ func runAblation(ctx context.Context, args []string) error {
 	cfg := experiments.DefaultSweepConfig(nil)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.Options.Search.Parallelism = *searchPar
-	tunePricing(&cfg.Options)
+	cfg.Options.Recorder = recorder
 	res, err := experiments.StrategyAblationContext(ctx, cfg, []assign.Strategy{
 		assign.CoarseToFine, assign.FullGrid, assign.CoordDescent,
 	})
@@ -514,7 +469,7 @@ func runMinPower(args []string) error {
 	}
 	opts := assign.DefaultOptions()
 	opts.Search.Parallelism = *searchPar
-	tunePricing(&opts)
+	opts.Recorder = recorder
 	primal, err := assign.ThreeStage(sc.DC, sc.Thermal, opts)
 	if err != nil {
 		return err
@@ -629,7 +584,7 @@ func runDegraded(ctx context.Context, args []string) error {
 	cfg.Levels = levels
 	cfg.SolveTimeout = *solveTimeout
 	cfg.Options.Search.Parallelism = *searchPar
-	tunePricing(&cfg.Options)
+	cfg.Options.Recorder = recorder
 	cfg.CheckpointDir = *checkpointDir
 	cfg.SnapshotEvery = *snapEvery
 	if *resumeDir != "" {
@@ -780,7 +735,7 @@ func runThermal(args []string) error {
 	opts := assign.DefaultOptions()
 	opts.Psi = *psi
 	opts.Search.Parallelism = *searchPar
-	tunePricing(&opts)
+	opts.Recorder = recorder
 	res, err := experiments.ThermalMap(scCfg, opts)
 	if err != nil {
 		return err

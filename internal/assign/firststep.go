@@ -46,18 +46,13 @@ type Options struct {
 	Search tempsearch.Config
 	// Strategy picks the search algorithm.
 	Strategy Strategy
-	// Pricing selects the simplex pricing rule for every Stage-1 LP
-	// (PricingDantzig, the zero value, reproduces the golden outputs).
-	Pricing linprog.Pricing
-	// Method selects the simplex core for every LP in the pipeline
-	// (linprog.MethodTableau, the zero value, reproduces the golden
-	// outputs; linprog.MethodRevised enables the LU-factorized core).
+	// Method selected a simplex core when there were two.
+	//
+	// Deprecated: ignored; every LP runs on the flat tableau.
 	Method linprog.Method
-	// WarmStart enables dual-simplex warm starts on the Stage-1 solvers
-	// (effective under MethodRevised only): epoch re-solves that change
-	// only right-hand sides — a moved power cap at fixed outlets — restart
-	// from the previous optimal basis instead of solving cold. Results are
-	// identical either way; only the pivot count drops.
+	// WarmStart enabled dual-simplex warm starts of a removed core.
+	//
+	// Deprecated: ignored.
 	WarmStart bool
 	// Recorder, when non-nil, wires the whole pipeline to a telemetry
 	// recorder: per-stage and per-LP spans go to its tracer (if tracing is
@@ -125,10 +120,7 @@ type ThreeStageSolver struct {
 	// workers caches the per-search-worker Stage-1 solvers so repeat Solve
 	// calls keep every worker's simplex workspace warm instead of
 	// re-cloning per epoch; next indexes the handout within one search.
-	// Without warm starts, workers[0] is base; with Options.WarmStart,
-	// base is dedicated to the per-epoch final solve (its retained basis
-	// signature must survive the search, whose candidates would clobber
-	// it) and every worker is a clone.
+	// workers[0] is base; later workers are clones.
 	workers []*Stage1Solver
 	next    int
 
@@ -158,11 +150,7 @@ func NewThreeStageSolver(dc *model.DataCenter, tm *thermal.Model, opts Options) 
 		return nil, err
 	}
 	base := NewStage1Solver(dc, tm, arrs)
-	base.SetPricing(opts.Pricing)
-	base.SetMethod(opts.Method)
-	base.SetWarmStart(opts.WarmStart)
 	stage3 := NewStage3Solver(dc)
-	stage3.SetMethod(opts.Method)
 	if opts.Recorder != nil {
 		base.SetRecorder(opts.Recorder)
 		stage3.SetRecorder(opts.Recorder)
@@ -204,20 +192,14 @@ func (s *ThreeStageSolver) TakeLPStats() linprog.Stats {
 // cloning the base skeleton only the first time a given worker slot is
 // used. Called from the single goroutine that runs the search factory.
 func (s *ThreeStageSolver) worker() *Stage1Solver {
-	if s.next < len(s.workers) {
-		w := s.workers[s.next]
-		s.next++
-		return w
+	if s.next == len(s.workers) {
+		w := s.base
+		if len(s.workers) > 0 {
+			w = s.base.Clone()
+		}
+		s.workers = append(s.workers, w)
 	}
-	w := s.base
-	if len(s.workers) > 0 || s.opts.WarmStart {
-		w = s.base.Clone()
-		// Search candidates step the CRAC outlets on every evaluation, so
-		// the power-row coefficients never repeat and a warm attempt could
-		// only reject; keep search clones cold.
-		w.SetWarmStart(false)
-	}
-	s.workers = append(s.workers, w)
+	w := s.workers[s.next]
 	s.next++
 	return w
 }
@@ -238,8 +220,7 @@ func (s *ThreeStageSolver) SolveContext(ctx context.Context) (*ThreeStageResult,
 	tr := s.rec.Tracer()
 	s.next = 0
 	factory := func() tempsearch.Objective {
-		// Without warm starts the first worker gets the base solver; later
-		// workers (and all workers under WarmStart — see worker) get cached
+		// The first worker gets the base solver; later workers get cached
 		// clones, cloned once and reused every epoch. Searches call the
 		// factory from a single goroutine, and all workers finish before the
 		// search returns, so reusing base afterwards for the final solve is

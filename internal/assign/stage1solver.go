@@ -42,8 +42,11 @@ type Stage1Solver struct {
 	redline  []float64 // dc.Redline(), invariant
 	basePow  []float64 // basePow[j] = dc.NodeType(j).BasePower, invariant
 
-	// ws holds the simplex tableau buffers reused across Solves.
-	ws linprog.Workspace
+	// ws holds the simplex tableau buffers reused across Solves. It is
+	// sized once, at the first solve, for the skeleton's worst-case shape
+	// (see reserve), so no Stage-1 solve grows it.
+	ws       linprog.Workspace
+	reserved bool
 	// Scratch buffers for the per-candidate patch step. baseConst retains
 	// the power row's constant term from the latest patch so solves can
 	// report the linearized power ledger without recomputing it.
@@ -133,14 +136,11 @@ func NewStage1Solver(dc *model.DataCenter, tm *thermal.Model, arrs []*pwl.Func) 
 
 // Clone returns an independent solver over the same precomputed scenario,
 // for use by another search worker. Clones share only immutable inputs
-// (data center, thermal model, ARR envelopes) and inherit the pricing rule
-// and telemetry wiring (metric handles are atomic and the tracer is
+// (data center, thermal model, ARR envelopes) and inherit the telemetry
+// wiring (metric handles are atomic and the tracer is
 // internally synchronized, so sharing them across workers is safe).
 func (s *Stage1Solver) Clone() *Stage1Solver {
 	c := NewStage1Solver(s.dc, s.tm, s.arrs)
-	c.p.Pricing = s.p.Pricing
-	c.p.Method = s.p.Method
-	c.p.WarmStart = s.p.WarmStart
 	c.ws.Trace = s.ws.Trace
 	c.mSolves, c.mInfeas = s.mSolves, s.mInfeas
 	return c
@@ -157,22 +157,6 @@ func (s *Stage1Solver) SetRecorder(rec *telemetry.Recorder) {
 	s.mInfeas = reg.Counter("tapo_stage1_infeasible_total",
 		"Stage-1 solves rejected because base power alone violates a redline")
 }
-
-// SetPricing selects the simplex pricing rule for this solver's LP (the
-// default Dantzig rule is bit-reproducible; devex trades that for speed).
-func (s *Stage1Solver) SetPricing(pr linprog.Pricing) { s.p.Pricing = pr }
-
-// SetMethod selects the simplex core for this solver's LP (MethodTableau,
-// the zero value, reproduces the golden outputs; MethodRevised enables the
-// LU-factorized core and is required for warm starts).
-func (s *Stage1Solver) SetMethod(m linprog.Method) { s.p.Method = m }
-
-// SetWarmStart toggles dual-simplex warm starts between solves (effective
-// under MethodRevised only). Warm starts engage when consecutive solves
-// differ only in right-hand sides — the power-cap-only epoch re-solve —
-// and fall back to a cold solve otherwise, so results never change; see
-// linprog.Problem.WarmStart.
-func (s *Stage1Solver) SetWarmStart(on bool) { s.p.WarmStart = on }
 
 // TakeStats returns the accumulated simplex work counters and resets them,
 // giving callers per-epoch deltas.
@@ -200,6 +184,7 @@ func (s *Stage1Solver) SolveContext(ctx context.Context, cracOut []float64) (*St
 	dc, tm := s.dc, s.tm
 	ncn := dc.NCN()
 	s.mSolves.Inc()
+	s.reserve()
 
 	if badRow := s.patch(cracOut); badRow >= 0 {
 		// Base power alone violates this redline: infeasible outlets.
@@ -238,6 +223,20 @@ func (s *Stage1Solver) SolveContext(ctx context.Context, cracOut []float64) (*St
 	res.Feasible = res.TotalPower <= dc.Pconst+powerTolerance &&
 		tm.RedlineSlack(tin) >= -powerTolerance
 	return res, nil
+}
+
+// reserve sizes the workspace for the skeleton's worst-case shape on the
+// first solve. How many artificials a solve needs depends on the outlets,
+// so without it a workspace would grow whenever a candidate needed more
+// than any before, and a search worker's Stats.AllocBytes would depend on
+// which candidates a parallel search happened to hand it. Reserving late
+// rather than in NewStage1Solver keeps solvers that never solve (a
+// fleet's monolithic base) from holding a full tableau.
+func (s *Stage1Solver) reserve() {
+	if !s.reserved {
+		s.ws.Reserve(s.p.NumRows(), s.p.NumVars())
+		s.reserved = true
+	}
 }
 
 // patch rewrites the outlet-dependent parts of the LP skeleton for cracOut:
@@ -315,6 +314,7 @@ func (s *Stage1Solver) SolveScratchContext(ctx context.Context, cracOut []float6
 	s.scrCracOut = append(s.scrCracOut[:0], cracOut...)
 	*res = Stage1Result{CracOut: s.scrCracOut}
 	s.mSolves.Inc()
+	s.reserve()
 
 	if badRow := s.patch(cracOut); badRow >= 0 {
 		s.mInfeas.Inc()

@@ -42,9 +42,6 @@ type Stage3Solver struct {
 	taskRow  []int          // task index -> LP row (-1 when no terms)
 	rebuilds int
 
-	// method is applied to the skeleton at (re)build time.
-	method linprog.Method
-
 	// Telemetry handles; zero values are no-ops (see Stage1Solver).
 	mSolves   telemetry.Counter
 	mRebuilds telemetry.Counter
@@ -60,16 +57,6 @@ func NewStage3Solver(dc *model.DataCenter) *Stage3Solver {
 // Rebuilds reports how many times the LP skeleton was built from scratch
 // because the group signature changed (1 on first solve).
 func (s *Stage3Solver) Rebuilds() int { return s.rebuilds }
-
-// SetMethod selects the simplex core for the group LP (MethodTableau, the
-// zero value, reproduces the golden outputs). It applies to the current
-// skeleton immediately and to any future rebuild.
-func (s *Stage3Solver) SetMethod(m linprog.Method) {
-	s.method = m
-	if s.p != nil {
-		s.p.Method = m
-	}
-}
 
 // SetRecorder wires the solver to rec: LP-solve spans go to rec's tracer
 // and per-solve/skeleton-rebuild counters to its metrics registry. A nil
@@ -164,7 +151,6 @@ func (s *Stage3Solver) build() {
 	}
 
 	p := linprog.NewProblem(linprog.Maximize)
-	p.Method = s.method
 	t := dc.T()
 	varID := make(map[[2]int]int)
 	for i := 0; i < t; i++ {

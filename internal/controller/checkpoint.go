@@ -215,10 +215,7 @@ type restoredRun struct {
 // The rebuilt solver is warmed with one discarded solve (its statistics
 // drained) so the next re-solving epoch reports the same LP workspace
 // counters as an uninterrupted run, whose solver allocated its workspace
-// epochs ago. Under warm-started LP (-lp-warm) the pivot counts of the
-// first post-resume solve may differ — the retained basis is
-// solve-history, which a checkpoint deliberately does not carry — but the
-// plans themselves are still bit-identical.
+// epochs ago.
 func restoreClosedLoop(ctx context.Context, base *model.DataCenter, cfg Config, ck *Checkpoint) (*restoredRun, error) {
 	if ck.EpochsDone < 1 || ck.Plan == nil || ck.Faults == nil {
 		return nil, fmt.Errorf("controller: resume checkpoint is incomplete (epochs done %d)", ck.EpochsDone)

@@ -34,9 +34,6 @@ func newZonePath(dc *model.DataCenter, tm *thermal.Model, cfg Config) *zonePath 
 	}
 	zs, err := zones.NewSolverFromPartition(part, tm, zones.Config{
 		Psi:         cfg.Assign.Psi,
-		Pricing:     cfg.Assign.Pricing,
-		Method:      cfg.Assign.Method,
-		WarmStart:   cfg.Assign.WarmStart,
 		Parallelism: cfg.Assign.Search.Parallelism,
 		Recorder:    cfg.Recorder,
 	})
@@ -48,8 +45,7 @@ func newZonePath(dc *model.DataCenter, tm *thermal.Model, cfg Config) *zonePath 
 
 // try runs one pinned-outlet zone-decomposed solve: Stage 1 through the
 // zone solver at the previous plan's outlets (a budget-only re-solve per
-// zone, which the warm dual simplex turns into a handful of pivots), then
-// Stages 2–3 on the retained monolithic skeletons. The plan ships only if
+// zone on its retained workspace), then Stages 2–3 on the retained monolithic skeletons. The plan ships only if
 // it passes the same assign.Verify gate every laddered plan passes;
 // any failure — infeasible zones, unconverged coordination, a verify
 // finding, even a panic — reports ok=false and the caller falls back to

@@ -12,9 +12,9 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U, stored
 // compactly in lu with the permutation in piv. The zero value is ready for
-// Factor, which reuses the receiver's buffers across refactorizations — the
-// pattern the revised simplex leans on to keep its refresh cadence
-// allocation-free after warm-up.
+// Factor, which reuses the receiver's buffers across refactorizations, so
+// repeated factorizations of same-sized matrices stay allocation-free after
+// warm-up.
 type LU struct {
 	n   int
 	lu  *Matrix
@@ -135,7 +135,7 @@ func (f *LU) SolveInto(dst, b []float64) error {
 // SolveTransposeInto solves Aᵀ·x = b into dst without allocating (beyond a
 // once-grown internal scratch). With P·A = L·U this is Uᵀ·Lᵀ·P·x = b:
 // forward-substitute Uᵀ, back-substitute Lᵀ, then undo the permutation.
-// dst may alias b. The revised simplex uses this as BTRAN.
+// dst may alias b.
 func (f *LU) SolveTransposeInto(dst, b []float64) error {
 	if len(b) != f.n || len(dst) != f.n {
 		return fmt.Errorf("linalg: SolveTransposeInto length mismatch: dst %d, b %d, want %d", len(dst), len(b), f.n)

@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // instances are solvable (zero-margin anchors make them degenerate at
 // that point); a minority of rows get unrelated right-hand sides to keep
 // infeasible and unbounded statuses in the mix. The same seed always
-// builds the identical problem, so each core can get a fresh copy.
+// builds the identical problem, so each solver can get a fresh copy.
 func randomLP(seed int64) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	sense := Minimize
@@ -100,7 +101,7 @@ func randomLP(seed int64) *Problem {
 		addRow()
 		if rng.Intn(8) == 0 && p.NumRows() > 0 {
 			// Duplicate the previous row verbatim: guaranteed degeneracy and
-			// a singular 2×2 sub-basis for the factorization to dodge.
+			// a redundant row for phase 1 to carry.
 			prev := p.NumRows() - 1
 			terms := p.RowTerms(prev)
 			p.AddRow(p.rows[prev].op, p.rows[prev].rhs, terms...)
@@ -109,36 +110,12 @@ func randomLP(seed int64) *Problem {
 	return p
 }
 
-// differentialOne solves seed's LP with both cores and cross-checks:
-// statuses must agree; on Optimal the objectives must match within
-// tolVerify (conditioning-scaled) and both solutions must pass primal
-// verification against the original data. Returns whether the instance
-// was Optimal (for coverage accounting).
+// differentialOne checks seed's LP against the textbook oracle (status,
+// objective, KKT certificate). It reports whether the instance was
+// Optimal, for coverage accounting.
 func differentialOne(t *testing.T, seed int64) bool {
 	t.Helper()
-	pt := randomLP(seed)
-	st, terr := pt.Solve()
-	pr := asRevised(randomLP(seed))
-	sr, rerr := pr.Solve()
-	if st.Status != sr.Status {
-		t.Fatalf("seed %d: tableau status %v (err %v), revised %v (err %v)",
-			seed, st.Status, terr, sr.Status, rerr)
-	}
-	if st.Status != Optimal {
-		return false
-	}
-	tol := tolVerify * (1 + math.Abs(st.Objective))
-	if d := math.Abs(st.Objective - sr.Objective); d > tol {
-		t.Fatalf("seed %d: objectives differ by %g (> %g): tableau %v, revised %v",
-			seed, d, tol, st.Objective, sr.Objective)
-	}
-	if err := randomLP(seed).verifySolution(st); err != nil {
-		t.Fatalf("seed %d: tableau solution fails verification: %v", seed, err)
-	}
-	if err := randomLP(seed).verifySolution(sr); err != nil {
-		t.Fatalf("seed %d: revised solution fails verification: %v", seed, err)
-	}
-	return true
+	return checkAgainstOracle(t, fmt.Sprintf("seed %d", seed), func() *Problem { return randomLP(seed) })
 }
 
 // differentialSweep runs seeds [0, n) and requires a healthy status mix so
@@ -156,38 +133,33 @@ func differentialSweep(t *testing.T, n int) {
 	}
 }
 
-// TestDifferentialShort is the always-on subset of the tableau-vs-revised
-// differential sweep; the full 500-instance sweep runs under -tags slow.
+// TestDifferentialShort is the always-on subset of the oracle differential
+// sweep; the full 600-instance sweep runs under -tags slow.
 func TestDifferentialShort(t *testing.T) {
 	differentialSweep(t, 80)
 }
 
-// TestDifferentialWarmRHSPerturbation drives the warm-start path through
-// random problems: solve, randomly patch a few right-hand sides, warm
-// re-solve, and require bit-identical agreement with a cold revised solve
-// of the patched instance.
+// TestDifferentialWarmRHSPerturbation drives warm re-solves through random
+// problems: solve, randomly patch a few right-hand sides, re-solve on the
+// same workspace, and require bit-identical agreement with a cold solve of
+// the patched instance on a fresh workspace.
 func TestDifferentialWarmRHSPerturbation(t *testing.T) {
 	trials := 0
 	for seed := int64(0); seed < 200 && trials < 40; seed++ {
-		base := randomLP(seed)
-		if s, err := base.Solve(); err != nil || s.Status != Optimal {
-			continue // warm starts only engage after an optimal retained solve
+		warm := randomLP(seed)
+		ws := &Workspace{}
+		if s, err := warm.SolveWith(ws); err != nil || s.Status != Optimal {
+			continue
 		}
 		trials++
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		warm := asRevised(randomLP(seed))
-		warm.WarmStart = true
-		ws := &Workspace{}
-		if _, err := warm.SolveWith(ws); err != nil {
-			continue // numerically marginal instance; cold path already covered
-		}
 		for round := 0; round < 3; round++ {
 			r := rng.Intn(warm.NumRows())
 			delta := float64(rng.Intn(7) - 3)
 			warm.SetRHS(r, warm.rows[r].rhs+delta)
 			wsol, werr := warm.SolveWith(ws)
 
-			cold := asRevised(randomLP(seed))
+			cold := randomLP(seed)
 			for i := 0; i < cold.NumRows(); i++ {
 				cold.SetRHS(i, warm.rows[i].rhs)
 			}
@@ -203,6 +175,6 @@ func TestDifferentialWarmRHSPerturbation(t *testing.T) {
 		}
 	}
 	if trials < 10 {
-		t.Fatalf("only %d warmable instances found — generator drifted", trials)
+		t.Fatalf("only %d optimal instances found — generator drifted", trials)
 	}
 }

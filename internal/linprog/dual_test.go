@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -106,7 +107,7 @@ func TestDualNonBindingRowIsZero(t *testing.T) {
 // reproduce the primal objective. β_i is the row's rhs (for a range row,
 // the side the activity sits on, which complementary slackness pins when
 // y_i ≠ 0). Reduced costs d_j = c_j − Σ_i y_i·a_ij are recomputed from
-// the original problem data, independent of either solver core.
+// the original problem data, independent of the solver core.
 func checkDualCertificate(t *testing.T, tag string, p *Problem, sol *Solution) {
 	t.Helper()
 	m, n := p.NumRows(), p.NumVars()
@@ -202,24 +203,21 @@ func checkDualCertificate(t *testing.T, tag string, p *Problem, sol *Solution) {
 }
 
 // TestDualStrongDualityProperty runs the dual certificate audit over the
-// seeded random-LP population, for both solver cores: every Optimal
-// solution's duals must satisfy sign conventions, complementary
-// slackness, and strong duality against the original problem data.
+// seeded random-LP population: every Optimal solution's duals must satisfy
+// sign conventions, complementary slackness, and strong duality against
+// the original problem data.
 func TestDualStrongDualityProperty(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < 250; seed++ {
-		for _, method := range []Method{MethodTableau, MethodRevised} {
-			p := randomLP(seed)
-			p.Method = method
-			sol, err := p.Solve()
-			if err != nil || sol.Status != Optimal {
-				continue
-			}
-			checked++
-			checkDualCertificate(t, method.String(), p, sol)
+		p := randomLP(seed)
+		sol, err := p.Solve()
+		if err != nil || sol.Status != Optimal {
+			continue
 		}
+		checked++
+		checkDualCertificate(t, fmt.Sprintf("seed %d", seed), p, sol)
 	}
-	if checked < 100 {
+	if checked < 50 {
 		t.Fatalf("only %d optimal instances audited — generator drifted", checked)
 	}
 }

@@ -114,14 +114,6 @@ var ErrCycling = errors.New("linprog: simplex cycling")
 // failed it too.
 var ErrNumerical = errors.New("linprog: numerically unreliable solution")
 
-// ErrWarmStartRejected is matched (via errors.Is) by Solve errors from
-// re-solves whose dual-simplex warm start was rejected (signature mismatch,
-// singular retained basis, dual infeasibility, or a stalled dual phase) and
-// whose cold fallback then also failed. A rejected warm start that the cold
-// path recovers from is not an error; it is only counted in
-// Stats.WarmRejects.
-var ErrWarmStartRejected = errors.New("linprog: warm start rejected")
-
 // StatusError is the typed error returned by Solve for every non-Optimal
 // outcome. It matches ErrNotOptimal via errors.Is, carries the Status for
 // programmatic branching, and unwraps to the underlying cause (the context
@@ -175,56 +167,19 @@ type Problem struct {
 
 	// MaxIter optionally overrides the iteration budget (0 = automatic).
 	MaxIter int
-
-	// Pricing selects the entering-variable rule. The zero value
-	// (PricingDantzig) reproduces the classic full-scan pivot order
-	// bit-for-bit; PricingDevex opts into candidate-list partial pricing
-	// (same optimum, possibly a different optimal vertex).
-	Pricing Pricing
-
-	// Method selects the simplex implementation. The zero value
-	// (MethodTableau) is the flat-tableau core whose pivot sequence is
-	// locked against the recorded goldens; MethodRevised opts into the
-	// LU-factorized revised simplex (same optimum within tolVerify,
-	// possibly a different optimal vertex) and is the only method that
-	// supports warm starts.
-	Method Method
-
-	// WarmStart opts MethodRevised re-solves through one Workspace into
-	// dual-simplex warm starts: after an Optimal solve the workspace
-	// retains the basis, and a later solve whose problem differs from the
-	// retained one only in right-hand sides restarts the dual simplex from
-	// that basis instead of solving cold. Any other change — coefficients,
-	// costs, bounds, shape — rejects the warm start and falls back to the
-	// cold primal path (counted in Stats.WarmRejects). Ignored by
-	// MethodTableau.
-	WarmStart bool
 }
 
-// Method selects the simplex implementation backing Solve.
+// Method was the simplex-core selector of an earlier API. There is one core
+// now, the flat tableau, so no field takes a Method any more.
+//
+// Deprecated: Method is ignored; it remains only for callers that still
+// name MethodRevised.
 type Method int
 
-const (
-	// MethodTableau is the dense flat-tableau primal simplex: the default,
-	// bit-reproducible against the recorded goldens.
-	MethodTableau Method = iota
-	// MethodRevised is the revised primal simplex: the basis is
-	// LU-factorized (product-form eta updates between periodic
-	// refactorizations) and reduced costs are priced against the
-	// factorization. Required for WarmStart.
-	MethodRevised
-)
-
-func (m Method) String() string {
-	switch m {
-	case MethodTableau:
-		return "tableau"
-	case MethodRevised:
-		return "revised"
-	default:
-		return "unknown"
-	}
-}
+// MethodRevised named a revised LU-factorized core that has been removed.
+//
+// Deprecated: MethodRevised is ignored; every solve uses the flat tableau.
+const MethodRevised Method = 1
 
 // noteDefect records the first insertion-time malformation.
 func (p *Problem) noteDefect(format string, args ...any) {

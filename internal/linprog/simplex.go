@@ -96,13 +96,6 @@ type tableauState struct {
 	// otherwise iterate runs a verification sweep first.
 	dFresh bool
 
-	// Partial-pricing state (PricingDevex only).
-	pricing   Pricing
-	weight    []float64 // devex reference weights, per column
-	cand      []int32   // candidate list
-	candN     int
-	candStart int // rotation cursor for candidate refills
-
 	// ctx, when non-nil, is polled every ctxCheckEvery pivots for
 	// cooperative cancellation.
 	ctx   context.Context
@@ -222,9 +215,6 @@ func (p *Problem) solveOnce(ctx context.Context, ws *Workspace, forceBland, reus
 			return &Solution{Status: Canceled}, false, &StatusError{Status: Canceled, cause: cerr}
 		}
 	}
-	if p.Method == MethodRevised {
-		return p.solveOnceRevised(ctx, ws, forceBland, reuse)
-	}
 	st := p.newState(ws)
 	st.ctx = ctx
 	if forceBland {
@@ -278,7 +268,6 @@ func (p *Problem) newState(ws *Workspace) *tableauState {
 	*st = tableauState{
 		m:       m,
 		nStruct: nStruct,
-		pricing: p.Pricing,
 		stats:   &ws.Stats,
 	}
 
@@ -399,11 +388,6 @@ func (p *Problem) newState(ws *Workspace) *tableauState {
 	}
 	st.n = len(st.lo)
 
-	if st.pricing == PricingDevex {
-		st.weight = ws.f64(ws.weight, st.n)
-		st.cand = ws.i32(ws.cand, devexListSize(st.n))
-	}
-
 	st.maxIter = p.MaxIter
 	if st.maxIter == 0 {
 		st.maxIter = 200*(st.m+st.n) + 2000
@@ -469,7 +453,6 @@ func (st *tableauState) setPhase1Costs() {
 	}
 	st.recomputeReducedCosts()
 	st.initPricingSigns()
-	st.resetPricing()
 }
 
 func (st *tableauState) setPhase2Costs(p *Problem) {
@@ -493,7 +476,6 @@ func (st *tableauState) setPhase2Costs(p *Problem) {
 	}
 	st.recomputeReducedCosts()
 	st.initPricingSigns()
-	st.resetPricing()
 }
 
 func (st *tableauState) phase1Objective() float64 {
@@ -560,11 +542,10 @@ func (st *tableauState) recomputeReducedCosts() {
 //
 // Optimality is never declared off the incrementally-maintained reduced
 // costs alone: when pricing finds no eligible column, a verification sweep
-// recomputes d from the tableau and re-prices over all n columns (also
-// refilling the partial-pricing candidate list). Only a clean sweep
-// returns Optimal; anything it finds resumes pivoting. This closes the
-// premature-optimality hole where a stale d row — or a candidate list that
-// went empty between refreshes — hides a still-improvable column.
+// recomputes d from the tableau and re-prices over all n columns. Only a
+// clean sweep returns Optimal; anything it finds resumes pivoting. This
+// closes the premature-optimality hole where a stale d row hides a
+// still-improvable column.
 func (st *tableauState) iterate() Status {
 	sinceRefresh := 0
 	sinceCtx := 0
@@ -589,7 +570,6 @@ func (st *tableauState) iterate() Status {
 			// Verification sweep: full refresh, then re-price everything.
 			st.recomputeReducedCosts()
 			sinceRefresh = 0
-			st.candN = 0
 			enter, dir = st.chooseEntering()
 			if enter < 0 {
 				return Optimal
@@ -644,16 +624,8 @@ func (st *tableauState) iterate() Status {
 
 // chooseEntering picks the entering column and its direction (+1 =
 // increasing, −1 = decreasing), or (-1, 0) when pricing sees no eligible
-// column. Bland's rule always uses the exact full scan.
-func (st *tableauState) chooseEntering() (int, float64) {
-	if st.pricing == PricingDevex && !st.bland {
-		return st.chooseEnteringDevex()
-	}
-	return st.chooseEnteringDantzig()
-}
-
-// chooseEnteringDantzig is the exact classic rule: scan all n columns for
-// the largest reduced-cost violation (first eligible index under Bland).
+// column. It is the exact Dantzig rule: scan all n columns for the largest
+// reduced-cost violation (first eligible index under Bland).
 // The hot path folds each column's status into the maintained pricing sign
 // (see initPricingSigns): score = psign_j·d_j is bit-identical to the
 // branchy per-status computation ((−1)·d and (+1)·d are exact), ineligible
@@ -661,7 +633,7 @@ func (st *tableauState) chooseEntering() (int, float64) {
 // keeps the same lowest-index tie-breaking. Free columns need a per-sign
 // direction choice that a single multiplier cannot express, so problems
 // that have any fall back to the classification scan.
-func (st *tableauState) chooseEnteringDantzig() (int, float64) {
+func (st *tableauState) chooseEntering() (int, float64) {
 	if st.hasFree {
 		return st.chooseEnteringClassify()
 	}
@@ -941,9 +913,6 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 		}
 		d[enter] = 0
 	}
-	if st.pricing == PricingDevex {
-		st.updateDevexWeights(r, enter, inv)
-	}
 	st.basis[r] = enter
 	st.status[enter] = basic
 	st.psign[enter] = 0
@@ -1128,10 +1097,6 @@ func (p *Problem) rescaledCopy() *Problem {
 		hi:      p.hi,
 		names:   p.names,
 		MaxIter: p.MaxIter,
-		Pricing: p.Pricing,
-		Method:  p.Method,
-		// WarmStart stays off: the retry's scaled coefficients could never
-		// match the retained signature anyway.
 	}
 	q.rows = make([]row, len(p.rows))
 	q.retryRowScale = make([]float64, len(p.rows))

@@ -89,7 +89,7 @@ func solutionBitsEqual(t *testing.T, tag string, got, want *Solution) {
 // TestWorkspaceCrossShapeReuse alternates two LPs of different shapes (one
 // slack-only, one with artificials) through a single Workspace and checks
 // every solve is bit-identical to a fresh-workspace solve: stale tableau
-// contents, extents, pricing signs, and devex state from the other shape
+// contents, extents, and pricing signs from the other shape
 // must never leak into a solve.
 func TestWorkspaceCrossShapeReuse(t *testing.T) {
 	pa, pb := smallLP(), bigLP()
@@ -181,47 +181,5 @@ func TestVerificationSweepResumesOnStaleD(t *testing.T) {
 	}
 	if math.Abs(sol.Objective-want.Objective) > 1e-9 {
 		t.Fatalf("objective after sweep resume %v, want %v", sol.Objective, want.Objective)
-	}
-}
-
-// TestDevexMatchesDantzigObjective checks candidate-list partial pricing
-// reaches the same optimal value as the full Dantzig scan on a spread of
-// random bounded LPs (vertices may differ — objectives may not).
-func TestDevexMatchesDantzigObjective(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		nv := 5 + rng.Intn(40)
-		nr := 3 + rng.Intn(20)
-		build := func() *Problem {
-			g := rand.New(rand.NewSource(int64(1000 + trial)))
-			p := NewProblem(Maximize)
-			for j := 0; j < nv; j++ {
-				p.AddVar("", 0, 1+4*g.Float64(), g.NormFloat64())
-			}
-			for r := 0; r < nr; r++ {
-				terms := make([]Term, 0, 5)
-				for k := 0; k < 5; k++ {
-					terms = append(terms, Term{g.Intn(nv), g.Float64()})
-				}
-				p.AddRow(LE, 1+5*g.Float64(), terms...)
-			}
-			return p
-		}
-		pd := build()
-		sd, err := pd.Solve()
-		if err != nil {
-			t.Fatalf("trial %d dantzig: %v", trial, err)
-		}
-		pv := build()
-		pv.Pricing = PricingDevex
-		ws := &Workspace{}
-		sv, err := pv.SolveWith(ws)
-		if err != nil {
-			t.Fatalf("trial %d devex: %v", trial, err)
-		}
-		tol := 1e-8 * (1 + math.Abs(sd.Objective))
-		if math.Abs(sv.Objective-sd.Objective) > tol {
-			t.Fatalf("trial %d: devex objective %v, dantzig %v", trial, sv.Objective, sd.Objective)
-		}
 	}
 }

@@ -1,9 +1,6 @@
 package linprog
 
-import (
-	"thermaldc/internal/linalg"
-	"thermaldc/internal/telemetry"
-)
+import "thermaldc/internal/telemetry"
 
 // Stats counts the work done by solves that went through one Workspace.
 // The counters are cumulative; callers that want per-epoch numbers take a
@@ -24,28 +21,16 @@ type Stats struct {
 	// found a still-eligible column on the freshly recomputed reduced
 	// costs and resumed pivoting — each one is a premature exit avoided.
 	SweepResumes int64
-	// CandidateRebuilds counts partial-pricing candidate list refills
-	// (zero under the default Dantzig pricing).
-	CandidateRebuilds int64
-	// Factorizations counts basis LU factorizations in the revised core
-	// (initial bases, periodic refactorizations, canonical extractions).
-	Factorizations int64
-	// DualPivots counts dual-simplex basis changes on the warm-start path.
-	// Each is also counted in Pivots.
-	DualPivots int64
-	// WarmAttempts counts solves that found retained warm-start state and
-	// tried to use it; WarmHits and WarmRejects partition the outcomes.
-	WarmAttempts int64
-	// WarmHits counts warm starts that ran to optimality from the retained
-	// basis.
-	WarmHits int64
-	// WarmRejects counts warm starts abandoned for the cold path
-	// (signature mismatch, singular retained basis, dual infeasibility, or
-	// a stalled dual phase).
-	WarmRejects int64
-	// AllocBytes counts bytes of backing buffers the workspace had to
-	// grow. A warmed-up workspace solving same-shaped problems stays at
-	// its high-water mark, so this stops increasing in steady state.
+	// WarmAttempts and WarmHits counted dual-simplex warm starts of a
+	// removed solver core.
+	//
+	// Deprecated: always zero.
+	WarmAttempts, WarmHits int64
+	// AllocBytes counts bytes of backing buffers solves had to grow. A
+	// warmed-up workspace solving same-shaped problems stays at its
+	// high-water mark, so this stops increasing in steady state. Capacity
+	// set aside by Reserve is not counted: a workspace reserved for its
+	// problem's shape reports 0 however its solves vary.
 	AllocBytes int64
 }
 
@@ -56,12 +41,6 @@ func (s *Stats) Add(o Stats) {
 	s.BoundFlips += o.BoundFlips
 	s.Refreshes += o.Refreshes
 	s.SweepResumes += o.SweepResumes
-	s.CandidateRebuilds += o.CandidateRebuilds
-	s.Factorizations += o.Factorizations
-	s.DualPivots += o.DualPivots
-	s.WarmAttempts += o.WarmAttempts
-	s.WarmHits += o.WarmHits
-	s.WarmRejects += o.WarmRejects
 	s.AllocBytes += o.AllocBytes
 }
 
@@ -97,8 +76,6 @@ type Workspace struct {
 	cost         []float64
 	d            []float64
 	psign        []float64 // per-column pricing signs (fast Dantzig scan)
-	weight       []float64 // devex reference weights
-	cand         []int32   // partial-pricing candidate list
 
 	// Solution buffers for the aliasing SolveInto path.
 	solX     []float64
@@ -106,52 +83,6 @@ type Workspace struct {
 	sol      Solution
 
 	st tableauState // embedded so a warm solve allocates no state object
-
-	// Revised-core buffers (MethodRevised solves only). The revised state
-	// shares lo/hi/status/basis/xB/rhs/cost/d/psign/weight/cand with the
-	// tableau core — the two cores never run concurrently in one
-	// workspace — and adds the factorization-side storage below.
-	rvColPtr []int32       // CSC column pointers over all columns
-	rvColIdx []int32       // CSC row indices
-	rvColVal []float64     // CSC values
-	rvColCur []int32       // per-column fill cursor during the CSC build
-	rvNbv    []float64     // nonbasic value per column (build-time residuals)
-	rvRhsEff []float64     // rhs − N·x_N scratch
-	rvW      []float64     // FTRAN result / entering column
-	rvRho    []float64     // BTRAN result / pivot row multipliers
-	rvAlpha  []float64     // pivot row α_rj over all columns
-	rvCB     []float64     // basic-cost gather for BTRAN
-	rvTmpM   []float64     // length-m scratch (column gather, canonical x_B)
-	rvSorted []int         // canonical (ascending) basis ordering
-	rvEtaRow []int32       // eta pivot rows
-	rvEtaVal []float64     // eta columns, flat k·m slabs
-	rvBmat   linalg.Matrix // dense basis matrix for (re)factorization
-	rvLU     linalg.LU     // basis factorization, buffers reused across solves
-	rv       revisedState  // embedded so a warm solve allocates no state object
-
-	// Warm-start retention (Problem.WarmStart with MethodRevised): the
-	// optimal basis of the last retained solve plus a bitwise signature of
-	// everything except the right-hand sides. A later solve matching the
-	// signature restarts the dual simplex from this basis.
-	warmOK     bool
-	warmSense  Sense
-	warmBasis  []int
-	warmStatus []varStatus
-	sigCost    []float64
-	sigLo      []float64
-	sigHi      []float64
-	sigCoef    []float64
-	sigVar     []int32
-	sigRows    []sigRow
-}
-
-// sigRow is the per-row part of the warm-start signature: everything about
-// a row except its right-hand side(s).
-type sigRow struct {
-	op      Op
-	isRange bool
-	rangeLo float64
-	nTerms  int32
 }
 
 // stash saves the (possibly grown) buffers of a finished solve back into
@@ -167,8 +98,41 @@ func (ws *Workspace) stash(st *tableauState) {
 	ws.cost = st.cost
 	ws.d = st.d
 	ws.psign = st.psign
-	ws.weight = st.weight
-	ws.cand = st.cand
+}
+
+// Reserve sizes every buffer for problems of m rows and nStruct structural
+// variables at the worst case of one artificial per row, so no later solve
+// of that shape grows the workspace, whichever rows need artificials. The
+// reserved capacity is not charged to Stats.AllocBytes.
+func (ws *Workspace) Reserve(m, nStruct int) {
+	nCols := nStruct + m
+	n := nCols + m
+	ws.a = reserve(ws.a, m*n)
+	ws.extLo = reserve(ws.extLo, m)
+	ws.extHi = reserve(ws.extHi, m)
+	ws.runs = reserve(ws.runs, n)[:0]
+	ws.nbv = reserve(ws.nbv, nCols)
+	ws.lo = reserve(ws.lo, n)
+	ws.hi = reserve(ws.hi, n)
+	ws.status = reserve(ws.status, n)
+	ws.basis = reserve(ws.basis, m)
+	ws.xB = reserve(ws.xB, m)
+	ws.colBuf = reserve(ws.colBuf, m)
+	ws.rhs = reserve(ws.rhs, m)
+	ws.cost = reserve(ws.cost, n)
+	ws.d = reserve(ws.d, n)
+	ws.psign = reserve(ws.psign, n)
+	ws.solX = reserve(ws.solX, n)
+	ws.solDuals = reserve(ws.solDuals, m)
+}
+
+// reserve returns buf, or a fresh length-n slice when buf holds fewer than
+// n elements of capacity.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf
+	}
+	return make([]T, n)
 }
 
 // f64 returns a length-n float64 slice backed by buf when capacity allows,
@@ -188,15 +152,6 @@ func (ws *Workspace) i32(buf []int32, n int) []int32 {
 	}
 	ws.Stats.AllocBytes += int64(4 * n)
 	return make([]int32, n)
-}
-
-// ints is f64 for int slices.
-func (ws *Workspace) ints(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	ws.Stats.AllocBytes += int64(8 * n)
-	return make([]int, n)
 }
 
 // f64buf returns a length-n float64 slice backed by buf when capacity

@@ -46,11 +46,6 @@ const (
 	// Panic: an internal invariant panic was recovered at the controller
 	// boundary and converted into an error.
 	Panic
-	// WarmStartRejected: a dual-simplex warm start was rejected and the
-	// cold fallback solve then failed too. The retained basis is suspect
-	// (stale or numerically unusable), so the remedy is a cold rebuild of
-	// the solver state rather than another retry on the same workspace.
-	WarmStartRejected
 	// Persist: the checkpoint/restore layer failed — a corrupt or torn
 	// journal, a snapshot from a different run configuration, or plain
 	// I/O. Recovery must stop loudly: resuming past a persistence defect
@@ -88,8 +83,6 @@ func (k Kind) String() string {
 		return "timeout"
 	case Panic:
 		return "panic"
-	case WarmStartRejected:
-		return "warm-start-rejected"
 	case Persist:
 		return "persist"
 	default:
@@ -150,11 +143,6 @@ func Classify(err error) Kind {
 		return Persist
 	}
 	switch {
-	case errors.Is(err, linprog.ErrWarmStartRejected):
-		// Checked first: the marker is attached alongside the underlying
-		// failure (numerical, cycling, ...) and the rejected warm start is
-		// the actionable part — the retained basis must be discarded.
-		return WarmStartRejected
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return Timeout
 	case errors.Is(err, linprog.ErrMalformed), errors.Is(err, linprog.ErrNumerical):

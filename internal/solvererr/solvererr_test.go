@@ -15,7 +15,7 @@ func TestKindStrings(t *testing.T) {
 		Unknown: "unknown", Infeasible: "infeasible", Unbounded: "unbounded",
 		IterationLimit: "iteration-limit", Cycling: "cycling",
 		Numerical: "numerical", Timeout: "timeout", Panic: "panic",
-		WarmStartRejected: "warm-start-rejected",
+		Persist: "persist",
 	}
 	for k, s := range want {
 		if k.String() != s {
@@ -47,11 +47,6 @@ func TestClassify(t *testing.T) {
 		{&linprog.StatusError{Status: linprog.Canceled}, Timeout},
 		{&linprog.StatusError{Status: linprog.Malformed}, Numerical},
 		{New("stage1", Panic, errors.New("boom")), Panic},
-		{linprog.ErrWarmStartRejected, WarmStartRejected},
-		// The marker wins over the co-wrapped underlying failure: the
-		// actionable remedy is discarding the retained basis.
-		{fmt.Errorf("%w (%w)", linprog.ErrNumerical, linprog.ErrWarmStartRejected), WarmStartRejected},
-		{fmt.Errorf("%w (%w)", linprog.ErrCycling, linprog.ErrWarmStartRejected), WarmStartRejected},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {

@@ -29,7 +29,7 @@ const (
 	SpanLPSolve
 	// SpanZoneSolve is one per-zone Stage-1 solve inside the fleet
 	// decomposition; Label is the zone index, Pivots the simplex work, and
-	// Err is 0 for a warm-start hit, 1 for a cold (or warm-rejected) solve.
+	// Err is 1 when the solve failed.
 	SpanZoneSolve
 	// SpanCoordRound is one price-coordination round of the zone master
 	// (master knapsack + all zone evaluations); Label is the round index

@@ -5,8 +5,6 @@ package zones
 import (
 	"context"
 	"testing"
-
-	"thermaldc/internal/linprog"
 )
 
 // TestFleetSmoke1k solves a 1k-node multi-zone fleet end to end and checks
@@ -20,7 +18,7 @@ func TestFleetSmoke1k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zs, err := NewFleetSolver(f, Config{Method: linprog.MethodRevised, WarmStart: true})
+	zs, err := NewFleetSolver(f, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

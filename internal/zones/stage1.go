@@ -28,13 +28,13 @@ const budgetTolerance = 1e-9
 type Config struct {
 	// Psi is the ARR-envelope ψ in percent (default 50, the paper's).
 	Psi float64
-	// Pricing, Method and WarmStart configure every per-zone Stage-1 LP
-	// exactly like assign.Options does: the coordination loop re-solves
-	// each zone at a sequence of budgets — a right-hand-side-only change —
-	// so MethodRevised with WarmStart on turns rounds 1+ into dual-simplex
-	// warm re-solves from the previous round's basis.
-	Pricing   linprog.Pricing
-	Method    linprog.Method
+	// Method selected a simplex core when there were two.
+	//
+	// Deprecated: ignored; every zone LP runs on the flat tableau.
+	Method linprog.Method
+	// WarmStart enabled dual-simplex warm starts of a removed core.
+	//
+	// Deprecated: ignored.
 	WarmStart bool
 	// Parallelism bounds the zone fan-out worker pool under the same
 	// policy as the temperature search (tempsearch.Workers): 0 uses
@@ -78,7 +78,9 @@ type Stats struct {
 	Zones int
 	// Rounds counts master iterations (0 when the shortcut fired).
 	Rounds int
-	// ZoneSolves counts zone LP solves across all rounds.
+	// ZoneSolves counts zone LP solves across all rounds. A zone whose
+	// budget is unchanged since its previous solve keeps that result
+	// and is not re-solved.
 	ZoneSolves int
 	// Shortcut reports that the full-budget zone solutions already fit
 	// under the shared cap, so no price coordination was needed (always
@@ -118,14 +120,17 @@ type zoneState struct {
 	nodeIdx []int
 	out     []float64 // zone's slice of the global outlet vector
 
-	// Round state, written by eval.
-	budget  float64
-	last    *assign.Stage1Result // solver-owned scratch; valid until next eval
-	value   float64
-	price   float64
-	linPow  float64
-	basePow float64
-	err     error
+	// Round state, written by eval. solvedAt is the budget last solved at
+	// and solved reports whether the latest eval ran the LP.
+	budget   float64
+	solvedAt float64
+	solved   bool
+	last     *assign.Stage1Result // solver-owned scratch, valid until the next solve; nil forces one
+	value    float64
+	price    float64
+	linPow   float64
+	basePow  float64
+	err      error
 
 	// Retained best solution (deep copies of the solver-owned scratch).
 	best struct {
@@ -265,11 +270,8 @@ func NewFleetSolver(f *Fleet, cfg Config) (*Solver, error) {
 	return s, nil
 }
 
-// configure applies the LP settings to a freshly built Stage-1 solver.
+// configure wires a freshly built Stage-1 solver to the recorder, if any.
 func (s *Solver) configure(sv *assign.Stage1Solver) *assign.Stage1Solver {
-	sv.SetPricing(s.cfg.Pricing)
-	sv.SetMethod(s.cfg.Method)
-	sv.SetWarmStart(s.cfg.WarmStart)
 	if s.cfg.Recorder != nil {
 		sv.SetRecorder(s.cfg.Recorder)
 	}
@@ -380,9 +382,9 @@ func cloneResult(r *assign.Stage1Result) *assign.Stage1Result {
 
 // SolveScratch is Solve without the defensive copy: the returned result
 // aliases solver-owned buffers and is valid only until the next solve.
-// With warm starts on and telemetry off, a re-solve at unchanged
-// dimensions performs zero heap allocations — the fleet fast path's
-// analog of assign.Stage1Solver.SolveScratch, gated in cmd/benchcheck.
+// With telemetry off, a re-solve at unchanged dimensions performs zero
+// heap allocations — the fleet fast path's analog of
+// assign.Stage1Solver.SolveScratch, gated in cmd/benchcheck.
 func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.Stage1Result, error) {
 	if len(cracOut) != s.ncrac {
 		return nil, fmt.Errorf("zones: got %d CRAC outlet temps, want %d", len(cracOut), s.ncrac)
@@ -397,16 +399,17 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 		}
 		z.budget = P
 		z.best.valid = false
+		z.last = nil // the outlets may have changed since the last Solve
 	}
 
 	// Round 0: every zone at the full budget. Each zone's value there is
 	// the best it could do under any split, so if the solutions jointly
 	// fit, they are optimal.
-	if err := s.evalRound(ctx); err != nil {
+	solves, err := s.evalRound(ctx)
+	if err != nil {
 		return s.recover(ctx, cracOut, &st, err)
 	}
-	st.ZoneSolves += len(s.zones)
-	s.mZoneSolves.Add(int64(len(s.zones)))
+	st.ZoneSolves += solves
 	sumBase, sumLin := 0.0, 0.0
 	for _, z := range s.zones {
 		sumBase += z.basePow
@@ -439,12 +442,12 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 		if mub < ub {
 			ub = mub
 		}
-		if err := s.evalRound(ctx); err != nil {
+		solves, err := s.evalRound(ctx)
+		if err != nil {
 			s.tr.End(cRound, telemetry.SpanCoordRound, int32(round), 0, 1)
 			return s.recover(ctx, cracOut, &st, err)
 		}
-		st.ZoneSolves += len(s.zones)
-		s.mZoneSolves.Add(int64(len(s.zones)))
+		st.ZoneSolves += solves
 		lbRound := 0.0
 		for _, z := range s.zones {
 			lbRound += z.value
@@ -490,10 +493,11 @@ func (s *Solver) observeRound(st *Stats, dual float64) {
 	s.mCuts.Set(float64(cuts))
 }
 
-// evalRound solves every zone at its current budget, fanning out over the
-// shared worker-count policy. Zone state is written only by the goroutine
-// evaluating that zone, and results are independent of the worker count.
-func (s *Solver) evalRound(ctx context.Context) error {
+// evalRound evaluates every zone at its current budget, fanning out over
+// the shared worker-count policy, and returns how many zone LPs it solved.
+// Zone state is written only by the goroutine evaluating that zone, and
+// results are independent of the worker count.
+func (s *Solver) evalRound(ctx context.Context) (int, error) {
 	nw := tempsearch.Workers(s.cfg.Parallelism)
 	if nw > len(s.zones) {
 		nw = len(s.zones)
@@ -529,42 +533,49 @@ func (s *Solver) evalRound(ctx context.Context) error {
 		}
 		wg.Wait()
 	}
+	solves := 0
 	for i, z := range s.zones {
 		if z.err != nil {
-			return fmt.Errorf("zones: zone %d at budget %.6g kW: %w", i, z.budget, z.err)
+			return 0, fmt.Errorf("zones: zone %d at budget %.6g kW: %w", i, z.budget, z.err)
+		}
+		if z.solved {
+			solves++
 		}
 	}
-	return nil
+	s.mZoneSolves.Add(int64(solves))
+	return solves, nil
 }
 
 // eval solves the zone LP at z.budget and records the value-function
-// sample. The scratch result stays valid (solver-owned) until the zone's
-// next eval, which is after any copyBest decision for this round. With
+// sample. A budget bit-identical to the previous solve's needs no solve:
+// the LP data would be identical, so the retained result is exactly what
+// the solve would return. The scratch result stays valid (solver-owned)
+// until the zone's next solve, which is after any copyBest decision for
+// this round. With
 // tracing on it records one SpanZoneSolve on the zone's own track: Label
-// is the zone index, Pivots the solve's simplex work, and Err reports
-// the warm-start outcome (0 warm hit, 1 cold, 2 solve error).
+// is the zone index, Pivots the solve's simplex work, and Err is 1 when
+// the solve failed.
 func (z *zoneState) eval(ctx context.Context) {
+	z.solved = z.last == nil || math.Float64bits(z.budget) != math.Float64bits(z.solvedAt)
+	if !z.solved {
+		return
+	}
+	z.solvedAt = z.budget
 	var c telemetry.SpanClock
-	var pivots0, hits0 int64
+	var pivots0 int64
 	if z.tr != nil {
-		ws := z.solver.Workspace()
-		pivots0 = ws.Stats.Pivots + ws.Stats.DualPivots
-		hits0 = ws.Stats.WarmHits
+		pivots0 = z.solver.Workspace().Stats.Pivots
 		c = z.tr.Begin()
 	}
 	z.dc.Pconst = z.budget
 	res, err := z.solver.SolveScratchContext(ctx, z.out)
 	if z.tr != nil {
-		ws := z.solver.Workspace()
-		outcome := int32(1)
-		if ws.Stats.WarmHits > hits0 {
-			outcome = 0
-		}
+		var code int32
 		if err != nil {
-			outcome = 2
+			code = 1
 		}
 		z.tr.EndOnTrack(c, telemetry.SpanZoneSolve, int32(z.idx), int32(z.idx),
-			ws.Stats.Pivots+ws.Stats.DualPivots-pivots0, outcome)
+			z.solver.Workspace().Stats.Pivots-pivots0, code)
 	}
 	if err != nil {
 		z.err, z.last = err, nil
@@ -635,8 +646,7 @@ func (p *segSorter) Swap(i, j int)      { p.segs[i], p.segs[j] = p.segs[j], p.se
 // marginal tranches in slope order. An earlier version solved this as an
 // LP; at fleet scale (hundreds of zones, thousands of accumulated cuts)
 // the near-parallel cut rows made the simplex basis so ill-conditioned
-// that both tableau and revised methods failed their own residual
-// verification, while the greedy is exact by construction. Returns the
+// that the solver failed its own residual verification, while the greedy is exact by construction. Returns the
 // model optimum (an upper bound on the monolithic LP objective) and the
 // marginal tranche slope at the cap (the coordination price, a valid dual
 // of the budget constraint), and writes the proposed budgets into the

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"thermaldc/internal/linprog"
 	"thermaldc/internal/telemetry"
 )
 
@@ -64,7 +63,7 @@ func TestFleetTelemetryPublishes(t *testing.T) {
 	out := feasibleOutlets(build().NumCRACs())
 	ctx := context.Background()
 
-	plainSolver, err := NewFleetSolver(build(), Config{Method: linprog.MethodRevised, WarmStart: true})
+	plainSolver, err := NewFleetSolver(build(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +74,7 @@ func TestFleetTelemetryPublishes(t *testing.T) {
 
 	rec := telemetry.NewRecorder()
 	rec.Trace = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
-	zs, err := NewFleetSolver(build(), Config{
-		Method: linprog.MethodRevised, WarmStart: true, Recorder: rec,
-	})
+	zs, err := NewFleetSolver(build(), Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

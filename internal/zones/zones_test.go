@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"thermaldc/internal/assign"
-	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
 	"thermaldc/internal/scenario"
 	"thermaldc/internal/tempsearch"
@@ -463,44 +462,40 @@ func TestParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestWarmDualResolvesEngage: under MethodRevised with warm starts, the
-// budget-only re-solves of the coordination rounds must hit the dual
-// warm-start path (the outlets are fixed, so every non-RHS byte of the
-// zone LPs repeats).
-func TestWarmDualResolvesEngage(t *testing.T) {
-	f := buildFleet(t, FleetConfig{
-		Zones: 3, NodesPerZone: 10, CracsPerZone: 2, Variants: 1, Seed: 13, PconstFraction: 0.9,
-	})
-	f.Pconst *= 0.7
-	out := feasibleOutlets(f.NumCRACs())
-
-	cold, err := NewFleetSolver(f, Config{})
-	if err != nil {
-		t.Fatal(err)
+// TestFleetCopiesScaleLinearly is a metamorphic property of the model: k
+// thermally independent copies of one zone under the cap k·P can do no
+// better and no worse than k times that zone alone under P, because the
+// even split is optimal for identical concave value functions. The
+// single zone settles in round 0; k = 4 under a binding cap must run the
+// price-coordination master and still land on k× the single-zone value
+// within Config.Tol.
+func TestFleetCopiesScaleLinearly(t *testing.T) {
+	solve := func(k int) (float64, Stats) {
+		f := buildFleet(t, FleetConfig{
+			Zones: k, NodesPerZone: 10, CracsPerZone: 2, Variants: 1, Seed: 13,
+		})
+		zs, err := NewFleetSolver(f, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := zs.Solve(context.Background(), feasibleOutlets(f.NumCRACs()))
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !res.Feasible {
+			t.Fatalf("k=%d: fleet solve infeasible", k)
+		}
+		return res.PredictedARR, zs.LastStats()
 	}
-	want, err := cold.Solve(context.Background(), out)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := NewFleetSolver(f, Config{Method: linprog.MethodRevised, WarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := warm.Solve(context.Background(), out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := warm.LastStats()
-	if st.Rounds == 0 {
-		t.Fatalf("expected coordination rounds, got %+v", st)
-	}
-	lp := warm.TakeLPStats()
-	if lp.WarmHits == 0 {
-		t.Errorf("no warm dual re-solves engaged across %d zone solves: %+v", st.ZoneSolves, lp)
-	}
-	if d := relDiff(got.PredictedARR, want.PredictedARR); d > 1e-9 {
-		t.Errorf("warm objective %.12g differs from cold %.12g", got.PredictedARR, want.PredictedARR)
+	one, _ := solve(1)
+	for _, k := range []int{1, 4} {
+		got, st := solve(k)
+		if k > 1 && st.Rounds == 0 {
+			t.Fatalf("k=%d: the cap never bound, so the master did not run: %+v", k, st)
+		}
+		if d := relDiff(got, float64(k)*one); d > (Config{}).withDefaults().Tol {
+			t.Errorf("k=%d: value %.12g, want %d × %.12g (rel. diff %.3g)", k, got, k, one, d)
+		}
 	}
 }
 
