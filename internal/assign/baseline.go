@@ -44,6 +44,12 @@ type BaselineResult struct {
 // be consistent FRAC must scale both, so the power term here includes
 // |cores_j| as well.
 func BaselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) (*BaselineResult, error) {
+	return baselineFixed(dc, tm, cracOut, nil)
+}
+
+// baselineFixed is BaselineFixed solving through ws (nil allocates a fresh
+// tableau), so a search worker can reuse one workspace across candidates.
+func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, ws *linprog.Workspace) (*BaselineResult, error) {
 	ncn := dc.NCN()
 	t := dc.T()
 	p := linprog.NewProblem(linprog.Maximize)
@@ -149,7 +155,7 @@ func BaselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) (
 		p.AddRow(linprog.LE, rhs, terms...)
 	}
 
-	sol, err := p.Solve()
+	sol, err := p.SolveWith(ws)
 	if err != nil {
 		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)}, err
 	}
@@ -249,17 +255,21 @@ func (r *BaselineResult) Assignment(dc *model.DataCenter) (pstates []int, tc [][
 
 // Baseline runs the Equation-21 technique with the same CRAC outlet
 // temperature search as the three-stage assignment, using the LP optimum
-// as the search criterion. BaselineFixed builds a fresh LP per call and
-// only reads dc/tm, so one shared evaluator serves all search workers.
+// as the search criterion. Each search worker gets its own evaluator
+// owning one LP workspace, so candidates reuse that worker's tableau
+// buffers instead of allocating a fresh tableau per solve.
 func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineResult, error) {
-	eval := func(cracOut []float64) (float64, bool) {
-		res, err := BaselineFixed(dc, tm, cracOut)
-		if err != nil || !res.Feasible {
-			return 0, false
+	newEval := func() tempsearch.Objective {
+		ws := &linprog.Workspace{}
+		return func(cracOut []float64) (float64, bool) {
+			res, err := baselineFixed(dc, tm, cracOut, ws)
+			if err != nil || !res.Feasible {
+				return 0, false
+			}
+			return res.RewardRateLP, true
 		}
-		return res.RewardRateLP, true
 	}
-	best, err := runSearch(context.Background(), dc.NCRAC(), opts, tempsearch.Shared(eval))
+	best, err := runSearch(context.Background(), dc.NCRAC(), opts, newEval)
 	if err != nil {
 		return nil, fmt.Errorf("assign: baseline temperature search: %w", err)
 	}

@@ -25,6 +25,9 @@ type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
 	// Pick returns the index into cands of the chosen core, or drop=true.
+	// cands is scratch owned by the Scheduler: it is valid only during the
+	// call and is overwritten by the next arrival, so Pick must not retain
+	// it (or any subslice of it).
 	Pick(task workload.Task, now float64, cands []Candidate) (idx int, drop bool)
 }
 
@@ -143,25 +146,39 @@ func (p *RoundRobinPolicy) Pick(_ workload.Task, _ float64, cands []Candidate) (
 // ScheduleWith is the policy-parameterized variant of Schedule: the
 // scheduler builds the deadline-feasible candidate set (cores that can run
 // the type at all), the policy chooses. ATC counts update on assignment.
+//
+// It runs once per task arrival, so it allocates nothing: the candidate
+// set is built in a buffer the Scheduler owns and reuses (see Policy.Pick
+// for the scratch contract).
 func (s *Scheduler) ScheduleWith(policy Policy, task workload.Task, now float64, freeAt []float64) (core int, completion float64, ok bool) {
 	if policy == nil {
 		panic("sched: nil policy")
 	}
-	var cands []Candidate
+	execTime, tc, counts := s.execTime[task.Type], s.tc[task.Type], s.counts[task.Type]
+	elapsed := now - s.startTime
+	limit := task.Deadline + 1e-12
+	cands := s.cands[:0]
 	for _, k := range s.eligible[task.Type] {
-		et := s.execTime[task.Type][k]
-		start := math.Max(now, freeAt[k])
-		done := start + et
-		if done > task.Deadline+1e-12 {
+		start := max(now, freeAt[k])
+		done := start + execTime[k]
+		if done > limit {
 			continue
+		}
+		// Same branches and expression as Ratio.
+		var ratio float64
+		if t := tc[k]; t <= 0 {
+			ratio = math.Inf(1)
+		} else if elapsed > 0 {
+			ratio = float64(counts[k]) / elapsed / t
 		}
 		cands = append(cands, Candidate{
 			Core:       k,
 			Start:      start,
 			Completion: done,
-			Ratio:      s.Ratio(task.Type, k, now),
+			Ratio:      ratio,
 		})
 	}
+	s.cands = cands
 	if len(cands) == 0 {
 		s.mRejected.Inc()
 		return -1, 0, false
@@ -175,7 +192,7 @@ func (s *Scheduler) ScheduleWith(policy Policy, task workload.Task, now float64,
 		panic(fmt.Sprintf("sched: policy %s picked invalid candidate %d of %d", policy.Name(), idx, len(cands)))
 	}
 	chosen := cands[idx]
-	s.counts[task.Type][chosen.Core]++
+	counts[chosen.Core]++
 	s.mAssigned.Inc()
 	return chosen.Core, chosen.Completion, true
 }

@@ -32,6 +32,9 @@ type Scheduler struct {
 	// startTime anchors the ATC rate clock (elapsed = now − startTime);
 	// zero for a fresh simulation, the epoch start when reassigning.
 	startTime float64
+	// cands is the per-arrival candidate buffer ScheduleWith reuses; it
+	// holds no state between arrivals (see Policy.Pick).
+	cands []Candidate
 
 	// Telemetry counters; the zero values are no-ops, so an uninstrumented
 	// scheduler pays nothing on the per-arrival path.
@@ -61,7 +64,9 @@ func (s *Scheduler) StartTime() float64 { return s.startTime }
 // Counts returns a deep copy of the ATC assignment counts (tasks of type
 // i assigned to core k so far). Together with StartTime it is the
 // scheduler's complete mutable state, letting a checkpointed run rebuild
-// an identically behaving scheduler with RestoreCounts.
+// an identically behaving scheduler with RestoreCounts. The candidate
+// buffer ScheduleWith reuses is scratch, not state: nothing in it
+// outlives an arrival.
 func (s *Scheduler) Counts() [][]int {
 	out := make([][]int, len(s.counts))
 	for i := range s.counts {
@@ -123,6 +128,11 @@ func New(dc *model.DataCenter, pstates []int, tc [][]float64) (*Scheduler, error
 			}
 		}
 	}
+	most := 0
+	for _, el := range s.eligible {
+		most = max(most, len(el))
+	}
+	s.cands = make([]Candidate, 0, most)
 	return s, nil
 }
 
