@@ -22,10 +22,13 @@ race:
 # Pre-merge gate (see README): formatting, vet, build, full race suite,
 # the controller and experiment suites repeated at GOMAXPROCS 1, 2 and 4
 # (their resume and metrics comparisons must not depend on how a parallel
-# search splits its candidates), the full differential sweep against the
-# textbook simplex (600 seeded LPs with KKT certificates, behind the slow
-# tag), a 1k-node multi-zone fleet solve with invariant checks
-# (also behind the slow tag), short fuzz smokes on the workload parser,
+# search splits its candidates), the weak-duality screening tests at the
+# same three settings (a screened search must match an unscreened one and
+# skip the same candidates at every worker count), the full differential
+# sweep against the textbook simplex (600 seeded LPs with KKT
+# certificates, behind the slow tag), a 1k-node multi-zone fleet solve
+# with invariant checks (also behind the slow tag), short fuzz smokes on
+# the workload parser,
 # the LU factorizer and the checkpoint journal decoder, the simplex and
 # fleet-scaling performance gates (the fleet family includes the
 # zone-warm-resolve 0-allocs gate), a short instrumented degraded run whose
@@ -43,6 +46,8 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -count=3 -cpu 1,2,4 ./internal/controller ./internal/experiments
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Screen|DualBound|OutletBound|BoundZeroAllocs' \
+		./internal/linprog ./internal/tempsearch ./internal/assign
 	$(GO) test -tags slow -run TestDifferentialFull ./internal/linprog
 	$(GO) test -tags slow -run TestFleetSmoke1k ./internal/zones
 	$(GO) test -run '^$$' -fuzz FuzzLoadTasks -fuzztime 10s ./internal/workload

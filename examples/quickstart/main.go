@@ -46,7 +46,7 @@ func main() {
 		}
 		fmt.Printf("Three-stage assignment, ψ=%g:\n", psi)
 		fmt.Printf("  reward rate %.1f at outlets %v, power %.1f kW, %d Stage-1 LP solves\n",
-			res.RewardRate(), res.Stage1.CracOut, res.Stage1.TotalPower, res.SearchEvals)
+			res.RewardRate(), res.Stage1.CracOut, res.Stage1.TotalPower, res.SearchSolved)
 		onCores := 0
 		for _, ps := range res.PStates {
 			if ps < 4 { // both Table-I types have 4 real P-states

@@ -32,8 +32,11 @@ type BaselineResult struct {
 	TotalPower float64
 	// Feasible reports the exact power/redline check.
 	Feasible bool
-	// SearchEvals counts LP solves during the temperature search.
-	SearchEvals int
+	// SearchEvals counts the outlet candidates the temperature search
+	// visited; SearchSolved counts those it evaluated (the rest were
+	// screened out by their weak-duality bound).
+	SearchEvals  int
+	SearchSolved int
 }
 
 // BaselineFixed solves the Equation-21 LP at fixed CRAC outlet
@@ -44,15 +47,47 @@ type BaselineResult struct {
 // be consistent FRAC must scale both, so the power term here includes
 // |cores_j| as well.
 func BaselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) (*BaselineResult, error) {
-	return baselineFixed(dc, tm, cracOut, nil)
+	res, _, err := baselineFixed(dc, tm, cracOut, nil)
+	return res, err
 }
 
 // baselineFixed is BaselineFixed solving through ws (nil allocates a fresh
 // tableau), so a search worker can reuse one workspace across candidates.
-func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, ws *linprog.Workspace) (*BaselineResult, error) {
+// It also returns the LP's solution (nil when the solve did not succeed),
+// whose duals seed the search's bounds.
+func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, ws *linprog.Workspace) (*BaselineResult, *linprog.Solution, error) {
+	lp := newBaselineLP(dc, tm, cracOut)
+	if lp.badRow >= 0 {
+		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)},
+			nil, fmt.Errorf("assign: redline %d violated by base power alone at outlets %v", lp.badRow, cracOut)
+	}
+	sol, err := lp.p.SolveWith(ws)
+	if err != nil {
+		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)}, nil, err
+	}
+	return lp.result(dc, tm, cracOut, sol), sol, nil
+}
+
+// baselineLP is the Equation-21 LP at one outlet vector. Its rows are the
+// per-task rate rows and per-node fraction rows that have terms, then the
+// power row, then one thermal row per thermal unit.
+type baselineLP struct {
+	p       *linprog.Problem
+	varID   [][]int // varID[i][j]: variable of FRAC(i, j), −1 if screened out
+	varNode []int   // node of each variable
+	varPow  []float64
+	coreP0  []float64 // π_{j,0}·|cores_j|
+	// badRow is the first thermal row whose redline base power alone
+	// violates (the outlets are infeasible), or −1.
+	badRow int
+}
+
+// newBaselineLP builds the Equation-21 LP at cracOut.
+func newBaselineLP(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) *baselineLP {
 	ncn := dc.NCN()
 	t := dc.T()
 	p := linprog.NewProblem(linprog.Maximize)
+	lp := &baselineLP{p: p, badRow: -1}
 
 	// Variables FRAC(i, j) with deadline screening at P-state 0.
 	varID := make([][]int, t)
@@ -66,8 +101,10 @@ func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, w
 			nt := dc.NodeType(j)
 			obj := dc.TaskTypes[i].Reward * dc.ECS[i][dc.Nodes[j].Type][0] * float64(nt.NumCores)
 			varID[i][j] = p.AddVar(fmt.Sprintf("frac_%d_%d", i, j), 0, 1, obj)
+			lp.varNode = append(lp.varNode, j)
 		}
 	}
+	lp.varID = varID
 
 	// Constraint 1: execution rate per task ≤ arrival rate.
 	for i := 0; i < t; i++ {
@@ -102,6 +139,10 @@ func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, w
 	for j := 0; j < ncn; j++ {
 		nt := dc.NodeType(j)
 		coreP0[j] = nt.Core.PStatePower(0) * float64(nt.NumCores)
+	}
+	lp.coreP0 = coreP0
+	for _, j := range lp.varNode {
+		lp.varPow = append(lp.varPow, coreP0[j])
 	}
 
 	// Constraint 3 (power, linearized CRAC as in Stage 1).
@@ -148,18 +189,18 @@ func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, w
 				}
 			}
 		}
-		if rhs < 0 {
-			return &BaselineResult{CracOut: append([]float64(nil), cracOut...)},
-				fmt.Errorf("assign: redline %d violated by base power alone at outlets %v", th, cracOut)
+		if rhs < 0 && lp.badRow < 0 {
+			lp.badRow = th
 		}
 		p.AddRow(linprog.LE, rhs, terms...)
 	}
+	return lp
+}
 
-	sol, err := p.SolveWith(ws)
-	if err != nil {
-		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)}, err
-	}
-
+// result reads the LP solution back and applies the Equation-22 rounding.
+func (lp *baselineLP) result(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, sol *linprog.Solution) *BaselineResult {
+	ncn, t := dc.NCN(), dc.T()
+	varID, coreP0 := lp.varID, lp.coreP0
 	res := &BaselineResult{
 		CracOut:      append([]float64(nil), cracOut...),
 		Frac:         make([][]float64, t),
@@ -215,7 +256,7 @@ func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, w
 	res.TotalPower = total
 	tin := tm.InletTemps(cracOut, res.NodePower)
 	res.Feasible = total <= dc.Pconst+powerTolerance && tm.RedlineSlack(tin) >= -powerTolerance
-	return res, nil
+	return res
 }
 
 // Assignment converts a baseline result into the (P-states, TC) pair the
@@ -259,17 +300,7 @@ func (r *BaselineResult) Assignment(dc *model.DataCenter) (pstates []int, tc [][
 // owning one LP workspace, so candidates reuse that worker's tableau
 // buffers instead of allocating a fresh tableau per solve.
 func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineResult, error) {
-	newEval := func() tempsearch.Objective {
-		ws := &linprog.Workspace{}
-		return func(cracOut []float64) (float64, bool) {
-			res, err := baselineFixed(dc, tm, cracOut, ws)
-			if err != nil || !res.Feasible {
-				return 0, false
-			}
-			return res.RewardRateLP, true
-		}
-	}
-	best, err := runSearch(context.Background(), dc.NCRAC(), opts, newEval)
+	best, err := runSearch(context.Background(), dc.NCRAC(), opts, baselineFactory(dc, tm))
 	if err != nil {
 		return nil, fmt.Errorf("assign: baseline temperature search: %w", err)
 	}
@@ -277,6 +308,51 @@ func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineR
 	if err != nil {
 		return nil, err
 	}
-	res.SearchEvals = best.Evals
+	res.SearchEvals, res.SearchSolved = best.Evals, best.Solved
 	return res, nil
 }
+
+// baselineFactory hands every search worker its own Equation-21 evaluator.
+func baselineFactory(dc *model.DataCenter, tm *thermal.Model) tempsearch.Factory {
+	return func() tempsearch.Evaluator { return &baselineEval{dc: dc, tm: tm} }
+}
+
+// baselineEval is one search worker's Equation-21 evaluator: it solves
+// each candidate's LP through one workspace, keeps the latest LP's
+// solution for its duals, and bounds candidates with an outletBound over a
+// skeleton LP built on the first SetBoundDuals.
+type baselineEval struct {
+	dc  *model.DataCenter
+	tm  *thermal.Model
+	ws  linprog.Workspace
+	sol *linprog.Solution // latest successful solve, nil after a failed one
+	bnd outletBound
+}
+
+func (e *baselineEval) Eval(cracOut []float64) (float64, bool) {
+	res, sol, err := baselineFixed(e.dc, e.tm, cracOut, &e.ws)
+	e.sol = sol
+	if err != nil || !res.Feasible {
+		return 0, false
+	}
+	return res.RewardRateLP, true
+}
+
+func (e *baselineEval) AppendDuals(dst []float64) []float64 {
+	if e.sol == nil {
+		return dst
+	}
+	return e.sol.AppendDuals(dst)
+}
+
+func (e *baselineEval) SetBoundDuals(y []float64) {
+	if e.bnd.p == nil {
+		// Only the invariant rows and the shape of the skeleton are read,
+		// so any outlet vector builds it.
+		lp := newBaselineLP(e.dc, e.tm, make([]float64, e.dc.NCRAC()))
+		e.bnd.init(e.dc, e.tm, lp.p, lp.varNode, lp.varPow)
+	}
+	e.bnd.setDuals(y)
+}
+
+func (e *baselineEval) Bound(cracOut []float64) float64 { return e.bnd.bound(cracOut) }

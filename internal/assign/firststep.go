@@ -79,8 +79,11 @@ type ThreeStageResult struct {
 	// Stage3 holds the desired execution rates and the realized
 	// steady-state reward rate (the headline metric).
 	Stage3 *Stage3Result
-	// SearchEvals counts Stage-1 LP solves during the temperature search.
-	SearchEvals int
+	// SearchEvals counts the outlet candidates the temperature search
+	// visited; SearchSolved counts those it evaluated (the rest were
+	// screened out by their weak-duality bound).
+	SearchEvals  int
+	SearchSolved int
 }
 
 // RewardRate returns the Stage-3 objective, the metric Figure 6 compares.
@@ -218,28 +221,9 @@ func (s *ThreeStageSolver) Solve() (*ThreeStageResult, error) {
 // uncancelled context yields results bit-identical to Solve.
 func (s *ThreeStageSolver) SolveContext(ctx context.Context) (*ThreeStageResult, error) {
 	tr := s.rec.Tracer()
-	s.next = 0
-	factory := func() tempsearch.Objective {
-		// The first worker gets the base solver; later workers get cached
-		// clones, cloned once and reused every epoch. Searches call the
-		// factory from a single goroutine, and all workers finish before the
-		// search returns, so reusing base afterwards for the final solve is
-		// safe.
-		solver := s.worker()
-		return func(cracOut []float64) (float64, bool) {
-			// The scratch solve is bit-identical to SolveContext and
-			// allocation-free; the search keeps only (value, ok), never the
-			// solver-owned result.
-			res, err := solver.SolveScratchContext(ctx, cracOut)
-			if err != nil || !res.Feasible {
-				return 0, false
-			}
-			return res.PredictedARR, true
-		}
-	}
 	clk := tr.Begin()
-	best, err := runSearch(ctx, s.dc.NCRAC(), s.opts, factory)
-	tr.End(clk, telemetry.SpanStage, StageLabelSearch, int64(best.Evals), errBit(err))
+	best, err := runSearch(ctx, s.dc.NCRAC(), s.opts, s.searchFactory(ctx))
+	tr.End(clk, telemetry.SpanStage, StageLabelSearch, int64(best.Solved), errBit(err))
 	if err != nil {
 		return nil, solvererr.Wrap("search", fmt.Errorf("assign: temperature search: %w", err))
 	}
@@ -262,11 +246,40 @@ func (s *ThreeStageSolver) SolveContext(ctx context.Context) (*ThreeStageResult,
 		return nil, solvererr.Wrap("stage3", err)
 	}
 	return &ThreeStageResult{
-		Stage1:      s1,
-		PStates:     pstates,
-		Stage3:      s3,
-		SearchEvals: best.Evals,
+		Stage1:       s1,
+		PStates:      pstates,
+		Stage3:       s3,
+		SearchEvals:  best.Evals,
+		SearchSolved: best.Solved,
 	}, nil
+}
+
+// searchFactory starts a temperature search: the first worker gets the
+// base solver, later workers cached clones, cloned once and reused every
+// epoch. Searches call the factory from a single goroutine, and all
+// workers finish before the search returns, so reusing base afterwards for
+// the final solve is safe.
+func (s *ThreeStageSolver) searchFactory(ctx context.Context) tempsearch.Factory {
+	s.next = 0
+	return func() tempsearch.Evaluator { return stage1Eval{ctx: ctx, Stage1Solver: s.worker()} }
+}
+
+// stage1Eval is one search worker's Stage-1 evaluator: values from the
+// solver's scratch solve, duals and bounds from the same solver.
+type stage1Eval struct {
+	ctx context.Context
+	*Stage1Solver
+}
+
+// Eval returns the Stage-1 LP optimum at cracOut. The scratch solve is
+// bit-identical to SolveContext and allocation-free; the search keeps only
+// (value, ok), never the solver-owned result.
+func (e stage1Eval) Eval(cracOut []float64) (float64, bool) {
+	res, err := e.SolveScratchContext(e.ctx, cracOut)
+	if err != nil || !res.Feasible {
+		return 0, false
+	}
+	return res.PredictedARR, true
 }
 
 // FinishFromStage1 completes the pipeline from an externally produced

@@ -31,7 +31,8 @@ type MinPowerResult struct {
 	Stage3       *Stage3Result
 	IntegerPower float64
 	RewardGap    float64
-	// SearchEvals counts LP solves during the temperature search.
+	// SearchEvals counts the outlet candidates the temperature search
+	// visited. Its evaluator has no bound, so it solves the LP of each.
 	SearchEvals int
 }
 

@@ -55,6 +55,12 @@ type Stage1Solver struct {
 	nodeCoef  []float64
 	baseConst float64
 
+	// lastSol is the latest successful solve (nil after a failed one); its
+	// duals seed the search's bounds. bnd prices candidates by weak
+	// duality; it is sized on the first SetBoundDuals.
+	lastSol *linprog.Solution
+	bnd     outletBound
+
 	// Telemetry handles. The zero values are no-ops, so an uninstrumented
 	// solver pays one predictable-branch per solve; instrumented solves pay
 	// two atomic adds and stay allocation-free.
@@ -197,6 +203,7 @@ func (s *Stage1Solver) SolveContext(ctx context.Context, cracOut []float64) (*St
 	if err != nil {
 		return &Stage1Result{CracOut: append([]float64(nil), cracOut...), Feasible: false}, err
 	}
+	s.lastSol = sol
 
 	res := &Stage1Result{
 		CracOut:          append([]float64(nil), cracOut...),
@@ -248,27 +255,16 @@ func (s *Stage1Solver) reserve() {
 func (s *Stage1Solver) patch(cracOut []float64) (badRow int) {
 	dc, tm := s.dc, s.tm
 	ncn := dc.NCN()
+	s.lastSol = nil
 
 	// Power row (paper constraint 4, linearized CRAC power):
 	// Σ_j (B_j + x_j) + Σ_i [Const_i + Σ_j Coef_i[j]·(B_j + x_j)] ≤ Pconst.
 	s.base = tm.InletBaseInto(cracOut, s.base)
 	s.lin = tm.LinearizeCRACPowerInto(cracOut, s.base, s.lin)
-	baseConst := 0.0
-	nodeCoef := s.nodeCoef
-	for j := 0; j < ncn; j++ {
-		nodeCoef[j] = 1
-		baseConst += s.basePow[j]
-	}
-	for _, l := range s.lin {
-		baseConst += l.Const
-		for j, c := range l.Coef {
-			nodeCoef[j] += c
-			baseConst += c * s.basePow[j]
-		}
-	}
+	baseConst := linearPowerRow(s.basePow, s.lin, s.nodeCoef)
 	powerTerms := s.p.RowTerms(0)
 	for k, node := range s.segNode {
-		powerTerms[k].Coef = nodeCoef[node]
+		powerTerms[k].Coef = s.nodeCoef[node]
 	}
 	s.p.SetRHS(0, dc.Pconst-baseConst)
 	s.baseConst = baseConst
@@ -289,6 +285,36 @@ func (s *Stage1Solver) patch(cracOut []float64) (badRow int) {
 	}
 	return -1
 }
+
+// AppendDuals appends the row duals of the latest successful solve (the
+// power row first, then the thermal rows) to dst; it returns dst unchanged
+// when the latest solve failed.
+func (s *Stage1Solver) AppendDuals(dst []float64) []float64 {
+	if s.lastSol == nil {
+		return dst
+	}
+	return s.lastSol.AppendDuals(dst)
+}
+
+// SetBoundDuals prices subsequent Bound calls with the dual vector y of
+// any Stage-1 solve over the same scenario (see AppendDuals). The first
+// call sizes the bound's buffers; later calls do not allocate.
+func (s *Stage1Solver) SetBoundDuals(y []float64) {
+	if s.bnd.p == nil {
+		pow := make([]float64, len(s.segNode))
+		for k := range pow {
+			pow[k] = 1
+		}
+		s.bnd.init(s.dc, s.tm, s.p, s.segNode, pow)
+	}
+	s.bnd.setDuals(y)
+}
+
+// Bound returns an upper bound on the PredictedARR a solve at cracOut can
+// report, from the weak dual of the Stage-1 LP priced at the SetBoundDuals
+// vector (+Inf before the first SetBoundDuals). It solves nothing, leaves
+// the LP skeleton untouched, and does not allocate once warm.
+func (s *Stage1Solver) Bound(cracOut []float64) float64 { return s.bnd.bound(cracOut) }
 
 // errBaseRedline is the allocation-free error SolveScratch returns when a
 // redline is violated by base power alone (SolveContext formats a richer
@@ -324,6 +350,7 @@ func (s *Stage1Solver) SolveScratchContext(ctx context.Context, cracOut []float6
 	if err != nil {
 		return res, err
 	}
+	s.lastSol = sol
 
 	s.scrCore = growZero(s.scrCore, ncn)
 	s.scrPow = growZero(s.scrPow, ncn)

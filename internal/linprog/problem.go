@@ -225,6 +225,9 @@ func (p *Problem) AddVar(name string, lo, hi, cost float64) int {
 	return len(p.cost) - 1
 }
 
+// VarBounds returns the bounds of variable v.
+func (p *Problem) VarBounds(v int) (lo, hi float64) { return p.lo[v], p.hi[v] }
+
 // SetCost overwrites the objective coefficient of variable v. This allows
 // reusing one constraint matrix for several objectives (e.g. the random
 // objectives used to diversify Appendix-B solutions).
@@ -253,6 +256,9 @@ func (p *Problem) SetRHS(r int, rhs float64) {
 	}
 	p.rows[r].rhs = rhs
 }
+
+// RHS returns the right-hand side of row r (the upper side of a range row).
+func (p *Problem) RHS(r int) float64 { return p.rows[r].rhs }
 
 // RowTerms returns the internal term slice of row r so callers can patch
 // Coef values in place between solves. The sparsity pattern is fixed:
@@ -340,6 +346,10 @@ type Solution struct {
 // perturbations that keep the optimal basis. For a maximization, a binding
 // ≤ row has a non-negative dual.
 func (s *Solution) Dual(r int) float64 { return s.duals[r] }
+
+// AppendDuals appends every row's shadow price (see Dual), in row order,
+// to dst and returns the extended slice.
+func (s *Solution) AppendDuals(dst []float64) []float64 { return append(dst, s.duals...) }
 
 // Value returns the optimal value of variable v.
 func (s *Solution) Value(v int) float64 { return s.x[v] }

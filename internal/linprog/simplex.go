@@ -158,19 +158,30 @@ func (p *Problem) SolveInto(ctx context.Context, ws *Workspace) (*Solution, erro
 	return p.solveGuarded(ctx, ws, true)
 }
 
+// solvedHook, when non-nil, sees every Optimal solution together with its
+// problem as the solve returns. Tests install it to audit the certificate of
+// every LP a pipeline solves; production code never sets it.
+var solvedHook func(p *Problem, sol *Solution)
+
 func (p *Problem) solveGuarded(ctx context.Context, ws *Workspace, reuse bool) (*Solution, error) {
+	var sol *Solution
+	var err error
 	if tr := ws.Trace; tr != nil {
 		clk := tr.Begin()
 		pivots0 := ws.Stats.Pivots
-		sol, err := p.solveGuardedInner(ctx, ws, reuse)
+		sol, err = p.solveGuardedInner(ctx, ws, reuse)
 		var code int32
 		if sol != nil {
 			code = int32(sol.Status)
 		}
 		tr.End(clk, telemetry.SpanLPSolve, 0, ws.Stats.Pivots-pivots0, code)
-		return sol, err
+	} else {
+		sol, err = p.solveGuardedInner(ctx, ws, reuse)
 	}
-	return p.solveGuardedInner(ctx, ws, reuse)
+	if solvedHook != nil && err == nil {
+		solvedHook(p, sol)
+	}
+	return sol, err
 }
 
 func (p *Problem) solveGuardedInner(ctx context.Context, ws *Workspace, reuse bool) (*Solution, error) {

@@ -19,7 +19,9 @@ const (
 	// controller.Rung the attempt would land on.
 	SpanRung
 	// SpanStage is one three-stage phase; Label is 0 search, 1 Stage-1,
-	// 2 Stage-2, 3 Stage-3.
+	// 2 Stage-2, 3 Stage-3. The search span's Pivots field carries the
+	// number of candidates the search evaluated (candidates its
+	// weak-duality screen skipped are not counted).
 	SpanStage
 	// SpanCandidate is one tempsearch objective evaluation; Label is the
 	// worker index, Err is 0 feasible / 1 infeasible.

@@ -18,13 +18,13 @@ func TestGridCancelMidSearch(t *testing.T) {
 	defer cancel()
 
 	var evals int64
-	factory := func() Objective {
-		return func(out []float64) (float64, bool) {
+	factory := func() Evaluator {
+		return Objective(func(out []float64) (float64, bool) {
 			if atomic.AddInt64(&evals, 1) == 5 {
 				cancel() // pull the plug mid-search
 			}
 			return -out[0], true
-		}
+		})
 	}
 	cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: 4}
 	// 3 CRACs at 1 °C over [5, 25] = 9261 candidates: far more than can
@@ -58,13 +58,13 @@ func TestCoarseToFineCancelSerial(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var evals int64
-	factory := func() Objective {
-		return func(out []float64) (float64, bool) {
+	factory := func() Evaluator {
+		return Objective(func(out []float64) (float64, bool) {
 			if atomic.AddInt64(&evals, 1) == 3 {
 				cancel()
 			}
 			return -out[0], true
-		}
+		})
 	}
 	cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: 1}
 	_, err := CoarseToFineContext(ctx, 2, cfg, factory)

@@ -16,15 +16,24 @@
 // enumeration, strict improvement) would have kept. A memoization layer
 // keyed on the quantized outlet vector guarantees coarse-to-fine
 // refinement rounds never re-evaluate a lattice point.
+//
+// Batches screen candidates before evaluating them (see Evaluator): each
+// candidate whose upper bound, priced by the duals of candidates already
+// solved in the search, falls strictly below the incumbent value is
+// skipped, since it can neither beat nor tie the incumbent. The screen never
+// changes Out or Value, and the set of candidates it skips does not depend
+// on the worker count.
 package tempsearch
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -39,18 +48,66 @@ import (
 // the same vector must always produce the same (value, feasible) pair.
 type Objective func(cracOut []float64) (value float64, feasible bool)
 
-// Factory creates one Objective per search worker. Searches call it once
-// per worker; Objectives returned by distinct calls may be invoked
+// Evaluator is one search worker's objective plus the weak-duality screen
+// batch searches run in front of it. When the objective is the optimum of a
+// maximization LP, any dual vector prices every candidate's LP from above
+// without solving it; a candidate whose bound is strictly below a value
+// already found cannot win, so the search skips its solve.
+//
+// Bound must hold for every value Eval can return (the LP evaluators in
+// internal/assign fold linprog's verification margin into it), and a
+// search skips a candidate only when its bound is strictly below the
+// incumbent value. Evaluators with no bound return +Inf and are never
+// screened.
+type Evaluator interface {
+	// Eval evaluates one outlet vector under the Objective contract.
+	Eval(cracOut []float64) (value float64, feasible bool)
+	// AppendDuals appends to dst the row duals of the LP behind the latest
+	// Eval, feasible or not (every dual vector prices validly), and
+	// returns the extended slice; dst is unchanged when that Eval solved
+	// no LP.
+	AppendDuals(dst []float64) []float64
+	// SetBoundDuals prices subsequent Bound calls with the dual vector y,
+	// which the caller leaves unchanged until the next SetBoundDuals. y
+	// may come from any Eval of any worker's Evaluator of the same search.
+	SetBoundDuals(y []float64)
+	// Bound returns an upper bound on the value Eval(cracOut) can return,
+	// or +Inf when it cannot bound it.
+	Bound(cracOut []float64) float64
+}
+
+// Eval calls f, making every Objective an Evaluator that is never
+// screened.
+func (f Objective) Eval(cracOut []float64) (float64, bool) { return f(cracOut) }
+
+// AppendDuals returns dst: an Objective has no duals.
+func (Objective) AppendDuals(dst []float64) []float64 { return dst }
+
+// SetBoundDuals does nothing: an Objective has no bound.
+func (Objective) SetBoundDuals([]float64) {}
+
+// Bound returns +Inf: an Objective has no bound.
+func (Objective) Bound([]float64) float64 { return math.Inf(1) }
+
+// Factory creates one Evaluator per search worker. Searches call it once
+// per worker; Evaluators returned by distinct calls may be invoked
 // concurrently, so any mutable evaluation state (e.g. an incremental LP
-// solver) must be owned by the returned closure, not shared.
-type Factory func() Objective
+// solver) must be owned by the returned Evaluator, not shared.
+type Factory func() Evaluator
 
 // Shared adapts a single Objective into a Factory handing the same
 // Objective to every worker. Use it only when eval is safe for concurrent
 // use (pure functions of the candidate vector and read-only captures).
 func Shared(eval Objective) Factory {
-	return func() Objective { return eval }
+	return func() Evaluator { return eval }
 }
+
+// screenChunk is how many candidates a batch evaluates between bound and
+// incumbent updates. Fixing it, rather than letting workers race ahead, is
+// what makes the set of screened candidates independent of the worker
+// count. Smaller chunks screen more (fresh duals arrive sooner) but leave
+// workers idle at more chunk ends; 4 balances the two for two workers.
+const screenChunk = 4
 
 // ErrNoFeasible reports that no evaluated lattice point was feasible.
 // Searches wrap it with context; callers distinguish an infeasible search
@@ -126,9 +183,12 @@ type Result struct {
 	Out []float64
 	// Value is the objective at Out.
 	Value float64
-	// Evals counts objective evaluations (memoized hits are not
-	// re-evaluated and therefore not re-counted).
+	// Evals counts the distinct candidates the search visited (memoized
+	// hits are not re-counted), whether evaluated or screened out.
 	Evals int
+	// Solved counts the visited candidates whose objective was actually
+	// evaluated; Evals − Solved were screened out by their bound.
+	Solved int
 }
 
 // Grid exhaustively evaluates the lattice with the given step and returns
@@ -180,8 +240,8 @@ func CoarseToFineContext(ctx context.Context, ncrac int, cfg Config, newEval Fac
 		// per CRAC per round keeps the eval count linear in the number of
 		// rounds instead of exponential in the refinement ratio).
 		cands := s.window(res.Out, next, next)
-		idx, v, ok, err := s.batch(cands)
-		res.Evals = s.evals // exact accounting even when the window fails
+		idx, v, ok, err := s.batch(cands, res.Value)
+		res.Evals, res.Solved = s.evals, s.solved // exact accounting even when the window fails
 		if err != nil {
 			return res, err
 		}
@@ -223,7 +283,7 @@ func CoordinateDescentContext(ctx context.Context, ncrac int, cfg Config, start 
 		}
 	}
 	res := Result{Value: math.Inf(-1)}
-	if v, ok := eval(out); ok {
+	if v, ok := eval.Eval(out); ok {
 		res.Value = v
 		res.Out = append([]float64(nil), out...)
 	}
@@ -233,13 +293,14 @@ func CoordinateDescentContext(ctx context.Context, ncrac int, cfg Config, start 
 		improved := false
 		for i := 0; i < ncrac; i++ {
 			if err := ctx.Err(); err != nil {
+				res.Solved = res.Evals
 				return res, fmt.Errorf("tempsearch: coordinate descent canceled: %w", err)
 			}
 			savedVal := out[i]
 			bestT, bestV := savedVal, res.Value
 			for _, t := range levels {
 				out[i] = t
-				v, ok := eval(out)
+				v, ok := eval.Eval(out)
 				res.Evals++
 				if ok && v > bestV {
 					bestT, bestV = t, v
@@ -256,30 +317,42 @@ func CoordinateDescentContext(ctx context.Context, ncrac int, cfg Config, start 
 			break
 		}
 	}
+	res.Solved = res.Evals
 	if res.Out == nil {
 		return res, fmt.Errorf("tempsearch: coordinate descent found no feasible point: %w", ErrNoFeasible)
 	}
 	return res, nil
 }
 
-// memoEntry caches one evaluated lattice point.
+// memoEntry caches one visited lattice point. A screened point is recorded
+// as not feasible: its bound was strictly below an incumbent of the same
+// search, and incumbents only improve, so it can never win a later round.
 type memoEntry struct {
 	value    float64
 	feasible bool
 }
 
 // searcher owns the evaluation machinery of one search call: the memo
-// table, the eval counter, one Objective per worker, and the context that
-// can cancel the whole search between evaluations.
+// table, the visit and solve counters, one Evaluator per worker, the
+// incumbent's duals, and the context that can cancel the whole search
+// between evaluations.
 type searcher struct {
 	ctx     context.Context
 	ncrac   int
 	cfg     Config
 	factory Factory
-	objs    []Objective
+	objs    []Evaluator
 	memo    map[string]memoEntry
 	evals   int
+	solved  int
 	keyBuf  []byte
+
+	// incDuals are the duals of the best candidate solved so far in this
+	// search (empty until one reports duals); they price a batch's points
+	// before it solves any. slots[k] captures the duals of the k-th
+	// candidate of the current chunk.
+	incDuals []float64
+	slots    [screenChunk][]float64
 }
 
 func newSearcher(ctx context.Context, ncrac int, cfg Config, newEval Factory) *searcher {
@@ -305,39 +378,59 @@ func (s *searcher) key(out []float64) string {
 	return string(b)
 }
 
-// obj returns the w-th worker Objective, creating workers lazily. With
-// tracing configured each worker's Objective is wrapped to record one
-// SpanCandidate span per evaluation; the tracer is internally synchronized,
-// so concurrent workers may share it.
-func (s *searcher) obj(w int) Objective {
+// tracedEval records one SpanCandidate span per evaluation of the wrapped
+// Evaluator; the tracer is internally synchronized, so concurrent workers
+// may share it.
+type tracedEval struct {
+	Evaluator
+	tr     *telemetry.Tracer
+	worker int32
+}
+
+func (e tracedEval) Eval(out []float64) (float64, bool) {
+	clk := e.tr.Begin()
+	v, ok := e.Evaluator.Eval(out)
+	var code int32
+	if !ok {
+		code = 1
+	}
+	// Track = worker puts each worker's candidates on its own timeline
+	// lane in exported Chrome traces.
+	e.tr.EndOnTrack(clk, telemetry.SpanCandidate, e.worker, e.worker, 0, code)
+	return v, ok
+}
+
+// obj returns the w-th worker Evaluator, creating workers lazily. With
+// tracing configured each worker's Evaluator records one SpanCandidate span
+// per evaluation.
+func (s *searcher) obj(w int) Evaluator {
 	for len(s.objs) <= w {
 		eval := s.factory()
 		if tr := s.cfg.Trace; tr != nil {
-			inner := eval
-			worker := int32(len(s.objs))
-			eval = func(out []float64) (float64, bool) {
-				clk := tr.Begin()
-				v, ok := inner(out)
-				var code int32
-				if !ok {
-					code = 1
-				}
-				// Track = worker puts each worker's candidates on its own
-				// timeline lane in exported Chrome traces.
-				tr.EndOnTrack(clk, telemetry.SpanCandidate, worker, worker, 0, code)
-				return v, ok
-			}
+			eval = tracedEval{Evaluator: eval, tr: tr, worker: int32(len(s.objs))}
 		}
 		s.objs = append(s.objs, eval)
 	}
 	return s.objs[w]
 }
 
-// batch evaluates every candidate (memoized points are looked up, fresh
-// points fan out over the worker pool) and reduces to the best feasible
-// index. Ties on the objective keep the earliest candidate, which is the
-// lexicographically smallest vector because candidates are enumerated in
-// lexicographic order — so the outcome is independent of worker count.
+// batch visits every candidate and reduces to the best feasible index.
+// Memoized points are looked up; fresh points are screened and the rest
+// evaluated over the worker pool. Ties on the objective keep the earliest
+// candidate, which is the lexicographically smallest vector because
+// candidates are enumerated in lexicographic order — so the outcome is
+// independent of worker count.
+//
+// Screening: incumbent is the best value already found in this comparison
+// (−Inf for none; CoarseToFine passes the value its window is centred on).
+// Every fresh point carries the least bound any dual vector seen so far
+// gives it: the incumbent's duals when the batch starts, then the duals of
+// each candidate the batch solves. Points are taken in descending bound
+// order (ties by candidate index), screenChunk at a time, and a point whose
+// bound is strictly below the incumbent is skipped: it can neither beat nor
+// tie it, so the reduction is unchanged. Bounds, order and incumbent change
+// only between chunks, which keeps the set of skipped points independent of
+// worker count.
 //
 // Cancellation: each worker re-checks the context before claiming the next
 // candidate, so a canceled batch stops within one evaluation per worker,
@@ -345,7 +438,7 @@ func (s *searcher) obj(w int) Objective {
 // returned error matches the context error via errors.Is. Nothing is
 // memoized from a canceled batch: partially filled results must not
 // poison a later retry of the same search window.
-func (s *searcher) batch(cands [][]float64) (bestIdx int, bestVal float64, found bool, err error) {
+func (s *searcher) batch(cands [][]float64, incumbent float64) (bestIdx int, bestVal float64, found bool, err error) {
 	results := make([]memoEntry, len(cands))
 	var fresh []int
 	for i, c := range cands {
@@ -355,59 +448,60 @@ func (s *searcher) batch(cands [][]float64) (bestIdx int, bestVal float64, found
 			fresh = append(fresh, i)
 		}
 	}
-	s.evals += len(fresh)
 
-	workers := s.cfg.workers()
-	if workers > len(fresh) {
-		workers = len(fresh)
+	bounds := make([]float64, len(cands))
+	for _, i := range fresh {
+		bounds[i] = math.Inf(1)
 	}
-	ctx := s.ctx
-	if workers <= 1 {
-		eval := s.obj(0)
-		for n, i := range fresh {
-			if ctx.Err() != nil {
-				s.evals -= len(fresh) - n // count only what actually ran
-				return -1, 0, false, fmt.Errorf("tempsearch: search canceled: %w", ctx.Err())
+	if len(s.incDuals) > 0 {
+		s.tighten(cands, fresh, bounds, s.incDuals, incumbent)
+		sortByBound(fresh, bounds)
+	}
+	chunk := make([]int, 0, screenChunk)
+	for pos := 0; pos < len(fresh); {
+		chunk = chunk[:0]
+		for pos < len(fresh) && len(chunk) < screenChunk {
+			i := fresh[pos]
+			pos++
+			if bounds[i] < incumbent {
+				continue // results[i] stays the not-feasible zero entry
 			}
-			v, ok := eval(cands[i])
-			results[i] = memoEntry{value: v, feasible: ok}
+			chunk = append(chunk, i)
 		}
-	} else {
-		for w := 0; w < workers; w++ {
-			s.obj(w) // materialize outside the goroutines
+		if len(chunk) == 0 {
+			break
 		}
-		var next, ran int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int, eval Objective) {
-				defer wg.Done()
-				// pprof labels attribute CPU samples from -cpuprofile and
-				// the -serve-metrics profile endpoint to the search stage
-				// and worker lane.
-				pprof.Do(ctx, pprof.Labels("stage", "tempsearch", "worker", strconv.Itoa(w)), func(ctx context.Context) {
-					for {
-						if ctx.Err() != nil {
-							return
-						}
-						n := int(atomic.AddInt64(&next, 1)) - 1
-						if n >= len(fresh) {
-							return
-						}
-						i := fresh[n]
-						v, ok := eval(cands[i])
-						results[i] = memoEntry{value: v, feasible: ok}
-						atomic.AddInt64(&ran, 1)
-					}
-				})
-			}(w, s.objs[w])
+		ran, err := s.evalChunk(cands, chunk, results)
+		s.solved += ran
+		if err != nil {
+			s.evals += pos - len(chunk) + ran // count only what actually ran
+			return -1, 0, false, err
 		}
-		wg.Wait()
-		if cerr := ctx.Err(); cerr != nil {
-			s.evals -= len(fresh) - int(ran)
-			return -1, 0, false, fmt.Errorf("tempsearch: search canceled: %w", cerr)
+		win := -1
+		for k, i := range chunk {
+			if r := results[i]; r.feasible && r.value > incumbent &&
+				(win < 0 || r.value > results[chunk[win]].value) {
+				win = k
+			}
+		}
+		if win >= 0 {
+			incumbent = results[chunk[win]].value
+			if len(s.slots[win]) > 0 {
+				s.incDuals = append(s.incDuals[:0], s.slots[win]...)
+			}
+		}
+		rest, tightened := fresh[pos:], false
+		for k := range chunk {
+			if len(s.slots[k]) > 0 && len(rest) > 0 {
+				s.tighten(cands, rest, bounds, s.slots[k], incumbent)
+				tightened = true
+			}
+		}
+		if tightened {
+			sortByBound(rest, bounds)
 		}
 	}
+	s.evals += len(fresh)
 	for _, i := range fresh {
 		s.memo[s.key(cands[i])] = results[i]
 	}
@@ -421,6 +515,91 @@ func (s *searcher) batch(cands [][]float64) (bestIdx int, bestVal float64, found
 	return bestIdx, bestVal, bestIdx >= 0, nil
 }
 
+// tighten lowers bounds[i], i ∈ idx, to the bound the dual vector y gives
+// cands[i]. A point already bounded below the incumbent is screened
+// whatever its bound, since incumbents only rise, so it is not re-priced.
+// Bounds come from worker 0's Evaluator, which no goroutine uses between
+// chunks; every worker's Evaluator prices alike.
+func (s *searcher) tighten(cands [][]float64, idx []int, bounds []float64, y []float64, incumbent float64) {
+	eval := s.obj(0)
+	eval.SetBoundDuals(y)
+	for _, i := range idx {
+		if bounds[i] < incumbent {
+			continue
+		}
+		if b := eval.Bound(cands[i]); b < bounds[i] {
+			bounds[i] = b
+		}
+	}
+}
+
+// sortByBound orders idx by descending bound, ties by candidate index.
+func sortByBound(idx []int, bounds []float64) {
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(bounds[b], bounds[a]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+}
+
+// evalChunk evaluates cands[i] for every i in chunk, fanning out over the
+// worker pool, and records each candidate's duals (if its Evaluator has
+// any) in the slot of its chunk position. It returns how many candidates
+// ran, which is short of len(chunk) only when the context was canceled.
+func (s *searcher) evalChunk(cands [][]float64, chunk []int, results []memoEntry) (int, error) {
+	ctx := s.ctx
+	run := func(eval Evaluator, k int) {
+		i := chunk[k]
+		v, ok := eval.Eval(cands[i])
+		results[i] = memoEntry{value: v, feasible: ok}
+		s.slots[k] = eval.AppendDuals(s.slots[k][:0])
+	}
+	workers := s.cfg.workers()
+	if workers > len(chunk) {
+		workers = len(chunk)
+	}
+	if workers <= 1 {
+		eval := s.obj(0)
+		for k := range chunk {
+			if ctx.Err() != nil {
+				return k, fmt.Errorf("tempsearch: search canceled: %w", ctx.Err())
+			}
+			run(eval, k)
+		}
+		return len(chunk), nil
+	}
+	for w := 0; w < workers; w++ {
+		s.obj(w) // materialize outside the goroutines
+	}
+	var next, ran int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, eval Evaluator) {
+			defer wg.Done()
+			// pprof labels attribute CPU samples from -cpuprofile and the
+			// -serve-metrics profile endpoint to the search stage and
+			// worker lane.
+			pprof.Do(ctx, pprof.Labels("stage", "tempsearch", "worker", strconv.Itoa(w)), func(ctx context.Context) {
+				for ctx.Err() == nil {
+					k := int(atomic.AddInt64(&next, 1)) - 1
+					if k >= len(chunk) {
+						return
+					}
+					run(eval, k)
+					atomic.AddInt64(&ran, 1)
+				}
+			})
+		}(w, s.objs[w])
+	}
+	wg.Wait()
+	if cerr := ctx.Err(); cerr != nil {
+		return int(ran), fmt.Errorf("tempsearch: search canceled: %w", cerr)
+	}
+	return len(chunk), nil
+}
+
 // grid batch-evaluates the full lattice with the given step.
 func (s *searcher) grid(step float64) (Result, error) {
 	levels := latticeLevels(s.cfg.Lo, s.cfg.Hi, step)
@@ -429,18 +608,19 @@ func (s *searcher) grid(step float64) (Result, error) {
 		perDim[i] = levels
 	}
 	cands := enumerate(perDim)
-	idx, v, ok, err := s.batch(cands)
+	idx, v, ok, err := s.batch(cands, math.Inf(-1))
 	if err != nil {
-		return Result{Evals: s.evals}, err
+		return Result{Evals: s.evals, Solved: s.solved}, err
 	}
 	if !ok {
-		return Result{Evals: s.evals},
+		return Result{Evals: s.evals, Solved: s.solved},
 			fmt.Errorf("tempsearch: no feasible outlet assignment on the grid: %w", ErrNoFeasible)
 	}
 	return Result{
-		Out:   append([]float64(nil), cands[idx]...),
-		Value: v,
-		Evals: s.evals,
+		Out:    append([]float64(nil), cands[idx]...),
+		Value:  v,
+		Evals:  s.evals,
+		Solved: s.solved,
 	}, nil
 }
 

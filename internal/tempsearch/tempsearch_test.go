@@ -185,12 +185,12 @@ func TestFactoryOnePerWorker(t *testing.T) {
 	// may be shared between concurrently running workers.
 	var mu sync.Mutex
 	made := 0
-	factory := func() Objective {
+	factory := func() Evaluator {
 		mu.Lock()
 		made++
 		mu.Unlock()
 		inUse := false
-		return func(out []float64) (float64, bool) {
+		return Objective(func(out []float64) (float64, bool) {
 			mu.Lock()
 			if inUse {
 				mu.Unlock()
@@ -204,7 +204,7 @@ func TestFactoryOnePerWorker(t *testing.T) {
 			inUse = false
 			mu.Unlock()
 			return v, ok
-		}
+		})
 	}
 	cfg := Config{Lo: 0, Hi: 10, CoarseStep: 1, FineStep: 1, Parallelism: 4}
 	if _, err := Grid(2, cfg, 1, factory); err != nil {
