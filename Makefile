@@ -24,16 +24,18 @@ race:
 # (their resume and metrics comparisons must not depend on how a parallel
 # search splits its candidates), the weak-duality screening tests at the
 # same three settings (a screened search must match an unscreened one and
-# skip the same candidates at every worker count), the full differential
+# skip the same candidates at every worker count), the pivot-kernel
+# bit-identity tests at the same settings (split eliminations and skipped
+# dead columns must not change any LP result or α), the full differential
 # sweep against the textbook simplex (600 seeded LPs with KKT
 # certificates, behind the slow tag), a 1k-node multi-zone fleet solve
 # with invariant checks (also behind the slow tag), short fuzz smokes on
-# the workload parser,
-# the LU factorizer and the checkpoint journal decoder, the simplex and
-# fleet-scaling performance gates (the fleet family includes the
-# zone-warm-resolve 0-allocs gate), a short instrumented degraded run whose
-# exported time series must pass cmd/tscheck's schema validation and whose
-# Chrome trace must pass `tapo trace lint`, a flight-recorder smoke (a 1ns
+# the workload parser, the LU factorizer, the checkpoint journal decoder
+# and the -faults level parser, the simplex and fleet-scaling performance
+# gates (the fleet family includes the zone-warm-resolve 0-allocs gate), a
+# short instrumented degraded run whose exported time series must pass
+# cmd/tscheck's schema validation and whose Chrome trace must pass
+# `tapo trace lint`, a flight-recorder smoke (a 1ns
 # solve budget forces the ladder onto a safe rung every epoch; at least one
 # bundle must exist and parse via `tapo flight`), and a crash-recovery
 # smoke: a checkpointed sweep is killed mid-run after its 5th durable
@@ -46,13 +48,14 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -count=3 -cpu 1,2,4 ./internal/controller ./internal/experiments
-	$(GO) test -count=1 -cpu 1,2,4 -run 'Screen|DualBound|OutletBound|BoundZeroAllocs' \
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Screen|DualBound|OutletBound|BoundZeroAllocs|KernelBitIdentical' \
 		./internal/linprog ./internal/tempsearch ./internal/assign
 	$(GO) test -tags slow -run TestDifferentialFull ./internal/linprog
 	$(GO) test -tags slow -run TestFleetSmoke1k ./internal/zones
 	$(GO) test -run '^$$' -fuzz FuzzLoadTasks -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzFactorLU -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
 	$(MAKE) bench-compare BENCHTIME=1x
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -metrics-out /tmp/tapo-ci-metrics.jsonl \

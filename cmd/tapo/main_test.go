@@ -150,6 +150,28 @@ func TestParseLevels(t *testing.T) {
 	}
 }
 
+// FuzzParseLevels checks the -faults parser at its trust boundary: every
+// input either errors or yields non-negative counts.
+func FuzzParseLevels(f *testing.F) {
+	for _, s := range []string{"0:0,2:0,2:1,4:1,6:2", "0:0, 2:1,4:2", "", "2", "2:x", "-1:0", "2:1:3", "+3:0", "-0:0", ",", "9999999999999999999:0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		levels, err := parseLevels(s)
+		if err != nil {
+			return
+		}
+		if len(levels) == 0 {
+			t.Fatalf("parseLevels(%q) returned no levels and no error", s)
+		}
+		for _, lvl := range levels {
+			if lvl.NodeFailures < 0 || lvl.CracDegradations < 0 {
+				t.Fatalf("parseLevels(%q) = %+v: negative count", s, levels)
+			}
+		}
+	})
+}
+
 func TestParseValues(t *testing.T) {
 	vs, err := parseValues("1, 2.5,3")
 	if err != nil || len(vs) != 3 || vs[1] != 2.5 {

@@ -143,6 +143,14 @@ func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedRes
 	if cfg.Horizon <= 0 || cfg.Epoch <= 0 || cfg.Trials <= 0 || len(cfg.Levels) == 0 {
 		return nil, fmt.Errorf("experiments: degraded sweep needs positive horizon, epoch, trials and at least one level")
 	}
+	for _, lvl := range cfg.Levels {
+		// The fault generator would clamp an impossible node count and the
+		// row would still carry the requested number, so refuse it here.
+		if lvl.NodeFailures < 0 || lvl.CracDegradations < 0 || lvl.NodeFailures > cfg.NNodes {
+			return nil, fmt.Errorf("experiments: degraded level %d:%d needs non-negative counts and at most %d node failures",
+				lvl.NodeFailures, lvl.CracDegradations, cfg.NNodes)
+		}
+	}
 	baseRun := controller.DefaultConfig(cfg.Horizon, cfg.Epoch)
 	baseRun.Assign = cfg.Options
 	baseRun.SolveTimeout = cfg.SolveTimeout

@@ -8,6 +8,17 @@ import (
 	"thermaldc/internal/experiments"
 )
 
+func TestDegradedSweepRejectsImpossibleLevels(t *testing.T) {
+	for _, lvl := range []experiments.DegradedLevel{{11, 0}, {-1, 0}, {0, -1}} {
+		cfg := experiments.DefaultDegradedConfig(3)
+		cfg.NNodes = 10
+		cfg.Levels = []experiments.DegradedLevel{{0, 0}, lvl}
+		if _, err := experiments.DegradedSweep(cfg); err == nil {
+			t.Errorf("level %+v on %d nodes accepted", lvl, cfg.NNodes)
+		}
+	}
+}
+
 func TestDegradedSweep(t *testing.T) {
 	cfg := experiments.DefaultDegradedConfig(3)
 	cfg.NNodes = 10

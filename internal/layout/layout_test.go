@@ -265,13 +265,15 @@ func TestPaperScaleGeneration(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerateAlphaPaperScale times one paper-scale Appendix-B LP.
+// Every iteration re-seeds the objective, so each solves the same LP
+// whatever b.N is; run it at -cpu 1,2 to see the split eliminations.
 func BenchmarkGenerateAlphaPaperScale(b *testing.B) {
 	cfg := DefaultConfig()
 	dc := buildDC(b, 3, 150, cfg)
-	rng := stats.NewRand(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := GenerateAlpha(dc, cfg, rng); err != nil {
+		if err := GenerateAlpha(dc, cfg, stats.NewRand(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"thermaldc/internal/assign"
+	"thermaldc/internal/layout"
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/scenario"
+	"thermaldc/internal/stats"
 )
 
 // TestScreenSearchLPCertificates audits every LP a small outlet search
@@ -61,5 +63,34 @@ func TestScreenSearchLPCertificates(t *testing.T) {
 	}
 	if solves < 40 || boxed < 30 {
 		t.Fatalf("only %d LPs audited, %d of them boxed", solves, boxed)
+	}
+}
+
+// TestAlphaLPCertificates audits every Appendix-B α LP that
+// layout.GenerateAlpha solves with a KKT certificate: a paper-scale layout
+// (150 nodes, 3 CRACs) and partial-rack layouts that only solve after the
+// Table-II ranges are widened.
+func TestAlphaLPCertificates(t *testing.T) {
+	solves := 0
+	linprog.SetSolvedHook(func(p *linprog.Problem, sol *linprog.Solution) {
+		solves++
+		linprog.CheckKKT(t, fmt.Sprintf("α solve %d", solves), p, sol)
+	})
+	defer linprog.SetSolvedHook(nil)
+
+	type shape struct{ cracs, nodes int }
+	shapes := []shape{{1, 2}, {2, 12}}
+	if !testing.Short() {
+		shapes = append(shapes, shape{3, 150})
+	}
+	for _, sh := range shapes {
+		dc := alphaDC(t, sh.cracs, sh.nodes)
+		before := solves
+		if err := layout.GenerateAlpha(dc, layout.DefaultConfig(), stats.NewRand(42)); err != nil {
+			t.Fatalf("%d CRACs, %d nodes: %v", sh.cracs, sh.nodes, err)
+		}
+		if solves != before+1 {
+			t.Fatalf("%d CRACs, %d nodes: %d optimal solves audited, want 1", sh.cracs, sh.nodes, solves-before)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"thermaldc/internal/telemetry"
 )
@@ -52,6 +54,11 @@ const (
 // Skipping exact zeros is bit-compatible with the dense loops: subtracting
 // f·0 never changes a float64 (the sign-of-zero corner −0−(−0) aside), so
 // the pivot sequence and every emitted value match the dense tableau.
+//
+// A third structure skips columns that nothing reads: dead marks columns the
+// eliminations leave stale (see markDeadSlacks and reviveSlacks). Every
+// column's arithmetic is independent of every other column's, so leaving
+// one out changes no value in the columns that are kept.
 type tableauState struct {
 	m, n   int // rows, total columns (structural + slack + artificial)
 	stride int // row stride of a (≥ n)
@@ -61,6 +68,13 @@ type tableauState struct {
 	extLo, extHi []int32   // per-row nonzero extent [extLo, extHi)
 	runs         []int32   // scratch: nonzero runs of the scaled pivot row, (start, end) pairs
 	colBuf       []float64 // scratch: the entering column, gathered once per pivot
+	dead         []bool    // per column: left out of the eliminations (stale)
+
+	// artRow and artSign record, per artificial, its row and the sign σ
+	// (−1 if newState flipped the row, else +1) that makes the row's slack
+	// column σ times the artificial's column.
+	artRow  []int32
+	artSign []float64
 
 	xB     []float64   // current values of basic variables, per row
 	basis  []int       // basic variable per row
@@ -235,6 +249,7 @@ func (p *Problem) solveOnce(ctx context.Context, ws *Workspace, forceBland, reus
 
 	// Phase 1: minimize the sum of artificial variables.
 	if st.nArt > 0 {
+		st.markDeadSlacks()
 		st.setPhase1Costs()
 		status := st.iterate()
 		if status != Optimal {
@@ -246,6 +261,7 @@ func (p *Problem) solveOnce(ctx context.Context, ws *Workspace, forceBland, reus
 			return sol, st.stalled(), err
 		}
 		st.evictArtificials()
+		st.reviveSlacks()
 	}
 
 	// Phase 2: the real objective.
@@ -323,6 +339,11 @@ func (p *Problem) newState(ws *Workspace) *tableauState {
 	st.extHi = ws.i32(ws.extHi, m)
 	ws.aM, ws.aStride = m, st.stride
 	st.runs = ws.runs
+	st.dead = ws.bools(ws.dead, st.stride)
+	ws.dead = st.dead
+	clear(st.dead)
+	st.artRow = ws.artRow[:0]
+	st.artSign = ws.artSign[:0]
 	rhs := ws.f64(ws.rhs, m)
 	ws.rhs = rhs
 	for i, r := range p.rows {
@@ -381,16 +402,20 @@ func (p *Problem) newState(ws *Workspace) *tableauState {
 		// non-negative basic value. The flip covers the columns that exist
 		// at this point (structural, slacks, artificials created so far),
 		// matching the previous ragged-row behavior exactly.
+		sign := 1.0
 		if res < 0 {
 			for j := 0; j < nCols+st.nArt; j++ {
 				rowv[j] = -rowv[j]
 			}
 			res = -res
+			sign = -1
 		}
 		art := nCols + st.nArt
 		st.lo = append(st.lo, 0)
 		st.hi = append(st.hi, Inf)
 		st.status = append(st.status, basic)
+		st.artRow = append(st.artRow, int32(i))
+		st.artSign = append(st.artSign, sign)
 		rowv[art] = 1
 		st.basis[i] = art
 		st.xB[i] = res
@@ -526,6 +551,67 @@ func (st *tableauState) evictArtificials() {
 			st.gatherColumn(pivCol) // pivot reads the entering column from colBuf
 			st.pivot(i, pivCol, nonbasicValue(st.status[pivCol], st.lo[pivCol], st.hi[pivCol]))
 		}
+	}
+}
+
+// skipDeadColumns switches the dead-column skipping of markDeadSlacks and
+// reviveSlacks; tests turn it off to compare against full eliminations.
+var skipDeadColumns = true
+
+// markDeadSlacks leaves the fixed slack of every row with an artificial out
+// of the phase-1 eliminations. Such a slack starts as σ times its row's
+// artificial column, and row operations keep it so (negation is exact), so
+// it carries no information of its own; being fixed, it can never enter,
+// and evictArtificials skips fixed columns.
+func (st *tableauState) markDeadSlacks() {
+	if !skipDeadColumns {
+		return
+	}
+	for _, i := range st.artRow {
+		if s := st.nStruct + int(i); st.lo[s] == st.hi[s] {
+			st.dead[s] = true
+		}
+	}
+}
+
+// reviveSlacks runs at the phase boundary, after evictArtificials: it
+// rebuilds each dead slack column as σ times its artificial's column, which
+// is bit for bit what eliminating it all along would have left (up to the
+// sign of zeros, which no reader of the column can see), and then retires
+// the artificials instead. Phase 2 pins them at [0, 0], so pricing never
+// selects them, the ratio test reads only the entering column, and the
+// duals come from the slacks: nothing reads an artificial column again.
+func (st *tableauState) reviveSlacks() {
+	if !skipDeadColumns {
+		return
+	}
+	for i := 0; i < st.m; i++ {
+		row := st.row(i)
+		lo, hi := int(st.extLo[i]), int(st.extHi[i])
+		for k, r := range st.artRow {
+			s := st.nStruct + int(r)
+			if !st.dead[s] {
+				continue
+			}
+			v := 0.0
+			if a := st.nCols + k; a >= lo && a < hi {
+				v = st.artSign[k] * row[a]
+			}
+			if s < lo || s >= hi {
+				if v == 0 {
+					continue // outside the extent the entry is already an exact zero
+				}
+				lo, hi = min(lo, s), max(hi, s+1)
+				st.extLo[i], st.extHi[i] = int32(lo), int32(hi)
+			}
+			row[s] = v
+		}
+	}
+	for _, r := range st.artRow {
+		st.dead[st.nStruct+int(r)] = false
+	}
+	for j := st.nCols; j < st.n; j++ {
+		st.dead[j] = true
 	}
 }
 
@@ -846,12 +932,27 @@ func (st *tableauState) updateBasics(enter int, dir, theta float64) {
 // whose inner loops the compiler keeps bounds-check-free.
 const runGap = 8
 
+// splitMinWork is the smallest pivot, in rows times scaled-pivot-row run
+// width, whose row eliminations pivot splits between two goroutines when
+// more than one processor is available. Only the Appendix-B α LP (up to
+// ~1.5M per pivot) reaches it; the Eq.-21 (~0.5M) and Stage-1 LPs stay
+// below, so the searches that already run their candidates in parallel
+// never split.
+const splitMinWork = 1 << 20
+
+// forceSplit makes pivot split every elimination regardless of its size
+// and of GOMAXPROCS; tests set it to exercise the concurrent path.
+var forceSplit bool
+
 // pivot makes column enter basic in row r with the entering value entVal,
 // performing the row elimination on the tableau and the reduced-cost row.
 // The scaled pivot row's nonzero columns are packed once into contiguous
 // runs and every elimination walks only those slices; the update order
 // over columns is ascending, exactly as the dense loop's, so all produced
-// values are bit-identical.
+// values are bit-identical. Dead columns are left out of the runs like
+// zeros. Each row's elimination depends only on itself, the pivot row and
+// its entry of the entering column, so a large pivot hands the upper half
+// of the rows to a helper goroutine without changing any value.
 func (st *tableauState) pivot(r, enter int, entVal float64) {
 	leave := st.basis[r]
 	// Classify the leaving variable at whichever bound it reached.
@@ -869,16 +970,18 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 	piv := prow[enter]
 	inv := 1 / piv
 	exLo, exHi := int(st.extLo[r]), int(st.extHi[r])
+	dead := st.dead[:exHi]
 	runs := st.runs[:0]
-	curStart, lastNz := -1, -1
+	curStart, lastNz, width := -1, -1, 0
 	for j := exLo; j < exHi; j++ {
 		v := prow[j] * inv
 		prow[j] = v
-		if v != 0 {
+		if v != 0 && !dead[j] {
 			if curStart < 0 {
 				curStart = j
 			} else if j-lastNz > runGap {
 				runs = append(runs, int32(curStart), int32(lastNz+1))
+				width += lastNz + 1 - curStart
 				curStart = j
 			}
 			lastNz = j
@@ -886,11 +989,43 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 	}
 	if curStart >= 0 {
 		runs = append(runs, int32(curStart), int32(lastNz+1))
+		width += lastNz + 1 - curStart
 	}
 	st.runs = runs
 
+	if work := st.m * width; forceSplit || work >= splitMinWork && runtime.GOMAXPROCS(0) > 1 {
+		mid := st.m / 2
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			st.eliminate(r, enter, mid, st.m)
+			wg.Done()
+		}()
+		st.eliminate(r, enter, 0, mid)
+		st.eliminateCosts(r, enter)
+		wg.Wait()
+	} else {
+		st.eliminate(r, enter, 0, st.m)
+		st.eliminateCosts(r, enter)
+	}
+	st.basis[r] = enter
+	st.status[enter] = basic
+	st.psign[enter] = 0
+	st.xB[r] = entVal
+	st.dFresh = false
+	st.stats.Pivots++
+}
+
+// eliminate subtracts the scaled pivot row r (packed in st.runs) from rows
+// [from, to) of the tableau, each times its entry of the entering column.
+// It writes only those rows and their extents, so disjoint row blocks may
+// run concurrently.
+func (st *tableauState) eliminate(r, enter, from, to int) {
+	prow := st.row(r)
+	exLo, exHi := st.extLo[r], st.extHi[r]
+	runs := st.runs
 	e32 := int32(enter)
-	for i := 0; i < st.m; i++ {
+	for i := from; i < to; i++ {
 		if i == r {
 			continue
 		}
@@ -909,27 +1044,27 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 		}
 		ri[enter] = 0 // exact zero to stop drift
 		// Fill-in can only land on the pivot row's extent: union it.
-		if int(st.extLo[i]) > exLo {
-			st.extLo[i] = int32(exLo)
+		if st.extLo[i] > exLo {
+			st.extLo[i] = exLo
 		}
-		if int(st.extHi[i]) < exHi {
-			st.extHi[i] = int32(exHi)
+		if st.extHi[i] < exHi {
+			st.extHi[i] = exHi
 		}
 	}
-	if f := st.d[enter]; f != 0 {
-		d := st.d
-		for k := 0; k < len(runs); k += 2 {
-			s, e := int(runs[k]), int(runs[k+1])
-			axpyNeg(f, prow[s:e], d[s:e])
-		}
-		d[enter] = 0
+}
+
+// eliminateCosts applies the pivot on row r to the reduced-cost row d.
+func (st *tableauState) eliminateCosts(r, enter int) {
+	f := st.d[enter]
+	if f == 0 {
+		return
 	}
-	st.basis[r] = enter
-	st.status[enter] = basic
-	st.psign[enter] = 0
-	st.xB[r] = entVal
-	st.dFresh = false
-	st.stats.Pivots++
+	prow, d, runs := st.row(r), st.d, st.runs
+	for k := 0; k < len(runs); k += 2 {
+		s, e := int(runs[k]), int(runs[k+1])
+		axpyNeg(f, prow[s:e], d[s:e])
+	}
+	d[enter] = 0
 }
 
 // finish extracts the solution vector, objective and row duals. With reuse

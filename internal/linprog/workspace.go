@@ -66,6 +66,9 @@ type Workspace struct {
 	aM, aStride  int       // shape of the last tableau built in a
 	extLo, extHi []int32   // per-row nonzero extents
 	runs         []int32   // nonzero runs of the scaled pivot row, [start,end) pairs
+	dead         []bool    // per-column dead mask
+	artRow       []int32   // per artificial: its row
+	artSign      []float64 // per artificial: its row's flip sign σ
 	nbv          []float64 // nonbasic-value cache used during the build
 	lo, hi       []float64
 	status       []varStatus
@@ -91,6 +94,7 @@ func (ws *Workspace) stash(st *tableauState) {
 	ws.a = st.a
 	ws.extLo, ws.extHi = st.extLo, st.extHi
 	ws.runs = st.runs
+	ws.artRow, ws.artSign = st.artRow, st.artSign
 	ws.lo, ws.hi = st.lo, st.hi
 	ws.status = st.status
 	ws.basis = st.basis
@@ -111,6 +115,9 @@ func (ws *Workspace) Reserve(m, nStruct int) {
 	ws.extLo = reserve(ws.extLo, m)
 	ws.extHi = reserve(ws.extHi, m)
 	ws.runs = reserve(ws.runs, n)[:0]
+	ws.dead = reserve(ws.dead, n)
+	ws.artRow = reserve(ws.artRow, m)[:0]
+	ws.artSign = reserve(ws.artSign, m)[:0]
 	ws.nbv = reserve(ws.nbv, nCols)
 	ws.lo = reserve(ws.lo, n)
 	ws.hi = reserve(ws.hi, n)
@@ -152,6 +159,15 @@ func (ws *Workspace) i32(buf []int32, n int) []int32 {
 	}
 	ws.Stats.AllocBytes += int64(4 * n)
 	return make([]int32, n)
+}
+
+// bools is f64 for bool slices.
+func (ws *Workspace) bools(buf []bool, n int) []bool {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	ws.Stats.AllocBytes += int64(n)
+	return make([]bool, n)
 }
 
 // f64buf returns a length-n float64 slice backed by buf when capacity
