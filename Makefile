@@ -26,7 +26,10 @@ race:
 # same three settings (a screened search must match an unscreened one and
 # skip the same candidates at every worker count), the pivot-kernel
 # bit-identity tests at the same settings (split eliminations and skipped
-# dead columns must not change any LP result or α), the full differential
+# dead columns must not change any LP result or α), the zone solver's
+# cut-pool retention and parallelism-invariance tests at the same settings
+# (a cap sequence on retained cuts must match fresh solvers within Tol and
+# be bit-identical at every fan-out width), the full differential
 # sweep against the textbook simplex (600 seeded LPs with KKT
 # certificates, behind the slow tag), a 1k-node multi-zone fleet solve
 # with invariant checks (also behind the slow tag), short fuzz smokes on
@@ -48,8 +51,8 @@ ci:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -count=3 -cpu 1,2,4 ./internal/controller ./internal/experiments
-	$(GO) test -count=1 -cpu 1,2,4 -run 'Screen|DualBound|OutletBound|BoundZeroAllocs|KernelBitIdentical' \
-		./internal/linprog ./internal/tempsearch ./internal/assign
+	$(GO) test -count=1 -cpu 1,2,4 -run 'Screen|DualBound|OutletBound|BoundZeroAllocs|KernelBitIdentical|CutPoolRetention|ParallelismInvariance' \
+		./internal/linprog ./internal/tempsearch ./internal/assign ./internal/zones
 	$(GO) test -tags slow -run TestDifferentialFull ./internal/linprog
 	$(GO) test -tags slow -run TestFleetSmoke1k ./internal/zones
 	$(GO) test -run '^$$' -fuzz FuzzLoadTasks -fuzztime 10s ./internal/workload

@@ -45,8 +45,11 @@ func getFleet(b *testing.B, nz int) *zones.Fleet {
 
 // BenchmarkFleetStage1 is the fleet-scale family: a full price-coordinated
 // Stage-1 solve per iteration, warm — the first solve sizes the per-zone
-// workspaces outside the timer, so iterations measure the steady-state
-// epoch re-solve the controller's zone fast path issues.
+// workspaces and fills each zone's cut pool outside the timer. The cap and
+// outlets never change, so every iteration measures a re-solve on the
+// retained pools: round 0 is skipped when the cached full-budget samples
+// settle it, and the master pour is confirmed by one LP per zone plus any
+// rounds the pool still needs.
 func BenchmarkFleetStage1(b *testing.B) {
 	for _, sz := range []struct {
 		name  string
@@ -86,9 +89,9 @@ func BenchmarkFleetStage1(b *testing.B) {
 	}
 
 	// zone-warm-resolve pins the zero-allocation contract of the warm
-	// epoch re-solve on the zone fast path with telemetry off: serial
-	// fan-out (no goroutines), no recorder, and the scratch entry point
-	// that reuses the solver-owned result buffers. cmd/benchcheck fails
+	// re-solve on retained cut pools with telemetry off: serial fan-out
+	// (no goroutines), no recorder, and the scratch entry point that
+	// reuses the solver-owned result buffers. cmd/benchcheck fails
 	// the fleet family if this reports any allocs/op.
 	b.Run("zone-warm-resolve", func(b *testing.B) {
 		f := getFleet(b, 10)

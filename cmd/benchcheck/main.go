@@ -19,8 +19,8 @@
 // must stay within -fleet-tolerance of the 1k-node point's, i.e. the
 // decomposition must scale linearly or better in fleet size. The optional
 // 50k point (TAPO_BENCH_50K) is held to the same bar when present, and
-// zone-warm-resolve must report exactly 0 allocs/op (the warm epoch
-// re-solve on the zone fast path, telemetry off, keeps the Stage-1
+// zone-warm-resolve must report exactly 0 allocs/op (the warm zone
+// re-solve on retained cut pools, telemetry off, keeps the Stage-1
 // zero-allocation contract).
 //
 // Usage: benchcheck [-tolerance f] [-fleet-tolerance f] [file]
@@ -229,8 +229,8 @@ func checkSimplex(results map[string]result, tolerance float64) []string {
 // with fleet size, up to the tolerance. The 1k and 10k points are
 // mandatory once the family appears; the 50k point joins the gate when the
 // run included it. The zone-warm-resolve point is mandatory too and must
-// report exactly 0 allocs/op: the warm epoch re-solve on the zone fast
-// path keeps the Stage-1 zero-allocation contract with telemetry off.
+// report exactly 0 allocs/op: the warm zone re-solve on retained cut
+// pools keeps the Stage-1 zero-allocation contract with telemetry off.
 func checkFleet(results map[string]result, tolerance float64) []string {
 	const (
 		small    = fleetPrefix + "1k"
@@ -247,7 +247,7 @@ func checkFleet(results map[string]result, tolerance float64) []string {
 		failures = append(failures, warmZone+" has no allocs/op column (run with -benchmem or b.ReportAllocs)")
 	case w.allocsPerOp != 0:
 		failures = append(failures, fmt.Sprintf(
-			"%s reports %g allocs/op, want 0 (zone fast-path warm re-solve broke its zero-allocation contract)",
+			"%s reports %g allocs/op, want 0 (warm zone re-solve broke its zero-allocation contract)",
 			warmZone, w.allocsPerOp))
 	}
 	base, okB := results[small]

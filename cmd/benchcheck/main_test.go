@@ -161,7 +161,7 @@ func TestCheckFleetFailsWithoutZoneWarm(t *testing.T) {
 }
 
 // TestCheckFleetFailsOnZoneWarmAllocs: any allocation on the zone warm
-// re-solve breaks the fast path's zero-allocation contract.
+// re-solve breaks its zero-allocation contract.
 func TestCheckFleetFailsOnZoneWarmAllocs(t *testing.T) {
 	in := strings.Replace(fleetOK, "0 B/op	       0 allocs/op", "96 B/op	       4 allocs/op", 1)
 	results, err := parse(strings.NewReader(in))

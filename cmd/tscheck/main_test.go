@@ -27,12 +27,6 @@ func goodSeries(t *testing.T) string {
 				CracOutC: []float64{17.5, 18.75},
 				LPSolves: 4, LPPivots: 20, LPAllocBytes: 0,
 			}
-			if run == 1 {
-				// The second run exercises the zone fast-path fields.
-				s.ZonePath = true
-				s.ZoneRounds = 2 + epoch
-				s.ZoneFallbacks = epoch % 2
-			}
 			if err := jw.Write(s); err != nil {
 				t.Fatal(err)
 			}
@@ -77,10 +71,7 @@ func TestCheckStreamRejections(t *testing.T) {
 		{"epoch repeats", corrupt(1, `"epoch":1`, `"epoch":0`), "strictly increasing"},
 		{"time goes back", corrupt(2, `"t_start_s":30,"t_end_s":45`, `"t_start_s":1,"t_end_s":2`), "monotone"},
 		{"backwards interval", corrupt(0, `"t_start_s":0,"t_end_s":15`, `"t_start_s":15,"t_end_s":0`), "backwards"},
-		{"zone_path wrong type", corrupt(3, `"zone_path":true`, `"zone_path":1`), "want bool"},
-		{"zone_rounds wrong type", corrupt(4, `"zone_rounds":3`, `"zone_rounds":"3"`), "want number"},
-		{"zone_fallbacks wrong type", corrupt(4, `"zone_fallbacks":1`, `"zone_fallbacks":true`), "want number"},
-		{"zone typo key", corrupt(3, `"zone_rounds":2`, `"zone_round":2`), "unknown key"},
+		{"lp_solves wrong type", corrupt(4, `"lp_solves":4`, `"lp_solves":"4"`), "want number"},
 		{"not json", "hello\n", "not a JSON object"},
 		{"empty", "", "no samples"},
 	} {

@@ -104,23 +104,10 @@ type Config struct {
 	// run. Nil — the default — keeps the run on the unpersisted fast path.
 	// Closed loop only: open-loop runs are single-shot and restart instead.
 	Checkpoint CheckpointSink
-	// ZoneFastPath enables the zone-decomposed Stage-1 fast path on
-	// power-cap-only epochs (closed loop only). When the planner floor
-	// partitions into thermally independent zones (internal/zones), an
-	// epoch whose only change is the power cap re-solves Stage 1 at the
-	// previous plan's outlet temperatures — per-zone LPs in parallel with
-	// the shared cap split by price coordination — instead of re-running
-	// the full outlet-temperature search. The plan still passes the same
-	// assign.Verify gate; any zone-path failure falls back to the full
-	// ladder, so safety is unchanged. Off by default: the fast path pins
-	// the outlets on such epochs, which can differ from the re-searched
-	// plan (it trades a little outlet optimality for a much cheaper
-	// re-solve on large floors).
-	ZoneFastPath bool
 	// FlightRec, when non-nil, arms the failure flight recorder (closed
 	// loop only): any epoch that engages the degradation ladder above
-	// warm, fails plan verification, falls back from the zone fast path,
-	// or ends with a classified solver error dumps a diagnostic bundle —
+	// warm, fails plan verification, or ends with a classified solver
+	// error dumps a diagnostic bundle —
 	// recent spans, metrics snapshot, the epoch's sample, fault state, LP
 	// stats — to the recorder's directory (rate-limited and bounded; see
 	// internal/flightrec). Dump failures are logged, never fatal: the
@@ -216,16 +203,6 @@ type EpochReport struct {
 	// Rung is the degradation-ladder step that produced the plan (only
 	// meaningful when Resolved).
 	Rung Rung
-	// ZonePath marks a re-solve served by the zone-decomposed fast path
-	// (Config.ZoneFastPath) instead of a trip down the ladder.
-	ZonePath bool
-	// ZoneRounds is the fast-path solve's price-coordination round count
-	// (0 when the shortcut fired or the fast path was not used).
-	ZoneRounds int
-	// ZoneFallback marks an epoch whose zone fast-path attempt fell back:
-	// either the zone solver delegated to its internal monolithic solver,
-	// or the attempt failed outright and the full ladder served the epoch.
-	ZoneFallback bool
 	// Retries counts backed-off retry attempts spent on this solve.
 	Retries int
 	// SolveWall is the wall time of the whole ladder trip.
@@ -254,12 +231,6 @@ type Result struct {
 	// plan; Retries totals backed-off retry attempts across the run.
 	RungCounts [NumRungs]int
 	Retries    int
-	// ZoneFastPaths counts re-solves served by the zone-decomposed fast
-	// path (tallied under RungWarm in RungCounts); ZoneFallbacks counts
-	// epochs whose fast-path attempt fell back (see
-	// EpochReport.ZoneFallback).
-	ZoneFastPaths int
-	ZoneFallbacks int
 	// Violations sums planner-view Verify findings across all plans.
 	Violations int
 	// MaxPower, MaxPowerExcess and MaxInletExcess fold the per-epoch
@@ -349,7 +320,6 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		plan      *assign.ThreeStageResult
 		lastGood  *assign.ThreeStageResult
 		s         *sched.Scheduler
-		zp        *zonePath
 	)
 	freeAt := make([]float64, base.NumCores())
 	evIdx := 0
@@ -365,9 +335,6 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		plan, lastGood, s = r.plan, r.lastGood, r.s
 		freeAt = r.freeAt
 		evIdx, taskIdx, startBi = ck.EvIdx, ck.TaskIdx, ck.EpochsDone
-		if cfg.ZoneFastPath && plannerDC != nil && plannerTM != nil {
-			zp = newZonePath(plannerDC, plannerTM, cfg)
-		}
 		if startBi > len(bounds)-1 {
 			return nil, fmt.Errorf("controller: resume checkpoint has %d epochs done but the run has only %d intervals",
 				startBi, len(bounds)-1)
@@ -407,9 +374,6 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			if err != nil {
 				return nil, err
 			}
-			if cfg.ZoneFastPath {
-				zp = newZonePath(plannerDC, plannerTM, cfg)
-			}
 			changed = true
 		} else if changed {
 			// Power-cap-only change: the Stage-1 LP reads Pconst per solve,
@@ -421,71 +385,34 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			if plan != nil {
 				prevOut = plan.Stage1.CracOut
 			}
-			// Power-cap-only epochs first offer the solve to the zone fast
-			// path (when enabled and the floor decomposes): Stage 1 at the
-			// previous plan's outlets via parallel per-zone LPs, no search.
-			// A declined or failed attempt drops to the ladder untouched.
-			zoned := false
-			if zp != nil && !structural && len(prevOut) == plannerDC.NCRAC() {
-				if p, wall, ok := zp.try(ctx, cfg, solver, plannerDC, plannerTM, prevOut); ok {
-					plan = p
-					zoned = true
-					rep.Rung = RungWarm
-					rep.ZonePath = true
-					rep.SolveWall = wall
-					res.RungCounts[RungWarm]++
-					res.ZoneFastPaths++
-					lastGood = plan
-					zst := zp.solver.LastStats()
-					rep.ZoneRounds = zst.Rounds
-					if zst.Fallback {
-						// The plan shipped, but via the zone solver's internal
-						// monolithic fallback — worth flagging.
-						rep.ZoneFallback = true
-						res.ZoneFallbacks++
-					}
-				} else {
-					// The attempt ran and failed; the full ladder serves the
-					// epoch.
-					rep.ZoneFallback = true
-					res.ZoneFallbacks++
-				}
+			rebuild := func() (*assign.ThreeStageSolver, error) {
+				return assign.NewThreeStageSolver(plannerDC, plannerTM, cfg.Assign)
 			}
-			if !zoned {
-				rebuild := func() (*assign.ThreeStageSolver, error) {
-					return assign.NewThreeStageSolver(plannerDC, plannerTM, cfg.Assign)
-				}
-				lad := runLadder(ctx, cfg, solver, rebuild, plannerDC, plannerTM, lastGood, prevOut)
-				plan = lad.plan
-				if lad.solver != nil {
-					solver = lad.solver
-				}
-				rep.Rung = lad.rung
-				rep.Retries = lad.retries
-				rep.SolveWall = lad.wall
-				rep.ErrKind = solvererr.Classify(lad.lastErr)
-				res.RungCounts[lad.rung]++
-				res.Retries += lad.retries
-				if lad.rung >= RungPrevPlan {
-					// Every solve attempt failed: the safe rungs took over.
-					rep.Fallback = true
-					res.Fallbacks++
-				} else {
-					lastGood = plan
-				}
+			lad := runLadder(ctx, cfg, solver, rebuild, plannerDC, plannerTM, lastGood, prevOut)
+			plan = lad.plan
+			if lad.solver != nil {
+				solver = lad.solver
+			}
+			rep.Rung = lad.rung
+			rep.Retries = lad.retries
+			rep.SolveWall = lad.wall
+			rep.ErrKind = solvererr.Classify(lad.lastErr)
+			res.RungCounts[lad.rung]++
+			res.Retries += lad.retries
+			if lad.rung >= RungPrevPlan {
+				// Every solve attempt failed: the safe rungs took over.
+				rep.Fallback = true
+				res.Fallbacks++
+			} else {
+				lastGood = plan
 			}
 			rep.Resolved = true
 			res.Resolves++
 			rep.Violations = len(assign.Verify(plannerDC, plannerTM, plan, cfg.Tol))
 			res.Violations += rep.Violations
 			// Drain the warm solver's simplex counters for this epoch (a
-			// cold rebuild mid-ladder forfeits the failed attempt's counts);
-			// the zone solvers' counters ride along whenever the fast path
-			// was consulted.
+			// cold rebuild mid-ladder forfeits the failed attempt's counts).
 			rep.LP = solver.TakeLPStats()
-			if zp != nil {
-				rep.LP.Add(zp.solver.TakeLPStats())
-			}
 			res.LP.Add(rep.LP)
 
 			// A new plan means new desired rates, so the scheduler is
@@ -527,7 +454,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		if err != nil {
 			return nil, err
 		}
-		recordFlight(cfg, res, &rep, st, zp, samp)
+		recordFlight(cfg, res, &rep, st, samp)
 		if cfg.Checkpoint != nil {
 			d := &EpochDelta{
 				EvIdx:       evIdx,

@@ -19,11 +19,9 @@ func flightReason(rep *EpochReport) string {
 		return "ladder-" + rep.Rung.String()
 	case rep.Violations > 0:
 		return "verify-reject"
-	case rep.Resolved && !rep.ZonePath && rep.Rung > RungWarm:
+	case rep.Resolved && rep.Rung > RungWarm:
 		// The ladder engaged past the warm rung (cold rebuild or retry).
 		return "ladder-" + rep.Rung.String()
-	case rep.ZoneFallback:
-		return "zone-fallback"
 	case rep.ErrKind != solvererr.Unknown:
 		// A classified solver error occurred even though the epoch
 		// recovered (e.g. a warm reject absorbed before the cold rung).
@@ -36,7 +34,7 @@ func flightReason(rep *EpochReport) string {
 // no-op without a flight recorder or when the epoch was healthy. Dump
 // failures are logged and swallowed: the black box never aborts the run
 // it is documenting.
-func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, zp *zonePath, samp *telemetry.EpochSample) {
+func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample) {
 	fr := cfg.FlightRec
 	if fr == nil {
 		return
@@ -45,7 +43,7 @@ func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, z
 	if reason == "" {
 		return
 	}
-	b := flightBundle(cfg, res, rep, st, zp, samp, reason)
+	b := flightBundle(cfg, res, rep, st, samp, reason)
 	if _, err := fr.Record(b); err != nil {
 		log := cfg.Recorder.Logger()
 		if log == nil {
@@ -57,9 +55,8 @@ func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, z
 
 // flightBundle assembles the diagnostic payload: the epoch's outcome and
 // sample, the recent span window, a metrics snapshot, the fault-schedule
-// state in force, the epoch's LP work stats, and — when the zone fast
-// path is live — the coordinator's last stats.
-func flightBundle(cfg Config, res *Result, rep *EpochReport, st *faults.State, zp *zonePath, samp *telemetry.EpochSample, reason string) flightrec.Bundle {
+// state in force, and the epoch's LP work stats.
+func flightBundle(cfg Config, res *Result, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample, reason string) flightrec.Bundle {
 	b := flightrec.Bundle{
 		Reason:     reason,
 		Epoch:      res.EpochsSeen - 1,
@@ -75,9 +72,6 @@ func flightBundle(cfg Config, res *Result, rep *EpochReport, st *faults.State, z
 	}
 	if st != nil {
 		b.Faults = st.Clone()
-	}
-	if zp != nil {
-		b.Zone = zp.solver.LastStats()
 	}
 	if samp != nil {
 		b.Run = samp.Run

@@ -14,8 +14,6 @@ func TestFlightReason(t *testing.T) {
 	}{
 		{"healthy carryover", EpochReport{}, ""},
 		{"healthy warm resolve", EpochReport{Resolved: true, Rung: RungWarm}, ""},
-		{"healthy zone fast path",
-			EpochReport{Resolved: true, Rung: RungWarm, ZonePath: true}, ""},
 		{"fallback names the rung",
 			EpochReport{Resolved: true, Fallback: true, Rung: RungAllOff}, "ladder-all-off"},
 		{"fallback outranks violations",
@@ -26,14 +24,8 @@ func TestFlightReason(t *testing.T) {
 			EpochReport{Resolved: true, Rung: RungCold}, "ladder-cold"},
 		{"retry rung engagement",
 			EpochReport{Resolved: true, Rung: RungRetry}, "ladder-retry"},
-		{"zone fallback that recovered warm",
-			EpochReport{Resolved: true, Rung: RungWarm, ZoneFallback: true}, "zone-fallback"},
 		{"absorbed solver error",
 			EpochReport{Resolved: true, Rung: RungWarm, ErrKind: solvererr.Timeout}, "solve-error-timeout"},
-		// The zone fast path reaching RungWarm is its normal tally; a
-		// cold rung with ZonePath set still names the ladder.
-		{"zone path cold rung",
-			EpochReport{Resolved: true, Rung: RungCold, ZonePath: true, ZoneFallback: true}, "zone-fallback"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := flightReason(&tc.rep); got != tc.want {

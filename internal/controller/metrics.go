@@ -45,10 +45,6 @@ type runMetrics struct {
 	lpRefreshes  telemetry.Counter
 	lpAllocBytes telemetry.Counter
 
-	zonePaths     telemetry.Counter
-	zoneRounds    telemetry.Counter
-	zoneFallbacks telemetry.Counter
-
 	solveWall telemetry.Histogram
 
 	headroomBuf []float64 // per-sensor scratch, reused every epoch
@@ -95,12 +91,6 @@ func newRunMetrics(rec *telemetry.Recorder, ncrac int) *runMetrics {
 	m.lpBoundFlips = reg.Counter("tapo_lp_bound_flips_total", "simplex bound flips")
 	m.lpRefreshes = reg.Counter("tapo_lp_refreshes_total", "full reduced-cost recomputations")
 	m.lpAllocBytes = reg.Counter("tapo_lp_alloc_bytes_total", "bytes of simplex workspace growth")
-	m.zonePaths = reg.Counter("tapo_controller_zone_fast_paths_total",
-		"re-solves served by the zone-decomposed fast path")
-	m.zoneRounds = reg.Counter("tapo_controller_zone_rounds_total",
-		"price-coordination rounds spent by zone fast-path solves")
-	m.zoneFallbacks = reg.Counter("tapo_controller_zone_fallbacks_total",
-		"zone fast-path attempts that fell back (to the monolithic zone solver or the full ladder)")
 	m.solveWall = reg.Histogram("tapo_controller_solve_wall_seconds",
 		"wall time of one epoch's whole degradation-ladder trip",
 		[]float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5})
@@ -166,13 +156,6 @@ func (m *runMetrics) emitEpoch(res *Result, rep *EpochReport, p *truthPlant, wan
 	m.lpBoundFlips.Add(rep.LP.BoundFlips)
 	m.lpRefreshes.Add(rep.LP.Refreshes)
 	m.lpAllocBytes.Add(rep.LP.AllocBytes)
-	if rep.ZonePath {
-		m.zonePaths.Inc()
-	}
-	m.zoneRounds.Add(int64(rep.ZoneRounds))
-	if rep.ZoneFallback {
-		m.zoneFallbacks.Inc()
-	}
 
 	jw := m.rec.SeriesSink()
 	if jw == nil && !wantSample {
@@ -198,11 +181,6 @@ func (m *runMetrics) emitEpoch(res *Result, rep *EpochReport, p *truthPlant, wan
 		LPSolves:               rep.LP.Solves,
 		LPPivots:               rep.LP.Pivots,
 		LPAllocBytes:           rep.LP.AllocBytes,
-	}
-	samp.ZonePath = rep.ZonePath
-	samp.ZoneRounds = rep.ZoneRounds
-	if rep.ZoneFallback {
-		samp.ZoneFallbacks = 1
 	}
 	if rep.Resolved {
 		samp.Rung = rep.Rung.String()

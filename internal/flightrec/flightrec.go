@@ -1,10 +1,10 @@
 // Package flightrec is the failure flight recorder: a bounded black box
 // that captures a diagnostic bundle the moment the controller degrades —
-// a ladder engagement above the warm rung, a plan-verifier rejection, a
-// zone-solver fallback, or any classified solver error. Each bundle is
-// one JSON file (recent span window, metrics snapshot, last exported
-// EpochSample, fault-schedule state, LP work stats) written atomically
-// via internal/persist so a crash mid-dump can never leave a torn file.
+// a ladder engagement above the warm rung, a plan-verifier rejection, or
+// any classified solver error. Each bundle is one JSON file (recent span
+// window, metrics snapshot, last exported EpochSample, fault-schedule
+// state, LP work stats) written atomically via internal/persist so a
+// crash mid-dump can never leave a torn file.
 // Recording is rate-limited and the directory is pruned to a fixed
 // bundle count, so a flapping fault cannot fill the disk. A nil
 // *Recorder is the disabled state: Record is a no-op.
@@ -57,7 +57,7 @@ type Config struct {
 // telemetry hook is not wired.
 type Bundle struct {
 	// Reason names the trigger ("ladder-cold", "verify-reject",
-	// "zone-fallback", "solve-error", ...).
+	// "solve-error-timeout", ...).
 	Reason string `json:"reason"`
 	// Time is the wall-clock capture instant; Seq the recorder's bundle
 	// sequence number (monotone, survives pruning).
@@ -80,9 +80,6 @@ type Bundle struct {
 	Faults any `json:"faults,omitempty"`
 	// LP is the epoch's solver work stats (linprog.Stats).
 	LP any `json:"lp,omitempty"`
-	// Zone is the zone coordinator's last stats (zones.Stats), when the
-	// fleet path was involved.
-	Zone any `json:"zone,omitempty"`
 }
 
 // Recorder writes bundles. Safe for concurrent use.

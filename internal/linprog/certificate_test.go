@@ -1,6 +1,7 @@
 package linprog_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -10,6 +11,8 @@ import (
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/scenario"
 	"thermaldc/internal/stats"
+	"thermaldc/internal/thermal"
+	"thermaldc/internal/zones"
 )
 
 // TestScreenSearchLPCertificates audits every LP a small outlet search
@@ -92,5 +95,77 @@ func TestAlphaLPCertificates(t *testing.T) {
 		if solves != before+1 {
 			t.Fatalf("%d CRACs, %d nodes: %d optimal solves audited, want 1", sh.cracs, sh.nodes, solves-before)
 		}
+	}
+}
+
+// TestZoneLPCertificates audits every zone LP of a cap-step sequence on a
+// small zoned fleet with a KKT certificate. The coordination master keeps
+// each zone's power-row dual as the slope of a Kelley cut and reuses it
+// at later caps, so each ≤ row's dual must also be non-negative. Every
+// audited solve must be one the zone solver counted.
+func TestZoneLPCertificates(t *testing.T) {
+	f, err := zones.BuildFleet(zones.FleetConfig{
+		Zones: 3, NodesPerZone: 10, CracsPerZone: 2, Variants: 2, Seed: 5, PconstFraction: 0.3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := f.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := thermal.New(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := zones.PartitionDataCenter(dc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker keeps every zone solve, and so every t.Fatalf, on this
+	// goroutine.
+	zs, err := zones.NewSolverFromPartition(part, tm, zones.Config{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	solves := 0
+	linprog.SetSolvedHook(func(p *linprog.Problem, sol *linprog.Solution) {
+		solves++
+		tag := fmt.Sprintf("zone solve %d", solves)
+		linprog.CheckKKT(t, tag, p, sol)
+		for r := 0; r < p.NumRows(); r++ {
+			if y := sol.Dual(r); linprog.IsLE(p, r) && y < -1e-9*(1+math.Abs(sol.Objective)) {
+				t.Fatalf("%s: ≤ row %d has dual %g < 0", tag, r, y)
+			}
+		}
+	})
+	defer linprog.SetSolvedHook(nil)
+
+	base := dc.Pconst
+	rng := stats.NewRand(8)
+	counted, rounds := 0, 0
+	out := make([]float64, dc.NCRAC())
+	for i := 0; i < 24; i++ {
+		for c := range out {
+			out[c] = 15
+		}
+		if i >= 16 {
+			out[0] = 14 // one outlet move mid-sequence resets that zone's pool
+		}
+		dc.Pconst = base * (1 + stats.Uniform(rng, -0.2, 0.2))
+		if _, err := zs.Solve(context.Background(), out); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		st := zs.LastStats()
+		if st.Fallback {
+			t.Fatalf("step %d fell back to the monolithic solver: %+v", i, st)
+		}
+		counted += st.ZoneSolves
+		rounds += st.Rounds
+	}
+	// Every Solve confirms each zone with at least one LP.
+	if solves != counted || solves < 24*zs.NumZones() || rounds == 0 {
+		t.Fatalf("%d optimal solves audited, zone solver counted %d (%d rounds)", solves, counted, rounds)
 	}
 }

@@ -56,13 +56,6 @@ type EpochSample struct {
 	LPSolves     int64 `json:"lp_solves"`
 	LPPivots     int64 `json:"lp_pivots"`
 	LPAllocBytes int64 `json:"lp_alloc_bytes"`
-	// ZonePath marks epochs served by the zone-decomposed fast path;
-	// ZoneRounds is the price-coordination round count of that solve and
-	// ZoneFallbacks counts zone-solver failures that fell back to the
-	// monolithic ladder this epoch. All zero/absent off the fleet path.
-	ZonePath      bool `json:"zone_path,omitempty"`
-	ZoneRounds    int  `json:"zone_rounds,omitempty"`
-	ZoneFallbacks int  `json:"zone_fallbacks,omitempty"`
 }
 
 // FieldType is the JSON shape of one EpochSample field, for schema
@@ -103,9 +96,6 @@ func SampleSchema() map[string]FieldType {
 		"lp_solves":                  FieldNumber,
 		"lp_pivots":                  FieldNumber,
 		"lp_alloc_bytes":             FieldNumber,
-		"zone_path":                  FieldBool,
-		"zone_rounds":                FieldNumber,
-		"zone_fallbacks":             FieldNumber,
 	}
 }
 
@@ -157,7 +147,6 @@ func (s *EpochSample) Validate() error {
 		{"violations", int64(s.Violations)}, {"retries", int64(s.Retries)},
 		{"lp_solves", s.LPSolves}, {"lp_pivots", s.LPPivots},
 		{"lp_alloc_bytes", s.LPAllocBytes},
-		{"zone_rounds", int64(s.ZoneRounds)}, {"zone_fallbacks", int64(s.ZoneFallbacks)},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("telemetry: sample count %s is negative (%d)", c.name, c.v)

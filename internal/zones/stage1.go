@@ -78,9 +78,10 @@ type Stats struct {
 	Zones int
 	// Rounds counts master iterations (0 when the shortcut fired).
 	Rounds int
-	// ZoneSolves counts zone LP solves across all rounds. A zone whose
-	// budget is unchanged since its previous solve keeps that result
-	// and is not re-solved.
+	// ZoneSolves counts zone LP solves across all rounds. Every zone is
+	// solved at least once per Solve; after that, a zone whose budget is
+	// unchanged since its previous solve keeps that result and is not
+	// re-solved.
 	ZoneSolves int
 	// Shortcut reports that the full-budget zone solutions already fit
 	// under the shared cap, so no price coordination was needed (always
@@ -145,8 +146,41 @@ type zoneState struct {
 	}
 
 	vMax  float64
-	cuts  []cut
 	alloc float64 // master-proposed budget above base, rewritten each round
+
+	// cuts is the zone's Kelley cut pool. It survives across Solve calls
+	// while out stays bit-identical (a cut bounds V at every budget,
+	// whatever the fleet cap) and is cleared when the outlets change or
+	// an eval errors.
+	cuts []cut
+	// full caches the zone's last full-budget (round-0) sample under the
+	// same invalidation rules. valid holds only when that sample's power
+	// row was slack, so V(b) = value for every b ≥ linPow.
+	full struct {
+		valid                  bool
+		linPow, value, basePow float64
+	}
+}
+
+// setOutlets copies the zone's slice of the global outlet vector and
+// drops everything sampled at different outlets.
+func (z *zoneState) setOutlets(cracOut []float64) {
+	same := true
+	for li, gi := range z.cracIdx {
+		if math.Float64bits(z.out[li]) != math.Float64bits(cracOut[gi]) {
+			same = false
+		}
+		z.out[li] = cracOut[gi]
+	}
+	if !same {
+		z.resetPool()
+	}
+}
+
+// resetPool forgets every value-function sample of the zone.
+func (z *zoneState) resetPool() {
+	z.cuts = z.cuts[:0]
+	z.full.valid = false
 }
 
 // Solver solves the Stage-1 LP of a zoned data center at fixed CRAC outlet
@@ -161,6 +195,14 @@ type zoneState struct {
 // fit under the cap, the first round is provably optimal and no master is
 // built; with a single zone that path reproduces the monolithic solve bit
 // for bit.
+//
+// A zone's value function depends on its outlets, not on the fleet cap,
+// so each zone keeps its cuts across Solve calls while its outlets stay
+// bit-identical. It also keeps its last full-budget sample: when every
+// zone's power row was slack there, round 0 at any cap the sample
+// settles is skipped. A cap step then typically needs one master pour
+// plus one confirming LP per zone. Results therefore depend on the
+// solve history, within Tol of a freshly built solver.
 //
 // A Solver is NOT safe for concurrent use; it owns per-zone LP workspaces.
 type Solver struct {
@@ -303,7 +345,7 @@ func (s *Solver) wire() {
 	s.mZoneSolves = reg.Counter("tapo_zones_zone_solves_total", "per-zone LP solves across all coordination rounds")
 	s.mGap = reg.Gauge("tapo_zones_gap", "upper-minus-lower bound gap after the last coordination round")
 	s.mPrice = reg.Gauge("tapo_zones_price", "coordination price (budget-row dual) of the last master round")
-	s.mCuts = reg.Gauge("tapo_zones_cuts", "Kelley cuts accumulated across all zones in the last solve")
+	s.mCuts = reg.Gauge("tapo_zones_cuts", "Kelley cuts in the zones' retained pools after the last round")
 	kinds := solvererr.Kinds()
 	s.mFallbackCause = make([]telemetry.Counter, len(kinds))
 	for _, k := range kinds {
@@ -394,46 +436,60 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 	s.mSolves.Inc()
 
 	for _, z := range s.zones {
-		for li, gi := range z.cracIdx {
-			z.out[li] = cracOut[gi]
-		}
-		z.budget = P
+		z.setOutlets(cracOut)
 		z.best.valid = false
-		z.last = nil // the outlets may have changed since the last Solve
-	}
-
-	// Round 0: every zone at the full budget. Each zone's value there is
-	// the best it could do under any split, so if the solutions jointly
-	// fit, they are optimal.
-	solves, err := s.evalRound(ctx)
-	if err != nil {
-		return s.recover(ctx, cracOut, &st, err)
-	}
-	st.ZoneSolves += solves
-	sumBase, sumLin := 0.0, 0.0
-	for _, z := range s.zones {
-		sumBase += z.basePow
-		sumLin += z.linPow
+		// Only cuts and full-budget samples carry over: the solution a
+		// Solve assembles comes from zone LPs solved in that Solve.
+		z.last = nil
 	}
 	eps := budgetTolerance * math.Max(1, P)
-	if sumBase > P+eps {
-		return s.recover(ctx, cracOut, &st, solvererr.New("zones", solvererr.Infeasible,
-			fmt.Errorf("zones: base power %.6g kW exceeds the shared cap %.6g kW", sumBase, P)))
-	}
-	if sumLin <= P+eps {
-		st.Shortcut, st.Converged = true, true
-		s.copyBest()
-		s.finish(&st)
-		s.assembleInto(&s.res, cracOut, P, &st)
-		return &s.res, nil
+
+	if s.fullSamplesSuffice(P, eps) {
+		// Every zone's cached full-budget sample already answers round 0
+		// at this cap: V_z(P) is the cached value, the shortcut cannot
+		// fire and the base power fits.
+		for _, z := range s.zones {
+			z.vMax, z.basePow = z.full.value, z.full.basePow
+		}
+	} else {
+		// Round 0: every zone at the full budget. Each zone's value there
+		// is the best it could do under any split, so if the solutions
+		// jointly fit, they are optimal.
+		for _, z := range s.zones {
+			z.budget = P
+		}
+		solves, err := s.evalRound(ctx)
+		if err != nil {
+			return s.recover(ctx, cracOut, &st, err)
+		}
+		st.ZoneSolves += solves
+		sumBase, sumLin := 0.0, 0.0
+		for _, z := range s.zones {
+			sumBase += z.basePow
+			sumLin += z.linPow
+			z.full.valid = z.linPow < P-eps
+			z.full.linPow, z.full.value, z.full.basePow = z.linPow, z.value, z.basePow
+		}
+		if sumBase > P+eps {
+			return s.recover(ctx, cracOut, &st, solvererr.New("zones", solvererr.Infeasible,
+				fmt.Errorf("zones: base power %.6g kW exceeds the shared cap %.6g kW", sumBase, P)))
+		}
+		if sumLin <= P+eps {
+			st.Shortcut, st.Converged = true, true
+			s.copyBest()
+			s.finish(&st)
+			s.assembleInto(&s.res, cracOut, P, &st)
+			return &s.res, nil
+		}
+		for _, z := range s.zones {
+			z.vMax = z.value
+			z.addCut(cut{Budget: P, Value: z.value, Price: z.price})
+		}
 	}
 
 	// Price coordination: maximize Σ v_z over Σ b_z ≤ P against a growing
-	// cutting-plane model of each zone's value function.
-	for _, z := range s.zones {
-		z.vMax = z.value
-		z.cuts = append(z.cuts[:0], cut{Budget: P, Value: z.value, Price: z.price})
-	}
+	// cutting-plane model of each zone's value function, starting from the
+	// zone's retained cut pool.
 	ub, lb := math.Inf(1), math.Inf(-1)
 	for round := 1; round <= s.cfg.MaxRounds; round++ {
 		cRound := s.tr.Begin()
@@ -478,7 +534,7 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 }
 
 // observeRound publishes the per-round coordination gauges (price, gap,
-// accumulated cut count). Skipped entirely with telemetry off, so the
+// retained cut-pool size). Skipped entirely with telemetry off, so the
 // disabled path touches no metric handles and counts no cuts.
 func (s *Solver) observeRound(st *Stats, dual float64) {
 	if s.cfg.Recorder == nil {
@@ -579,6 +635,7 @@ func (z *zoneState) eval(ctx context.Context) {
 	}
 	if err != nil {
 		z.err, z.last = err, nil
+		z.resetPool()
 		return
 	}
 	z.err = nil
@@ -587,15 +644,34 @@ func (z *zoneState) eval(ctx context.Context) {
 	z.linPow, z.basePow = res.LinearPower, res.LinearBasePower
 }
 
-// addCut records a value-function sample, dropping near-duplicates: once
-// the price iteration homes in on a budget split, later rounds resample
-// essentially the same point, and feeding those as fresh rows makes the
-// master both bigger and degenerate (near-parallel rows are what pushed
-// fleet-sized masters past the simplex's residual verification).
+// fullSamplesSuffice reports whether every zone's cached full-budget
+// sample settles round 0 at cap P: each is valid (its power row was
+// slack, so V_z is flat from linPow up) with linPow ≤ P, the cached draws
+// jointly exceed the cap (the shortcut cannot fire), and the base powers
+// fit. Otherwise round 0 runs and decides the shortcut and infeasibility
+// itself.
+func (s *Solver) fullSamplesSuffice(P, eps float64) bool {
+	sumBase, sumLin := 0.0, 0.0
+	for _, z := range s.zones {
+		if !z.full.valid || z.full.linPow > P {
+			return false
+		}
+		sumBase += z.full.basePow
+		sumLin += z.full.linPow
+	}
+	return sumLin > P+eps && sumBase <= P+eps
+}
+
+// addCut records a value-function sample unless its line is already in
+// the pool: two samples on the same linear piece of V give the same cut,
+// whatever their budgets. Dropping them keeps the retained pool bounded
+// by V's piece count (the envelope walk is quadratic in it) and keeps
+// near-parallel rows out of the master.
 func (z *zoneState) addCut(c cut) {
+	icpt := c.Value - c.Price*c.Budget
 	for _, e := range z.cuts {
-		if math.Abs(e.Budget-c.Budget) <= 1e-9*(1+math.Abs(c.Budget)) &&
-			math.Abs(e.Price-c.Price) <= 1e-9*(1+math.Abs(c.Price)) {
+		if math.Abs(e.Price-c.Price) <= 1e-9*(1+math.Abs(c.Price)) &&
+			math.Abs(e.Value-e.Price*e.Budget-icpt) <= 1e-9*(1+math.Abs(icpt)) {
 			return
 		}
 	}
@@ -696,8 +772,8 @@ func (s *Solver) solveMaster(P float64) (ub, dual float64) {
 // Value_i − Price_i·Budget_i, plus the flat line at vMax (the zone LP's
 // value is nondecreasing in its budget, so V(b) ≤ V(P) everywhere); the
 // flat line bounds every envelope slope into [0, max λ]. The walk is
-// O(cuts²) with cuts capped by the round count — trivial next to one zone
-// LP pivot.
+// O(cuts²) with cuts capped by V's piece count (addCut keeps one cut per
+// line) — trivial next to one zone LP pivot.
 func (z *zoneState) envelope(zi int, lo, hi float64, segs *[]masterSeg) float64 {
 	lineAt := func(c cut, b float64) float64 {
 		return c.Value + c.Price*(b-c.Budget)

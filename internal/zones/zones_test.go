@@ -436,7 +436,8 @@ func TestCapBindingInOneZone(t *testing.T) {
 }
 
 // TestParallelismInvariance: the fan-out worker count must not change a
-// single bit of the result.
+// single bit of the result, neither of one solve nor of any step of a cap
+// sequence solved on retained cut pools.
 func TestParallelismInvariance(t *testing.T) {
 	f := buildFleet(t, FleetConfig{
 		Zones: 3, NodesPerZone: 8, CracsPerZone: 2, Variants: 2, Seed: 9, PconstFraction: 0.2,
@@ -460,6 +461,38 @@ func TestParallelismInvariance(t *testing.T) {
 			t.Errorf("Parallelism=%d: result differs from Parallelism=1", par)
 		}
 	}
+
+	dc, tm, part := assembled(t, f)
+	caps := seededCaps(23, 40, dc.Pconst, 0.1)
+	type stepResult struct {
+		res *assign.Stage1Result
+		st  Stats
+	}
+	var refSeq []stepResult
+	coordinated := 0
+	for _, par := range []int{1, 2, 4} {
+		zs, err := NewSolverFromPartition(part, tm, Config{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, P := range caps {
+			dc.Pconst = P
+			res, err := zs.Solve(context.Background(), out)
+			if err != nil {
+				t.Fatalf("Parallelism=%d, step %d: %v", par, i, err)
+			}
+			got := stepResult{res, zs.LastStats()}
+			if par == 1 {
+				refSeq = append(refSeq, got)
+				coordinated += got.st.Rounds
+			} else if !reflect.DeepEqual(got, refSeq[i]) {
+				t.Fatalf("Parallelism=%d, step %d (cap %g): result or stats differ from Parallelism=1", par, i, P)
+			}
+		}
+	}
+	if coordinated == 0 {
+		t.Error("the cap never bound: no coordination round ran")
+	}
 }
 
 // TestFleetCopiesScaleLinearly is a metamorphic property of the model: k
@@ -468,7 +501,8 @@ func TestParallelismInvariance(t *testing.T) {
 // even split is optimal for identical concave value functions. The
 // single zone settles in round 0; k = 4 under a binding cap must run the
 // price-coordination master and still land on k× the single-zone value
-// within Config.Tol.
+// within Config.Tol. The property must also survive cap steps solved on
+// the cut pools retained from earlier caps.
 func TestFleetCopiesScaleLinearly(t *testing.T) {
 	solve := func(k int) (float64, Stats) {
 		f := buildFleet(t, FleetConfig{
@@ -496,6 +530,50 @@ func TestFleetCopiesScaleLinearly(t *testing.T) {
 		if d := relDiff(got, float64(k)*one); d > (Config{}).withDefaults().Tol {
 			t.Errorf("k=%d: value %.12g, want %d × %.12g (rel. diff %.3g)", k, got, k, one, d)
 		}
+	}
+
+	// Cap steps: one solver per fleet steps through the same per-zone caps,
+	// each scaled by k, keeping its cuts from step to step.
+	fleet := func(k int) (*Solver, *model.DataCenter) {
+		f := buildFleet(t, FleetConfig{
+			Zones: k, NodesPerZone: 10, CracsPerZone: 2, Variants: 1, Seed: 13,
+		})
+		dc, tm, part := assembled(t, f)
+		zs, err := NewSolverFromPartition(part, tm, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return zs, dc
+	}
+	const k = 4
+	single, sdc := fleet(1)
+	copies, cdc := fleet(k)
+	out1, outK := feasibleOutlets(sdc.NCRAC()), feasibleOutlets(cdc.NCRAC())
+	retained := 0
+	for i, P := range seededCaps(31, 12, sdc.Pconst, 0.3) {
+		sdc.Pconst, cdc.Pconst = P, k*P
+		one, err := single.Solve(context.Background(), out1)
+		if err != nil {
+			t.Fatalf("step %d, one zone: %v", i, err)
+		}
+		got, err := copies.Solve(context.Background(), outK)
+		if err != nil {
+			t.Fatalf("step %d, k=%d: %v", i, k, err)
+		}
+		st := copies.LastStats()
+		if !st.Converged || st.Fallback {
+			t.Fatalf("step %d, k=%d: %+v", i, k, st)
+		}
+		if i > 0 && st.Rounds > 0 {
+			retained++
+		}
+		if d := relDiff(got.PredictedARR, k*one.PredictedARR); d > (Config{}).withDefaults().Tol {
+			t.Errorf("step %d: value %.12g, want %d × %.12g (rel. diff %.3g)",
+				i, got.PredictedARR, k, one.PredictedARR, d)
+		}
+	}
+	if retained == 0 {
+		t.Error("no cap step after the first ran the master on retained cuts")
 	}
 }
 
