@@ -47,49 +47,28 @@ type BaselineResult struct {
 // be consistent FRAC must scale both, so the power term here includes
 // |cores_j| as well.
 func BaselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) (*BaselineResult, error) {
-	res, _, err := baselineFixed(dc, tm, cracOut, nil)
-	return res, err
+	return newBaselineLP(dc, tm).solveAt(cracOut)
 }
 
-// baselineFixed is BaselineFixed solving through ws (nil allocates a fresh
-// tableau), so a search worker can reuse one workspace across candidates.
-// It also returns the LP's solution (nil when the solve did not succeed),
-// whose duals seed the search's bounds.
-func baselineFixed(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, ws *linprog.Workspace) (*BaselineResult, *linprog.Solution, error) {
-	lp := newBaselineLP(dc, tm, cracOut)
-	if lp.badRow >= 0 {
-		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)},
-			nil, fmt.Errorf("assign: redline %d violated by base power alone at outlets %v", lp.badRow, cracOut)
-	}
-	sol, err := lp.p.SolveWith(ws)
-	if err != nil {
-		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)}, nil, err
-	}
-	return lp.result(dc, tm, cracOut, sol), sol, nil
-}
-
-// baselineLP is the Equation-21 LP at one outlet vector. Its rows are the
-// per-task rate rows and per-node fraction rows that have terms, then the
-// power row, then one thermal row per thermal unit.
+// baselineLP is the Equation-21 LP as an outletLP skeleton. Its rows are
+// the per-task rate rows and per-node fraction rows that have terms, then
+// the power row, then one thermal row per thermal unit.
 type baselineLP struct {
-	p       *linprog.Problem
-	varID   [][]int // varID[i][j]: variable of FRAC(i, j), −1 if screened out
-	varNode []int   // node of each variable
-	varPow  []float64
-	coreP0  []float64 // π_{j,0}·|cores_j|
-	// badRow is the first thermal row whose redline base power alone
-	// violates (the outlets are infeasible), or −1.
-	badRow int
+	outletLP
+	varID  [][]int   // varID[i][j]: variable of FRAC(i, j), −1 if screened out
+	coreP0 []float64 // π_{j,0}·|cores_j|
 }
 
-// newBaselineLP builds the Equation-21 LP at cracOut.
-func newBaselineLP(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) *baselineLP {
+// newBaselineLP builds the Equation-21 LP's variables and invariant rows;
+// solveAt patches in the outlets.
+func newBaselineLP(dc *model.DataCenter, tm *thermal.Model) *baselineLP {
 	ncn := dc.NCN()
 	t := dc.T()
 	p := linprog.NewProblem(linprog.Maximize)
-	lp := &baselineLP{p: p, badRow: -1}
+	lp := &baselineLP{}
 
 	// Variables FRAC(i, j) with deadline screening at P-state 0.
+	var varNode []int
 	varID := make([][]int, t)
 	for i := 0; i < t; i++ {
 		varID[i] = make([]int, ncn)
@@ -101,7 +80,7 @@ func newBaselineLP(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) *
 			nt := dc.NodeType(j)
 			obj := dc.TaskTypes[i].Reward * dc.ECS[i][dc.Nodes[j].Type][0] * float64(nt.NumCores)
 			varID[i][j] = p.AddVar(fmt.Sprintf("frac_%d_%d", i, j), 0, 1, obj)
-			lp.varNode = append(lp.varNode, j)
+			varNode = append(varNode, j)
 		}
 	}
 	lp.varID = varID
@@ -132,73 +111,35 @@ func newBaselineLP(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) *
 		}
 	}
 
-	// Node power: PCN_j = B_j + π_{j,0}·|cores_j|·Σ_i FRAC(i,j). Power and
-	// thermal constraints are affine in the per-node used power
-	// u_j = π_{j,0}·|cores_j|·ΣFRAC.
-	coreP0 := make([]float64, ncn)
-	for j := 0; j < ncn; j++ {
+	// Node power: PCN_j = B_j + π_{j,0}·|cores_j|·Σ_i FRAC(i,j), so the
+	// power (constraint 3, linearized CRAC as in Stage 1) and thermal
+	// (constraint 4) rows are affine in FRAC with π_{j,0}·|cores_j| per
+	// unit.
+	lp.coreP0 = make([]float64, ncn)
+	for j := range lp.coreP0 {
 		nt := dc.NodeType(j)
-		coreP0[j] = nt.Core.PStatePower(0) * float64(nt.NumCores)
+		lp.coreP0[j] = nt.Core.PStatePower(0) * float64(nt.NumCores)
 	}
-	lp.coreP0 = coreP0
-	for _, j := range lp.varNode {
-		lp.varPow = append(lp.varPow, coreP0[j])
+	varPow := make([]float64, len(varNode))
+	for k, j := range varNode {
+		varPow[k] = lp.coreP0[j]
 	}
-
-	// Constraint 3 (power, linearized CRAC as in Stage 1).
-	lin := tm.LinearizeCRACPower(cracOut)
-	baseConst := 0.0
-	nodeCoef := make([]float64, ncn)
-	for j := 0; j < ncn; j++ {
-		nodeCoef[j] = 1
-		baseConst += dc.NodeType(j).BasePower
-	}
-	for _, l := range lin {
-		baseConst += l.Const
-		for j, c := range l.Coef {
-			nodeCoef[j] += c
-			baseConst += c * dc.NodeType(j).BasePower
-		}
-	}
-	var powerTerms []linprog.Term
-	for j := 0; j < ncn; j++ {
-		for i := 0; i < t; i++ {
-			if id := varID[i][j]; id >= 0 {
-				powerTerms = append(powerTerms, linprog.Term{Var: id, Coef: nodeCoef[j] * coreP0[j]})
-			}
-		}
-	}
-	p.AddRow(linprog.LE, dc.Pconst-baseConst, powerTerms...)
-
-	// Constraint 4 (thermal redlines).
-	base := tm.InletBase(cracOut)
-	g := tm.PowerSensitivity()
-	redline := dc.Redline()
-	for th := 0; th < dc.NumThermal(); th++ {
-		rhs := redline[th] - base[th]
-		var terms []linprog.Term
-		for j := 0; j < ncn; j++ {
-			gj := g.At(th, j)
-			rhs -= gj * dc.NodeType(j).BasePower
-			if gj == 0 {
-				continue
-			}
-			for i := 0; i < t; i++ {
-				if id := varID[i][j]; id >= 0 {
-					terms = append(terms, linprog.Term{Var: id, Coef: gj * coreP0[j]})
-				}
-			}
-		}
-		if rhs < 0 && lp.badRow < 0 {
-			lp.badRow = th
-		}
-		p.AddRow(linprog.LE, rhs, terms...)
-	}
+	lp.init(dc, tm, p, varNode, varPow)
 	return lp
 }
 
+// solveAt solves the LP at cracOut and applies the Equation-22 rounding.
+func (lp *baselineLP) solveAt(cracOut []float64) (*BaselineResult, error) {
+	sol, err := lp.solve(context.Background(), cracOut)
+	if err != nil {
+		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)}, lp.redlineErr(err, cracOut)
+	}
+	return lp.result(cracOut, sol), nil
+}
+
 // result reads the LP solution back and applies the Equation-22 rounding.
-func (lp *baselineLP) result(dc *model.DataCenter, tm *thermal.Model, cracOut []float64, sol *linprog.Solution) *BaselineResult {
+func (lp *baselineLP) result(cracOut []float64, sol *linprog.Solution) *BaselineResult {
+	dc, tm := lp.dc, lp.tm
 	ncn, t := dc.NCN(), dc.T()
 	varID, coreP0 := lp.varID, lp.coreP0
 	res := &BaselineResult{
@@ -297,8 +238,8 @@ func (r *BaselineResult) Assignment(dc *model.DataCenter) (pstates []int, tc [][
 // Baseline runs the Equation-21 technique with the same CRAC outlet
 // temperature search as the three-stage assignment, using the LP optimum
 // as the search criterion. Each search worker gets its own evaluator
-// owning one LP workspace, so candidates reuse that worker's tableau
-// buffers instead of allocating a fresh tableau per solve.
+// owning one patched LP skeleton and workspace, so candidates reuse that
+// worker's LP and tableau buffers instead of building fresh ones.
 func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineResult, error) {
 	best, err := runSearch(context.Background(), dc.NCRAC(), opts, baselineFactory(dc, tm))
 	if err != nil {
@@ -314,45 +255,19 @@ func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineR
 
 // baselineFactory hands every search worker its own Equation-21 evaluator.
 func baselineFactory(dc *model.DataCenter, tm *thermal.Model) tempsearch.Factory {
-	return func() tempsearch.Evaluator { return &baselineEval{dc: dc, tm: tm} }
+	return func() tempsearch.Evaluator { return baselineEval{newBaselineLP(dc, tm)} }
 }
 
-// baselineEval is one search worker's Equation-21 evaluator: it solves
-// each candidate's LP through one workspace, keeps the latest LP's
-// solution for its duals, and bounds candidates with an outletBound over a
-// skeleton LP built on the first SetBoundDuals.
-type baselineEval struct {
-	dc  *model.DataCenter
-	tm  *thermal.Model
-	ws  linprog.Workspace
-	sol *linprog.Solution // latest successful solve, nil after a failed one
-	bnd outletBound
-}
+// baselineEval is one search worker's Equation-21 evaluator: values from
+// its LP's solves, duals and bounds from the same LP.
+type baselineEval struct{ *baselineLP }
 
-func (e *baselineEval) Eval(cracOut []float64) (float64, bool) {
-	res, sol, err := baselineFixed(e.dc, e.tm, cracOut, &e.ws)
-	e.sol = sol
+// Eval returns the Equation-21 LP optimum at cracOut when the rounded
+// assignment passes the exact power and redline checks.
+func (e baselineEval) Eval(cracOut []float64) (float64, bool) {
+	res, err := e.solveAt(cracOut)
 	if err != nil || !res.Feasible {
 		return 0, false
 	}
 	return res.RewardRateLP, true
 }
-
-func (e *baselineEval) AppendDuals(dst []float64) []float64 {
-	if e.sol == nil {
-		return dst
-	}
-	return e.sol.AppendDuals(dst)
-}
-
-func (e *baselineEval) SetBoundDuals(y []float64) {
-	if e.bnd.p == nil {
-		// Only the invariant rows and the shape of the skeleton are read,
-		// so any outlet vector builds it.
-		lp := newBaselineLP(e.dc, e.tm, make([]float64, e.dc.NCRAC()))
-		e.bnd.init(e.dc, e.tm, lp.p, lp.varNode, lp.varPow)
-	}
-	e.bnd.setDuals(y)
-}
-
-func (e *baselineEval) Bound(cracOut []float64) float64 { return e.bnd.bound(cracOut) }

@@ -37,9 +37,15 @@ func (s *Stage1Solver) Stage1LPAt(cracOut []float64) *linprog.Problem {
 	return s.p
 }
 
-// BaselineLPAt builds the Equation-21 LP at cracOut.
+// BaselineLPAt builds the Equation-21 LP at cracOut from scratch.
 func BaselineLPAt(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) *linprog.Problem {
-	return newBaselineLP(dc, tm, cracOut).p
+	return newFreshBaselineLP(dc, tm, cracOut).p
+}
+
+// BaselineWorker returns the Equation-21 solve of one search worker's
+// evaluator: every call patches and re-solves that worker's one LP.
+func BaselineWorker(dc *model.DataCenter, tm *thermal.Model) func(cracOut []float64) (*BaselineResult, error) {
+	return baselineFactory(dc, tm)().(baselineEval).solveAt
 }
 
 // BaselineBound prices the Equation-21 LP at cracOut with the duals y

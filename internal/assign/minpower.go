@@ -6,6 +6,7 @@ import (
 
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
+	"thermaldc/internal/pwl"
 	"thermaldc/internal/tempsearch"
 	"thermaldc/internal/thermal"
 )
@@ -40,24 +41,17 @@ type MinPowerResult struct {
 // subject to aggregate reward rate ≥ floor and the redlines, at fixed
 // CRAC outlet temperatures. It reuses the Stage-1 segment encoding with
 // objective and reward swapped between objective and constraint.
-func minPowerFixed(dc *model.DataCenter, tm *thermal.Model, arrs map[int]*segmentSet, cracOut []float64, floor float64) (*Stage1Result, error) {
+func minPowerFixed(dc *model.DataCenter, tm *thermal.Model, arrs []*pwl.Func, cracOut []float64, floor float64) (*Stage1Result, error) {
 	ncn := dc.NCN()
 	p := linprog.NewProblem(linprog.Minimize)
 
-	lin := tm.LinearizeCRACPower(cracOut)
-	baseConst := 0.0
+	basePow := make([]float64, ncn)
+	for j := range basePow {
+		basePow[j] = dc.NodeType(j).BasePower
+	}
+	// The objective is the Stage-1 power row without its constant term.
 	nodeCoef := make([]float64, ncn)
-	for j := 0; j < ncn; j++ {
-		nodeCoef[j] = 1
-		baseConst += dc.NodeType(j).BasePower
-	}
-	for _, l := range lin {
-		baseConst += l.Const
-		for j, c := range l.Coef {
-			nodeCoef[j] += c
-			baseConst += c * dc.NodeType(j).BasePower
-		}
-	}
+	linearPowerRow(basePow, tm.LinearizeCRACPower(cracOut), nodeCoef)
 
 	type segVar struct {
 		node int
@@ -66,8 +60,9 @@ func minPowerFixed(dc *model.DataCenter, tm *thermal.Model, arrs map[int]*segmen
 	var segVars []segVar
 	var rewardTerms []linprog.Term
 	for j := 0; j < ncn; j++ {
-		set := arrs[dc.Nodes[j].Type]
-		for s, seg := range set.scaled[j] {
+		nt := dc.NodeType(j)
+		scaled := arrs[dc.Nodes[j].Type].Scale(float64(nt.NumCores))
+		for s, seg := range scaled.Segments() {
 			id := p.AddVar(fmt.Sprintf("seg_%d_%d", j, s), 0, seg.Length, nodeCoef[j])
 			segVars = append(segVars, segVar{j, id})
 			rewardTerms = append(rewardTerms, linprog.Term{Var: id, Coef: seg.Slope})
@@ -125,38 +120,6 @@ func minPowerFixed(dc *model.DataCenter, tm *thermal.Model, arrs map[int]*segmen
 	return res, nil
 }
 
-// segmentSet caches per-node scaled envelopes so the temperature search
-// does not rebuild them per evaluation.
-type segmentSet struct {
-	scaled map[int][]segment
-}
-
-type segment struct {
-	Length, Slope float64
-}
-
-func buildSegmentSets(dc *model.DataCenter, psi float64) (map[int]*segmentSet, error) {
-	arrs, err := nodeARRs(dc, psi)
-	if err != nil {
-		return nil, err
-	}
-	sets := make(map[int]*segmentSet)
-	for t := range dc.NodeTypes {
-		sets[t] = &segmentSet{scaled: make(map[int][]segment)}
-	}
-	for j := range dc.Nodes {
-		t := dc.Nodes[j].Type
-		nt := dc.NodeType(j)
-		sc := arrs[t].Scale(float64(nt.NumCores))
-		var segs []segment
-		for _, s := range sc.Segments() {
-			segs = append(segs, segment{Length: s.Length, Slope: s.Slope})
-		}
-		sets[t].scaled[j] = segs
-	}
-	return sets, nil
-}
-
 // MinPowerForReward minimizes the data center's total power subject to a
 // steady-state reward-rate floor — the paper's §VIII future-work problem.
 // The CRAC outlet temperatures are searched with the same discretized
@@ -167,14 +130,14 @@ func MinPowerForReward(dc *model.DataCenter, tm *thermal.Model, rewardFloor floa
 	if rewardFloor <= 0 {
 		return nil, fmt.Errorf("assign: reward floor must be positive, got %g", rewardFloor)
 	}
-	sets, err := buildSegmentSets(dc, opts.Psi)
+	arrs, err := nodeARRs(dc, opts.Psi)
 	if err != nil {
 		return nil, err
 	}
-	// minPowerFixed builds a fresh LP per call over the read-only segment
-	// sets, so one shared evaluator serves all search workers.
+	// minPowerFixed builds a fresh LP per call over the read-only
+	// envelopes, so one shared evaluator serves all search workers.
 	eval := func(cracOut []float64) (float64, bool) {
-		res, err := minPowerFixed(dc, tm, sets, cracOut, rewardFloor)
+		res, err := minPowerFixed(dc, tm, arrs, cracOut, rewardFloor)
 		if err != nil || !res.Feasible {
 			return 0, false
 		}
@@ -184,12 +147,7 @@ func MinPowerForReward(dc *model.DataCenter, tm *thermal.Model, rewardFloor floa
 	if err != nil {
 		return nil, fmt.Errorf("assign: no outlet assignment can reach reward %g within the redlines: %w", rewardFloor, err)
 	}
-	s1, err := minPowerFixed(dc, tm, sets, best.Out, rewardFloor)
-	if err != nil {
-		return nil, err
-	}
-
-	arrs, err := nodeARRs(dc, opts.Psi)
+	s1, err := minPowerFixed(dc, tm, arrs, best.Out, rewardFloor)
 	if err != nil {
 		return nil, err
 	}

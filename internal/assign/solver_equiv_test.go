@@ -1,14 +1,18 @@
 package assign_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"thermaldc/internal/assign"
+	"thermaldc/internal/faults"
+	"thermaldc/internal/model"
 	"thermaldc/internal/pwl"
 	"thermaldc/internal/scenario"
 	"thermaldc/internal/stats"
+	"thermaldc/internal/thermal"
 )
 
 // buildARRs mirrors what ThreeStage precomputes per ψ.
@@ -28,10 +32,9 @@ func buildARRs(t *testing.T, sc *scenario.Scenario, psi float64) []*pwl.Func {
 // TestStage1SolverMatchesFixed checks the incremental solver against the
 // from-scratch Stage1Fixed across randomized scenarios and many lattice
 // points, including repeated solves on one solver and solves on a clone.
-// The two paths perform identical floating-point operations, so the
-// comparison tolerance of 1e-9 should see differences of exactly zero.
+// The two paths perform identical floating-point operations, so every
+// number must match bit for bit.
 func TestStage1SolverMatchesFixed(t *testing.T) {
-	const tol = 1e-9
 	cases := []struct {
 		seed           int64
 		ncracs, nnodes int
@@ -91,25 +94,21 @@ func TestStage1SolverMatchesFixed(t *testing.T) {
 				if got.Feasible != want.Feasible {
 					t.Errorf("seed %d point %v pass %d: Feasible = %v, want %v", tc.seed, out, pass, got.Feasible, want.Feasible)
 				}
-				close := func(name string, g, w float64) {
-					if math.Abs(g-w) > tol {
-						t.Errorf("seed %d point %v pass %d: %s = %.15g, want %.15g", tc.seed, out, pass, name, g, w)
+				same := func(name string, g, w float64) {
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Errorf("seed %d point %v pass %d: %s = %.17g, want %.17g", tc.seed, out, pass, name, g, w)
 					}
 				}
-				close("PredictedARR", got.PredictedARR, want.PredictedARR)
-				close("PowerShadowPrice", got.PowerShadowPrice, want.PowerShadowPrice)
-				close("ComputePower", got.ComputePower, want.ComputePower)
-				close("CRACPower", got.CRACPower, want.CRACPower)
-				close("TotalPower", got.TotalPower, want.TotalPower)
+				same("PredictedARR", got.PredictedARR, want.PredictedARR)
+				same("PowerShadowPrice", got.PowerShadowPrice, want.PowerShadowPrice)
+				same("ComputePower", got.ComputePower, want.ComputePower)
+				same("CRACPower", got.CRACPower, want.CRACPower)
+				same("TotalPower", got.TotalPower, want.TotalPower)
+				same("LinearPower", got.LinearPower, want.LinearPower)
+				same("LinearBasePower", got.LinearBasePower, want.LinearBasePower)
 				for j := range want.NodePower {
-					if math.Abs(got.NodePower[j]-want.NodePower[j]) > tol {
-						t.Errorf("seed %d point %v pass %d: NodePower[%d] = %.15g, want %.15g",
-							tc.seed, out, pass, j, got.NodePower[j], want.NodePower[j])
-					}
-					if math.Abs(got.NodeCorePower[j]-want.NodeCorePower[j]) > tol {
-						t.Errorf("seed %d point %v pass %d: NodeCorePower[%d] = %.15g, want %.15g",
-							tc.seed, out, pass, j, got.NodeCorePower[j], want.NodeCorePower[j])
-					}
+					same(fmt.Sprintf("NodePower[%d]", j), got.NodePower[j], want.NodePower[j])
+					same(fmt.Sprintf("NodeCorePower[%d]", j), got.NodeCorePower[j], want.NodeCorePower[j])
 				}
 			}
 		}
@@ -162,5 +161,93 @@ func TestThreeStageParallelismInvariant(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestBaselineSkeletonMatchesFresh drives one Equation-21 search worker's
+// patched LP over many outlet vectors, twice, and requires every result
+// and error to match an LP built from scratch at the same outlets bit for
+// bit, on a healthy model and on one with a failed node and a degraded
+// CRAC. The window's hot corner makes base power alone violate a redline,
+// so the error path is exercised between successful solves.
+func TestBaselineSkeletonMatchesFresh(t *testing.T) {
+	sc, err := scenario.Build(func() scenario.Config {
+		cfg := scenario.Default(0.3, 0.3, 5)
+		cfg.NCracs, cfg.NNodes = 2, 16
+		return cfg
+	}())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := faults.NewState(sc.DC.NCRAC(), sc.DC.NCN())
+	st.Apply(faults.Event{Kind: faults.NodeFail, Unit: 3})
+	st.Apply(faults.Event{Kind: faults.CRACDegrade, Unit: 1, Magnitude: 0.7})
+	degDC, err := st.Degrade(sc.DC, faults.Planner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degTM, err := thermal.New(degDC)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := stats.NewRand(41)
+	points := [][]float64{{5, 5}, {25, 25}, {5, 25}, {25, 5}, {16, 16}}
+	for n := 0; n < 14; n++ {
+		points = append(points, []float64{5 + 20*rng.Float64(), 5 + 20*rng.Float64()})
+	}
+	for _, c := range []struct {
+		name string
+		dc   *model.DataCenter
+		tm   *thermal.Model
+	}{{"healthy", sc.DC, sc.Thermal}, {"degraded", degDC, degTM}} {
+		solve := assign.BaselineWorker(c.dc, c.tm)
+		solved, failed := 0, 0
+		for pass := 0; pass < 2; pass++ {
+			for _, out := range points {
+				tag := fmt.Sprintf("%s pass %d outlets %v", c.name, pass, out)
+				want, wantErr := assign.BaselineFresh(c.dc, c.tm, out)
+				got, gotErr := solve(out)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: error %v, fresh %v", tag, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					failed++
+					continue
+				}
+				solved++
+				sameBaseline(t, tag, got, want)
+			}
+		}
+		if solved == 0 || failed == 0 {
+			t.Fatalf("%s: %d solved, %d failed: both paths must be exercised", c.name, solved, failed)
+		}
+	}
+}
+
+// sameBaseline fails unless got and want agree bit for bit.
+func sameBaseline(t *testing.T, tag string, got, want *assign.BaselineResult) {
+	t.Helper()
+	same := func(name string, g, w float64) {
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: %s = %.17g, fresh %.17g", tag, name, g, w)
+		}
+	}
+	same("RewardRateLP", got.RewardRateLP, want.RewardRateLP)
+	same("RewardRate", got.RewardRate, want.RewardRate)
+	same("TotalPower", got.TotalPower, want.TotalPower)
+	for i := range want.Frac {
+		for j := range want.Frac[i] {
+			same(fmt.Sprintf("Frac[%d][%d]", i, j), got.Frac[i][j], want.Frac[i][j])
+		}
+	}
+	for j := range want.NodePower {
+		same(fmt.Sprintf("NodePower[%d]", j), got.NodePower[j], want.NodePower[j])
+	}
+	if fmt.Sprint(got.UsedCores) != fmt.Sprint(want.UsedCores) {
+		t.Fatalf("%s: UsedCores %v, fresh %v", tag, got.UsedCores, want.UsedCores)
+	}
+	if got.Feasible != want.Feasible {
+		t.Fatalf("%s: Feasible %v, fresh %v", tag, got.Feasible, want.Feasible)
 	}
 }
