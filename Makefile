@@ -33,8 +33,9 @@ race:
 # sweep against the textbook simplex (600 seeded LPs with KKT
 # certificates, behind the slow tag), a 1k-node multi-zone fleet solve
 # with invariant checks (also behind the slow tag), short fuzz smokes on
-# the workload parser, the LU factorizer, the checkpoint journal decoder
-# and the -faults level parser, the simplex and fleet-scaling performance
+# the workload parser, the LU factorizer, the checkpoint journal decoder,
+# the -faults level parser and the scheduler's dispatch index (held to the
+# candidate scan on decoded data centers and task streams), the simplex and fleet-scaling performance
 # gates (the fleet family includes the zone-warm-resolve 0-allocs gate), a
 # short instrumented degraded run whose exported time series must pass
 # cmd/tscheck's schema validation and whose Chrome trace must pass
@@ -59,6 +60,7 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzFactorLU -fuzztime 10s ./internal/linalg
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
+	$(GO) test -run '^$$' -fuzz FuzzScheduleIndex -fuzztime 10s ./internal/sched
 	$(MAKE) bench-compare BENCHTIME=1x
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -metrics-out /tmp/tapo-ci-metrics.jsonl \

@@ -169,23 +169,64 @@ func BenchmarkThermalModelPaperScale(b *testing.B) {
 }
 
 // BenchmarkDynamicScheduler streams 10 s of tasks (the tasks/op metric)
-// per op through the second-step scheduler.
+// per op through the second-step scheduler: on the 20-node scenario, and
+// at paper scale (150 nodes, 3 CRACs) on the three-stage plan and on the
+// Baseline plan, whose TC is per node. ns/arrival is the per-task cost of
+// the simulation, nearly all of it the dispatch decision.
 func BenchmarkDynamicScheduler(b *testing.B) {
-	sc := getScenario(b)
-	res, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
 	const horizon = 10.0
-	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(3))
+	b.Run("20-node", func(b *testing.B) {
+		sc := getScenario(b)
+		res, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSimulate(b, sc.DC, res.PStates, res.Stage3.TC, horizon)
+	})
+	b.Run("paper-scale/three-stage", func(b *testing.B) {
+		sc := getPaperScenario(b)
+		if benchPaperThreeStage == nil {
+			res, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchPaperThreeStage = res
+		}
+		benchSimulate(b, sc.DC, benchPaperThreeStage.PStates, benchPaperThreeStage.Stage3.TC, horizon)
+	})
+	b.Run("paper-scale/baseline", func(b *testing.B) {
+		sc := getPaperScenario(b)
+		if benchPaperBaseline == nil {
+			res, err := assign.Baseline(sc.DC, sc.Thermal, assign.DefaultOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchPaperBaseline = res
+		}
+		pstates, tc := benchPaperBaseline.Assignment(sc.DC)
+		benchSimulate(b, sc.DC, pstates, tc, horizon)
+	})
+}
+
+// benchPaperThreeStage and benchPaperBaseline cache the paper-scale plans
+// across the sub-benchmark's calibration rounds.
+var (
+	benchPaperThreeStage *assign.ThreeStageResult
+	benchPaperBaseline   *assign.BaselineResult
+)
+
+// benchSimulate times sim.Run over a fixed 10 s task stream per op.
+func benchSimulate(b *testing.B, dc *model.DataCenter, pstates []int, tc [][]float64, horizon float64) {
+	tasks := workload.GenerateTasks(dc, horizon, stats.NewRand(3))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon); err != nil {
+		if _, err := sim.Run(dc, pstates, tc, tasks, horizon); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(tasks)), "tasks/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tasks)), "ns/arrival")
 }
 
 // BenchmarkSearchStrategies is the temperature-search ablation: the

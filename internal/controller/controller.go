@@ -417,7 +417,9 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 
 			// A new plan means new desired rates, so the scheduler is
 			// rebuilt with its ATC clock started at the boundary; core busy
-			// state (freeAt) carries across, so occupancy is continuous.
+			// state (freeAt) carries across, so occupancy is continuous. Only
+			// sim.RunOpts writes freeAt, which keeps ScheduleWith's freeAt
+			// contract for a scheduler carried across intervals.
 			// Without a plan change the old scheduler keeps running — a
 			// fault-free closed-loop run is then identical to a single
 			// uninterrupted simulation.

@@ -148,7 +148,7 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 	if err != nil {
 		return nil, err
 	}
-	reward, dropped, err := replay(sc.DC, static.PStates, static.Stage3.TC, tasks, 0, cfg.Horizon, nil)
+	reward, dropped, err := replay(sc.DC, static.PStates, static.Stage3.TC, tasks, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 				epochTasks = append(epochTasks, t)
 			}
 		}
-		reward, dropped, err := replay(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC, epochTasks, start, end, freeAt)
+		reward, dropped, err := replay(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC, epochTasks, start, freeAt)
 		if err != nil {
 			return nil, err
 		}
@@ -223,7 +223,7 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 // replay streams tasks through a fresh scheduler; freeAt (when non-nil)
 // carries core busy state across calls. The scheduler's ATC clock starts
 // at epochStart so ratios reflect the current epoch only.
-func replay(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workload.Task, epochStart, epochEnd float64, freeAt []float64) (reward float64, dropped int, err error) {
+func replay(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workload.Task, epochStart float64, freeAt []float64) (reward float64, dropped int, err error) {
 	s, err := sched.New(dc, pstates, tc)
 	if err != nil {
 		return 0, 0, err
@@ -241,7 +241,6 @@ func replay(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workloa
 		freeAt[core] = completion
 		reward += dc.TaskTypes[task.Type].Reward
 	}
-	_ = epochEnd
 	return reward, dropped, nil
 }
 

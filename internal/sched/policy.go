@@ -147,16 +147,39 @@ func (p *RoundRobinPolicy) Pick(_ workload.Task, _ float64, cands []Candidate) (
 // scheduler builds the deadline-feasible candidate set (cores that can run
 // the type at all), the policy chooses. ATC counts update on assignment.
 //
-// It runs once per task arrival, so it allocates nothing: the candidate
-// set is built in a buffer the Scheduler owns and reuses (see Policy.Pick
-// for the scratch contract).
+// It runs once per task arrival, so it allocates nothing per arrival: the
+// candidate set is built in a buffer the Scheduler owns and reuses (see
+// Policy.Pick for the scratch contract). PaperPolicy with now after the
+// ATC clock anchor skips the candidate set altogether: a dispatch index
+// over groups of identical cores, allocated once when first needed,
+// returns the same choice in sublinear time.
+//
+// freeAt stays the caller's: ScheduleWith reads it and never writes it.
+// The index mirrors it between calls, which holds under this contract:
+// between two calls with the same slice, only the entry of the core the
+// earlier call returned may change (the caller occupying that core, as
+// sim.RunOpts does). Passing a different slice is always allowed; the
+// index is then rebuilt from it.
 func (s *Scheduler) ScheduleWith(policy Policy, task workload.Task, now float64, freeAt []float64) (core int, completion float64, ok bool) {
 	if policy == nil {
 		panic("sched: nil policy")
 	}
-	execTime, tc, counts := s.execTime[task.Type], s.tc[task.Type], s.counts[task.Type]
+	s.resync(freeAt)
 	elapsed := now - s.startTime
 	limit := task.Deadline + 1e-12
+	if _, paper := policy.(PaperPolicy); paper && elapsed > 0 {
+		if x := s.index(freeAt); x != nil && x.exact(elapsed) {
+			core, completion, ok = x.dispatch(task.Type, now, elapsed, limit, s.counts[task.Type])
+			return s.settle(task.Type, core, completion, ok)
+		}
+	}
+	core, completion, ok = s.scan(policy, task, now, elapsed, limit, freeAt)
+	return s.settle(task.Type, core, completion, ok)
+}
+
+// scan builds the candidate set and lets the policy pick.
+func (s *Scheduler) scan(policy Policy, task workload.Task, now, elapsed, limit float64, freeAt []float64) (core int, completion float64, ok bool) {
+	execTime, tc, counts := s.execTime[task.Type], s.tc[task.Type], s.counts[task.Type]
 	cands := s.cands[:0]
 	for _, k := range s.eligible[task.Type] {
 		start := max(now, freeAt[k])
@@ -180,19 +203,66 @@ func (s *Scheduler) ScheduleWith(policy Policy, task workload.Task, now float64,
 	}
 	s.cands = cands
 	if len(cands) == 0 {
-		s.mRejected.Inc()
 		return -1, 0, false
 	}
 	idx, drop := policy.Pick(task, now, cands)
 	if drop {
-		s.mRejected.Inc()
 		return -1, 0, false
 	}
 	if idx < 0 || idx >= len(cands) {
 		panic(fmt.Sprintf("sched: policy %s picked invalid candidate %d of %d", policy.Name(), idx, len(cands)))
 	}
-	chosen := cands[idx]
-	counts[chosen.Core]++
+	return cands[idx].Core, cands[idx].Completion, true
+}
+
+// settle books a decision. Every assignment, by the index or the scan,
+// goes through here: it bumps the ATC count, keeps the index's count tree
+// in step and remembers the core, whose freeAt entry the caller is about
+// to change.
+func (s *Scheduler) settle(typ, core int, completion float64, ok bool) (int, float64, bool) {
+	if !ok {
+		s.mRejected.Inc()
+		return -1, 0, false
+	}
+	s.counts[typ][core]++
+	if x := s.ix; x != nil && x.built {
+		x.setCount(typ, core, s.counts[typ][core])
+		x.last = core
+	}
 	s.mAssigned.Inc()
-	return chosen.Core, chosen.Completion, true
+	return core, completion, true
+}
+
+// resync brings a built index up to date with freeAt at the start of a
+// call: it re-reads the entry of the core the previous call returned, or
+// drops the trees when freeAt is a different slice.
+func (s *Scheduler) resync(freeAt []float64) {
+	x := s.ix
+	if x == nil || !x.built {
+		return
+	}
+	if len(freeAt) != len(x.freeAt) || (len(freeAt) > 0 && &freeAt[0] != &x.freeAt[0]) {
+		x.built, x.freeAt = false, nil
+		return
+	}
+	if x.last >= 0 {
+		x.setFree(x.last, freeAt[x.last])
+		x.last = -1
+	}
+}
+
+// index returns the dispatch index mirroring freeAt, deriving the groups
+// and filling the trees as needed, or nil when the plan rules it out.
+func (s *Scheduler) index(freeAt []float64) *dispatchIndex {
+	if s.ix == nil {
+		s.ix = newDispatchIndex(s.execTime, s.tc, len(s.pstates))
+	}
+	x := s.ix
+	if !x.disabled && !x.built {
+		x.fill(freeAt, s.counts)
+	}
+	if x.disabled {
+		return nil
+	}
+	return x
 }

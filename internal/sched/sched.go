@@ -35,6 +35,9 @@ type Scheduler struct {
 	// cands is the per-arrival candidate buffer ScheduleWith reuses; it
 	// holds no state between arrivals (see Policy.Pick).
 	cands []Candidate
+	// ix is PaperPolicy's dispatch index, derived lazily on the first
+	// call that can use it (nil until then); see dispatchIndex.
+	ix *dispatchIndex
 
 	// Telemetry counters; the zero values are no-ops, so an uninstrumented
 	// scheduler pays nothing on the per-arrival path.
@@ -66,7 +69,8 @@ func (s *Scheduler) StartTime() float64 { return s.startTime }
 // scheduler's complete mutable state, letting a checkpointed run rebuild
 // an identically behaving scheduler with RestoreCounts. The candidate
 // buffer ScheduleWith reuses is scratch, not state: nothing in it
-// outlives an arrival.
+// outlives an arrival. The dispatch index is derived from the plan, the
+// counts and freeAt, and is rebuilt on demand.
 func (s *Scheduler) Counts() [][]int {
 	out := make([][]int, len(s.counts))
 	for i := range s.counts {
@@ -77,6 +81,7 @@ func (s *Scheduler) Counts() [][]int {
 
 // RestoreCounts overwrites the ATC counts with a snapshot taken by Counts
 // on an identically shaped scheduler (same task types, same core count).
+// It drops the dispatch index, which the next call rebuilds.
 func (s *Scheduler) RestoreCounts(counts [][]int) error {
 	if len(counts) != len(s.counts) {
 		return fmt.Errorf("sched: restoring %d task-type count rows, scheduler has %d", len(counts), len(s.counts))
@@ -87,6 +92,7 @@ func (s *Scheduler) RestoreCounts(counts [][]int) error {
 		}
 		copy(s.counts[i], counts[i])
 	}
+	s.ix = nil
 	return nil
 }
 
@@ -114,11 +120,10 @@ func New(dc *model.DataCenter, pstates []int, tc [][]float64) (*Scheduler, error
 		}
 		s.counts[i] = make([]int, ncores)
 		s.execTime[i] = make([]float64, ncores)
-		for j := range dc.Nodes {
-			lo, hi := dc.CoreRange(j)
-			nt := dc.Nodes[j].Type
-			for k := lo; k < hi; k++ {
-				ecs := dc.ECS[i][nt][pstates[k]]
+		k := 0
+		for _, node := range dc.Nodes {
+			for hi := k + dc.NodeTypes[node.Type].NumCores; k < hi; k++ {
+				ecs := dc.ECS[i][node.Type][pstates[k]]
 				if ecs <= 0 {
 					s.execTime[i][k] = math.Inf(1)
 				} else {

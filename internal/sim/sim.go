@@ -217,6 +217,8 @@ func RunOpts(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []worklo
 		}
 		start := math.Max(task.Arrival, freeAt[core])
 		busy[core] += completion - start
+		// The only freeAt write between two ScheduleWith calls, to the
+		// core just returned, as the scheduler's dispatch index requires.
 		freeAt[core] = completion
 		if opts.Lost != nil && opts.Lost(core, start, completion) {
 			res.Lost++

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"thermaldc/internal/assign"
@@ -365,5 +366,78 @@ func TestTraceNonOverlappingPerCore(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanPaper is the paper policy under another type, so ScheduleWith takes
+// the candidate scan instead of the dispatch index.
+type scanPaper struct{ sched.PaperPolicy }
+
+// TestPaperScaleIndexMatchesScan simulates the paper-scale plant (150
+// nodes, 3 CRACs) on the three-stage and the Baseline plan for seeds 1-3
+// under the paper policy twice, once through the dispatch index and once
+// through the candidate scan, and requires identical TaskRecord streams
+// and Results.
+func TestPaperScaleIndexMatchesScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale first-step solves")
+	}
+	const horizon = 10.0
+	for seed := int64(1); seed <= 3; seed++ {
+		cfg := scenario.Default(0.3, 0.1, seed)
+		cfg.NCracs, cfg.NNodes = 3, 150
+		sc, err := scenario.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl, err := assign.Baseline(sc.DC, sc.Thermal, assign.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		blPStates, blTC := bl.Assignment(sc.DC)
+		tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(seed+500000))
+		plans := []struct {
+			name    string
+			pstates []int
+			tc      [][]float64
+		}{
+			{"three-stage", ts.PStates, ts.Stage3.TC},
+			{"baseline", blPStates, blTC},
+		}
+		for _, plan := range plans {
+			run := func(policy sched.Policy) ([]sim.TaskRecord, *sim.Result) {
+				var recs []sim.TaskRecord
+				out, err := sim.RunOpts(sc.DC, plan.pstates, plan.tc, tasks, horizon, sim.Options{
+					Policy:   policy,
+					Recorder: func(r sim.TaskRecord) { recs = append(recs, r) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return recs, out
+			}
+			idxRecs, idxRes := run(sched.PaperPolicy{})
+			scanRecs, scanRes := run(scanPaper{})
+			if len(idxRecs) != len(scanRecs) {
+				t.Fatalf("seed %d %s: %d records through the index, %d through the scan",
+					seed, plan.name, len(idxRecs), len(scanRecs))
+			}
+			for n := range idxRecs {
+				if idxRecs[n] != scanRecs[n] {
+					t.Fatalf("seed %d %s task %d: index %+v, scan %+v", seed, plan.name, n, idxRecs[n], scanRecs[n])
+				}
+			}
+			if !reflect.DeepEqual(idxRes, scanRes) {
+				t.Fatalf("seed %d %s: results differ\nindex %+v\nscan  %+v", seed, plan.name, idxRes, scanRes)
+			}
+			if idxRes.Completed == 0 || idxRes.Dropped == 0 {
+				t.Fatalf("seed %d %s: %d completed, %d dropped; the stream must exercise both outcomes",
+					seed, plan.name, idxRes.Completed, idxRes.Dropped)
+			}
+		}
 	}
 }

@@ -21,7 +21,8 @@ func SaveTasks(w io.Writer, tasks []Task) error {
 }
 
 // LoadTasks reads a task stream written by SaveTasks, re-sorts it by
-// arrival (defensively) and validates basic invariants. Malformed input —
+// arrival (defensively; a stable sort, so tasks with tied arrivals keep
+// their file order and replay in it) and validates basic invariants. Malformed input —
 // bad JSON, trailing data after the array, or out-of-range fields — is an
 // error, never a panic or a silently truncated stream.
 func LoadTasks(r io.Reader) ([]Task, error) {
@@ -44,7 +45,7 @@ func LoadTasks(r io.Reader) ([]Task, error) {
 			return nil, fmt.Errorf("workload: task %d has negative type", i)
 		}
 	}
-	sort.Slice(tasks, func(a, b int) bool { return tasks[a].Arrival < tasks[b].Arrival })
+	sort.SliceStable(tasks, func(a, b int) bool { return tasks[a].Arrival < tasks[b].Arrival })
 	telemetry.Default().Debug("workload: loaded tasks", "tasks", len(tasks))
 	return tasks, nil
 }

@@ -53,3 +53,29 @@ func TestLoadTasksResorts(t *testing.T) {
 		t.Fatalf("not sorted: %+v", tasks)
 	}
 }
+
+// TestLoadTasksKeepsTiedOrder feeds an unsorted stream in which several
+// tasks share an arrival time: the re-sort must keep tied tasks in file
+// order, since the scheduler places them in the order it receives them.
+func TestLoadTasksKeepsTiedOrder(t *testing.T) {
+	var in []Task
+	for id := 0; id < 60; id++ {
+		// Arrivals 3, 2, 1, 0, 3, 2, ... : unsorted, 15 tasks per instant.
+		arr := float64(3 - id%4)
+		in = append(in, Task{ID: id, Type: id % 3, Arrival: arr, Deadline: arr + 2})
+	}
+	var buf strings.Builder
+	if err := SaveTasks(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := LoadTasks(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n < len(tasks); n++ {
+		a, b := tasks[n-1], tasks[n]
+		if a.Arrival > b.Arrival || (a.Arrival == b.Arrival && a.ID > b.ID) {
+			t.Fatalf("tasks %d and %d out of order: %+v then %+v", n-1, n, a, b)
+		}
+	}
+}
