@@ -36,9 +36,11 @@ race:
 # the workload parser, the LU factorizer, the checkpoint journal decoder,
 # the -faults level parser and the scheduler's dispatch index (held to the
 # candidate scan on decoded data centers and task streams), the simplex and fleet-scaling performance
-# gates (the fleet family includes the zone-warm-resolve 0-allocs gate), a
-# short instrumented degraded run whose exported time series must pass
-# cmd/tscheck's schema validation and whose Chrome trace must pass
+# gates (the fleet family includes the zone-warm-resolve 0-allocs gate),
+# the benchmark harness's own tests (perfbench/ is a separate module, so the
+# root `go test ./...` never builds it; an API change that breaks the
+# benchmark fails here), a short instrumented degraded run whose exported
+# time series must pass cmd/tscheck's schema validation and whose Chrome trace must pass
 # `tapo trace lint`, a flight-recorder smoke (a 1ns
 # solve budget forces the ladder onto a safe rung every epoch; at least one
 # bundle must exist and parse via `tapo flight`), and a crash-recovery
@@ -62,6 +64,7 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
 	$(GO) test -run '^$$' -fuzz FuzzScheduleIndex -fuzztime 10s ./internal/sched
 	$(MAKE) bench-compare BENCHTIME=1x
+	cd perfbench && $(GO) test -count=1 ./...
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -metrics-out /tmp/tapo-ci-metrics.jsonl \
 		-trace-out /tmp/tapo-ci-trace.json > /dev/null

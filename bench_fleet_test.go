@@ -9,6 +9,9 @@
 //
 // The 50k point takes tens of seconds per iteration and is skipped
 // unless TAPO_BENCH_50K is set.
+//
+// BenchmarkFleetReadback times the Stage-3 plan readback at the 1k and 10k
+// sizes and reports ns/core; no gate reads it.
 package thermaldc_test
 
 import (
@@ -16,6 +19,8 @@ import (
 	"os"
 	"testing"
 
+	"thermaldc/internal/assign"
+	"thermaldc/internal/model"
 	"thermaldc/internal/zones"
 )
 
@@ -115,4 +120,46 @@ func BenchmarkFleetStage1(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkFleetReadback is one warm Stage-3 solve per iteration on the
+// 1k- and 10k-node fleets: grouping the cores by (node type, P-state),
+// the patched group LP, and the per-core readback into TC. The data center
+// holds the fleet's nodes only: Stage 3 reads no thermal data, and a dense
+// assembled α would be ~800 MB at 10k nodes. ns/core stays flat when every
+// per-core loop is linear in the core count.
+func BenchmarkFleetReadback(b *testing.B) {
+	for _, sz := range []struct {
+		name  string
+		zones int
+	}{
+		{"1k", 10},
+		{"10k", 100},
+	} {
+		b.Run(sz.name, func(b *testing.B) {
+			f := getFleet(b, sz.zones)
+			base := f.Variants[0].DC
+			dc := &model.DataCenter{NodeTypes: base.NodeTypes, TaskTypes: base.TaskTypes, ECS: base.ECS}
+			for _, v := range f.ZoneVariant {
+				dc.Nodes = append(dc.Nodes, f.Variants[v].DC.Nodes...)
+			}
+			pstates := make([]int, dc.NumCores())
+			for k := range pstates {
+				pstates[k] = k % 3
+			}
+			s := assign.NewStage3Solver(dc)
+			if _, err := s.Solve(pstates); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Solve(pstates); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pstates)), "ns/core")
+		})
+	}
 }

@@ -145,7 +145,7 @@ func BenchmarkStage3LP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := assign.Stage3(sc.DC, res.PStates); err != nil {
+		if _, err := assign.NewStage3Solver(sc.DC).Solve(res.PStates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := assign.Stage3(sc.DC, pstates); err != nil {
+			if _, err := assign.NewStage3Solver(sc.DC).Solve(pstates); err != nil {
 				b.Fatal(err)
 			}
 		}

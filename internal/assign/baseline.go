@@ -210,9 +210,10 @@ func (r *BaselineResult) Assignment(dc *model.DataCenter) (pstates []int, tc [][
 	for i := range tc {
 		tc[i] = make([]float64, dc.NumCores())
 	}
+	lo, hi := 0, 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
-		lo, hi := dc.CoreRange(j)
+		lo, hi = hi, hi+nt.NumCores
 		active := r.UsedCores[j]
 		for k := lo; k < hi; k++ {
 			if k-lo < active {

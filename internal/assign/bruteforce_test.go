@@ -95,7 +95,7 @@ func bruteForceOptimum(t *testing.T, dc *model.DataCenter, tm *thermal.Model) fl
 			if !feasibleSomewhere {
 				continue
 			}
-			s3, err := assign.Stage3(dc, pstates)
+			s3, err := assign.NewStage3Solver(dc).Solve(pstates)
 			if err != nil {
 				t.Fatal(err)
 			}

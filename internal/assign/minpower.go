@@ -155,7 +155,7 @@ func MinPowerForReward(dc *model.DataCenter, tm *thermal.Model, rewardFloor floa
 	if err != nil {
 		return nil, err
 	}
-	s3, err := Stage3(dc, pstates)
+	s3, err := NewStage3Solver(dc).Solve(pstates)
 	if err != nil {
 		return nil, err
 	}

@@ -67,7 +67,7 @@ func NaiveOndemand(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Co
 	}
 	out, power, _ := feasible(lo)
 	pstates := pstatesForActiveCores(dc, lo)
-	s3, err := Stage3(dc, pstates)
+	s3, err := NewStage3Solver(dc).Solve(pstates)
 	if err != nil {
 		return nil, err
 	}
@@ -115,9 +115,10 @@ func nodePowersForActiveCores(dc *model.DataCenter, k int) []float64 {
 func pstatesForActiveCores(dc *model.DataCenter, k int) []int {
 	counts := activeCoreCounts(dc, k)
 	out := make([]int, dc.NumCores())
+	lo, hi := 0, 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
-		lo, hi := dc.CoreRange(j)
+		lo, hi = hi, hi+nt.NumCores
 		for c := lo; c < hi; c++ {
 			if c-lo < counts[j] {
 				out[c] = 0

@@ -132,6 +132,7 @@ func Stage2Node(nt *model.NodeType, targets []float64, nodeBudget float64) ([]in
 // global core index.
 func Stage2(dc *model.DataCenter, arrs []*pwl.Func, s1 *Stage1Result) ([]int, error) {
 	out := make([]int, dc.NumCores())
+	lo := 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
 		env := arrs[dc.Nodes[j].Type]
@@ -143,8 +144,8 @@ func Stage2(dc *model.DataCenter, arrs []*pwl.Func, s1 *Stage1Result) ([]int, er
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", j, err)
 		}
-		lo, _ := dc.CoreRange(j)
 		copy(out[lo:], ps)
+		lo += nt.NumCores
 	}
 	return out, nil
 }
@@ -152,11 +153,16 @@ func Stage2(dc *model.DataCenter, arrs []*pwl.Func, s1 *Stage1Result) ([]int, er
 // NodePowersFromPStates computes each node's power (Equation 1) for a flat
 // per-core P-state assignment.
 func NodePowersFromPStates(dc *model.DataCenter, pstates []int) []float64 {
+	corePowers := make([][]float64, len(dc.NodeTypes))
+	for typ := range dc.NodeTypes {
+		corePowers[typ] = dc.NodeTypes[typ].CorePowers()
+	}
 	out := make([]float64, dc.NCN())
+	lo, hi := 0, 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
-		powers := nt.CorePowers()
-		lo, hi := dc.CoreRange(j)
+		powers := corePowers[dc.Nodes[j].Type]
+		lo, hi = hi, hi+nt.NumCores
 		total := nt.BasePower
 		for k := lo; k < hi; k++ {
 			total += powers[pstates[k]]

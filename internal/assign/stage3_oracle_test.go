@@ -9,38 +9,11 @@ import (
 	"thermaldc/internal/model"
 )
 
-// Stage3Result holds the desired execution rates found by the Stage-3 LP.
-type Stage3Result struct {
-	// TC[i][k] is the desired execution rate of task type i on global core
-	// k (tasks per second) — the paper's TC matrix.
-	TC [][]float64
-	// RewardRate is the LP objective Σ_i r_i Σ_k TC(i, k): the steady-state
-	// reward per second of the assignment.
-	RewardRate float64
-	// CoreUtilization[k] = Σ_i TC(i,k)/ECS(i, CT_k, PS_k) ∈ [0, 1].
-	CoreUtilization []float64
-}
-
-// Stage3 solves the Equation-7 LP with P-states fixed (the remaining
-// decision is the TC matrix). Because ECS depends only on (task type,
-// node type, P-state), cores are grouped by that pair; the group LP is
-// exactly equivalent to the per-core LP and its solution is split evenly
-// across the group's cores afterwards.
-//
-// Constraints (paper Section V.B.1 with PS fixed):
-//  1. Per core (group): Σ_i TC(i,k)/ECS ≤ 1 (×count per group).
-//  2. TC(i,k) = 0 when the P-state cannot meet the deadline (variables for
-//     such pairs are simply not created).
-//  3. Per task: Σ_k TC(i,k) ≤ λ_i.
-func Stage3(dc *model.DataCenter, pstates []int) (*Stage3Result, error) {
-	return Stage3Context(context.Background(), dc, pstates)
-}
-
-// Stage3Context is Stage3 under a context-governed simplex solve. It is the
-// one-shot form of Stage3Solver, which additionally caches the group LP
-// skeleton across calls; both produce bit-identical results (verified by
-// TestStage3SolverMatchesOneShot).
-func Stage3Context(ctx context.Context, dc *model.DataCenter, pstates []int) (*Stage3Result, error) {
+// Stage3OneShot is the Stage-3 LP built from scratch and solved on a fresh
+// workspace, with map-keyed grouping and readback, as the one-shot
+// Stage3Context did before Stage3Solver became the only Stage-3 LP: the
+// reference Stage3Solver must match bit for bit.
+func Stage3OneShot(ctx context.Context, dc *model.DataCenter, pstates []int) (*Stage3Result, error) {
 	if len(pstates) != dc.NumCores() {
 		return nil, fmt.Errorf("assign: got %d P-states for %d cores", len(pstates), dc.NumCores())
 	}

@@ -39,10 +39,11 @@ func Verify(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol 
 	// P-state validity and per-core utilization (constraint 1) and
 	// deadline screening (constraint 2).
 	validPStates := true
+	lo, hi := 0, 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
 		typ := dc.Nodes[j].Type
-		lo, hi := dc.CoreRange(j)
+		lo, hi = hi, hi+nt.NumCores
 		for k := lo; k < hi; k++ {
 			ps := res.PStates[k]
 			if ps < 0 || ps > nt.OffState() {
@@ -86,16 +87,24 @@ func Verify(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol 
 	}
 
 	// Constraints 4 and 5 with the exact power model (skipped when the
-	// P-state indices themselves are invalid).
+	// P-state indices themselves are invalid). Both read one inlet vector;
+	// the total sums node then CRAC powers, in TotalPower's order.
 	if !validPStates {
 		return out
 	}
+	cracOut := res.Stage1.CracOut
 	pcn := NodePowersFromPStates(dc, res.PStates)
-	total := tm.TotalPower(res.Stage1.CracOut, pcn)
+	tin := tm.InletTemps(cracOut, pcn)
+	total := 0.0
+	for _, p := range pcn {
+		total += p
+	}
+	for _, p := range tm.CRACPowersInto(cracOut, tin, nil) {
+		total += p
+	}
 	if total > dc.Pconst+tol*(1+dc.Pconst) {
 		out = append(out, Violation{"power", fmt.Sprintf("total %g kW > Pconst %g kW", total, dc.Pconst), total - dc.Pconst})
 	}
-	tin := tm.InletTemps(res.Stage1.CracOut, pcn)
 	redline := dc.Redline()
 	for t := range tin {
 		if tin[t] > redline[t]+tol {

@@ -2,13 +2,17 @@ package assign_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"thermaldc/internal/assign"
+	"thermaldc/internal/model"
 	"thermaldc/internal/scenario"
 	"thermaldc/internal/stats"
 	"thermaldc/internal/tempsearch"
+	"thermaldc/internal/zones"
 )
 
 func warmScenario(t *testing.T, seed int64, nnodes, ncracs int) *scenario.Scenario {
@@ -106,10 +110,10 @@ func TestScratchSolveWarmZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStage3SolverMatchesOneShot checks the skeleton-caching Stage-3
-// solver against the one-shot Stage3Context bit-for-bit, across P-state
-// vectors that exercise both the patch path (repeated signature) and the
-// rebuild path (new signature).
+// TestStage3SolverMatchesOneShot checks the Stage-3 solver against the
+// map-keyed one-shot oracle bit for bit, across P-state vectors that
+// exercise both the patch path (repeated signature) and the rebuild path
+// (new signature), on a 20-node data center and on a 2-zone fleet.
 func TestStage3SolverMatchesOneShot(t *testing.T) {
 	sc := warmScenario(t, 9, 20, 2)
 	ncores := sc.DC.NumCores()
@@ -129,10 +133,70 @@ func TestStage3SolverMatchesOneShot(t *testing.T) {
 		mixed2[k] = (k / 3) % 2
 	}
 
-	warm := assign.NewStage3Solver(sc.DC)
 	vectors := [][]int{allZero, mixed, mixed, mixed2, shifted, allZero}
+	warm := checkStage3MatchesOneShot(t, sc.DC, vectors)
+	// The cache holds the last signature only: allZero, mixed, shifted and
+	// the trailing allZero each rebuild, while the mixed repeat and mixed2
+	// (same signature, different counts) must hit the patch path.
+	if rb := warm.Rebuilds(); rb != 4 {
+		t.Fatalf("Rebuilds = %d, want 4 (repeat signatures must patch, not rebuild)", rb)
+	}
+	if st := warm.TakeStats(); st.Solves != int64(len(vectors)) {
+		t.Fatalf("Stats.Solves = %d, want %d", st.Solves, len(vectors))
+	}
+
+	// Fleet shape: a 2-zone × 10-node assembled fleet with both node
+	// types, under vectors that turn whole node types off and leave
+	// (type, P-state) cells empty.
+	f, err := zones.BuildFleet(zones.FleetConfig{Zones: 2, NodesPerZone: 10, CracsPerZone: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := f.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// vec returns the per-core P-states ps(type, k), clamped to off.
+	vec := func(ps func(typ, k int) int) []int {
+		out := make([]int, 0, dc.NumCores())
+		for j, node := range dc.Nodes {
+			off := dc.NodeType(j).OffState()
+			for range dc.NodeType(j).NumCores {
+				out = append(out, min(ps(node.Type, len(out)), off))
+			}
+		}
+		return out
+	}
+	seen := map[int]bool{}
+	for _, node := range dc.Nodes {
+		seen[node.Type] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("fleet uses %d node types, want 2", len(seen))
+	}
+	const off = 1 << 20 // clamped to each type's off state
+	fleetVectors := [][]int{
+		vec(func(_, k int) int { return k % 3 }),                           // P-state 3 empty everywhere
+		vec(func(_, k int) int { return (k / 5) % 3 }),                     // same cells, new counts: patch
+		vec(func(typ, k int) int { return [2]int{off, k % 2}[typ] }),       // type 0 off
+		vec(func(typ, k int) int { return [2]int{0, off}[typ] }),           // type 1 off
+		vec(func(typ, k int) int { return [2]int{2 * (k % 2), off}[typ] }), // (0, 1) empty
+		vec(func(_, _ int) int { return off }),                             // no groups at all
+		vec(func(_, k int) int { return k % 3 }),
+	}
+	warm = checkStage3MatchesOneShot(t, dc, fleetVectors)
+	if rb := warm.Rebuilds(); rb != 6 {
+		t.Fatalf("Rebuilds = %d, want 6 (only the repeated cell set patches)", rb)
+	}
+}
+
+// checkStage3MatchesOneShot solves every vector on one Stage3Solver and
+// on the one-shot oracle and requires bit-identical results.
+func checkStage3MatchesOneShot(t *testing.T, dc *model.DataCenter, vectors [][]int) *assign.Stage3Solver {
+	t.Helper()
+	warm := assign.NewStage3Solver(dc)
 	for vi, ps := range vectors {
-		want, err := assign.Stage3Context(context.Background(), sc.DC, ps)
+		want, err := assign.Stage3OneShot(context.Background(), dc, ps)
 		if err != nil {
 			t.Fatalf("vector %d one-shot: %v", vi, err)
 		}
@@ -152,18 +216,35 @@ func TestStage3SolverMatchesOneShot(t *testing.T) {
 		}
 		for k := range want.CoreUtilization {
 			if !bitsEq(got.CoreUtilization[k], want.CoreUtilization[k]) {
-				t.Fatalf("vector %d: util[%d] differs", vi, k)
+				t.Fatalf("vector %d: util[%d] = %v, want %v", vi, k, got.CoreUtilization[k], want.CoreUtilization[k])
 			}
 		}
 	}
-	// The cache holds the last signature only: allZero, mixed, shifted and
-	// the trailing allZero each rebuild, while the mixed repeat and mixed2
-	// (same signature, different counts) must hit the patch path.
-	if rb := warm.Rebuilds(); rb != 4 {
-		t.Fatalf("Rebuilds = %d, want 4 (repeat signatures must patch, not rebuild)", rb)
+	return warm
+}
+
+// TestStage3SolverRejectsOutOfRangePStates checks that a P-state below 0
+// or above the off state is an error naming the core, never a panic or a
+// silently-off core.
+func TestStage3SolverRejectsOutOfRangePStates(t *testing.T) {
+	sc := warmScenario(t, 9, 20, 2)
+	s := assign.NewStage3Solver(sc.DC)
+	const core = 7
+	nt := sc.DC.NodeType(sc.DC.CoreNode(core))
+	for _, bad := range []int{-1, nt.OffState() + 1} {
+		ps := make([]int, sc.DC.NumCores())
+		ps[core] = bad
+		_, err := s.Solve(ps)
+		if err == nil {
+			t.Fatalf("P-state %d: no error", bad)
+		}
+		if want := fmt.Sprintf("core %d has P-state %d", core, bad); !strings.Contains(err.Error(), want) {
+			t.Fatalf("P-state %d: error %q does not name %q", bad, err, want)
+		}
 	}
-	if st := warm.TakeStats(); st.Solves != int64(len(vectors)) {
-		t.Fatalf("Stats.Solves = %d, want %d", st.Solves, len(vectors))
+	// The solver stays usable after a rejected vector.
+	if _, err := s.Solve(make([]int, sc.DC.NumCores())); err != nil {
+		t.Fatal(err)
 	}
 }
 

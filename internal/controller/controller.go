@@ -284,11 +284,10 @@ func RunContext(ctx context.Context, base *model.DataCenter, schedule faults.Sch
 	// completes. The schedule is known (deterministic simulation), so the
 	// timeline is computed clairvoyantly up front.
 	failTimes := faults.NodeFailTimes(schedule, base.NCN())
-	nodeOf := make([]int, base.NumCores())
+	nodeOf := make([]int, 0, base.NumCores())
 	for j := range base.Nodes {
-		lo, hi := base.CoreRange(j)
-		for k := lo; k < hi; k++ {
-			nodeOf[k] = j
+		for range base.NodeType(j).NumCores {
+			nodeOf = append(nodeOf, j)
 		}
 	}
 	lost := func(core int, start, completion float64) bool {
@@ -728,12 +727,11 @@ func boundaries(schedule faults.Schedule, horizon, epoch float64) []float64 {
 // If nothing is fully feasible the least-violating candidate ships:
 // best-effort, like the all-off rung it serves.
 func fallbackPlan(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Config, prevOut []float64) *assign.ThreeStageResult {
-	pstates := make([]int, dc.NumCores())
+	pstates := make([]int, 0, dc.NumCores())
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
-		lo, hi := dc.CoreRange(j)
-		for k := lo; k < hi; k++ {
-			pstates[k] = nt.OffState()
+		for range nt.NumCores {
+			pstates = append(pstates, nt.OffState())
 		}
 	}
 	npow := make([]float64, dc.NCN())

@@ -66,13 +66,14 @@ func ThermalMap(scCfg scenario.Config, opts assign.Options) (*ThermalMapResult, 
 	for _, cp := range sc.Thermal.CRACPowers(res.Stage1.CracOut, pcn) {
 		out.CRACPower += cp
 	}
+	lo, hi := 0, 0
 	for j, node := range sc.DC.Nodes {
 		nt := sc.DC.NodeType(j)
 		hist, ok := out.PStateHistogram[nt.Name]
 		if !ok {
 			hist = make([]int, nt.NumPStates()+1)
 		}
-		lo, hi := sc.DC.CoreRange(j)
+		lo, hi = hi, hi+nt.NumCores
 		for k := lo; k < hi; k++ {
 			hist[res.PStates[k]]++
 		}

@@ -185,7 +185,9 @@ func (dc *DataCenter) NumCores() int {
 	return n
 }
 
-// CoreRange returns the [lo, hi) global core index range of node j.
+// CoreRange returns the [lo, hi) global core index range of node j. It
+// sums the core counts of nodes 0..j−1, so it is O(j) and meant for single
+// lookups: a loop over every node advances lo += NumCores instead.
 func (dc *DataCenter) CoreRange(j int) (lo, hi int) {
 	for i := 0; i < j; i++ {
 		lo += dc.NodeType(i).NumCores
@@ -193,7 +195,9 @@ func (dc *DataCenter) CoreRange(j int) (lo, hi int) {
 	return lo, lo + dc.NodeType(j).NumCores
 }
 
-// CoreNode returns the node owning global core k.
+// CoreNode returns the node owning global core k. It walks the nodes in
+// order, so it is O(j) in the owning node j and meant for single lookups:
+// a loop over every core tracks its node alongside instead.
 func (dc *DataCenter) CoreNode(k int) int {
 	for j := range dc.Nodes {
 		n := dc.NodeType(j).NumCores

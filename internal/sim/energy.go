@@ -44,10 +44,11 @@ func Energy(dc *model.DataCenter, pstates []int, res *Result, idleFraction float
 	for j := range dc.Nodes {
 		rep.BaseKJ += dc.NodeType(j).BasePower * res.Horizon
 	}
+	lo, hi := 0, 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
 		powers := nt.CorePowers()
-		lo, hi := dc.CoreRange(j)
+		lo, hi = hi, hi+nt.NumCores
 		typ := dc.Nodes[j].Type
 		for k := lo; k < hi; k++ {
 			pi := powers[pstates[k]]
