@@ -34,8 +34,10 @@ race:
 # certificates, behind the slow tag), a 1k-node multi-zone fleet solve
 # with invariant checks (also behind the slow tag), short fuzz smokes on
 # the workload parser, the LU factorizer, the checkpoint journal decoder,
-# the -faults level parser and the scheduler's dispatch index (held to the
-# candidate scan on decoded data centers and task streams), the simplex and fleet-scaling performance
+# the -faults level parser, the scheduler's dispatch index (held to the
+# candidate scan on decoded data centers and task streams) and the
+# controller's resume boundary (damaged checkpoints must fail with an error,
+# never a panic), the simplex and fleet-scaling performance
 # gates (the fleet family includes the zone-warm-resolve 0-allocs gate),
 # the benchmark harness's own tests (perfbench/ is a separate module, so the
 # root `go test ./...` never builds it; an API change that breaks the
@@ -63,6 +65,7 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
 	$(GO) test -run '^$$' -fuzz FuzzScheduleIndex -fuzztime 10s ./internal/sched
+	$(GO) test -run '^$$' -fuzz FuzzResumeCheckpoint -fuzztime 10s ./internal/controller
 	$(MAKE) bench-compare BENCHTIME=1x
 	cd perfbench && $(GO) test -count=1 ./...
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \

@@ -2,6 +2,7 @@ package controller_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -58,8 +59,8 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	normalizeWall(golden)
-	if len(deltas) != golden.EpochsSeen {
-		t.Fatalf("sink saw %d deltas for %d epochs", len(deltas), golden.EpochsSeen)
+	if len(deltas) != len(golden.Epochs) {
+		t.Fatalf("sink saw %d deltas for %d epochs", len(deltas), len(golden.Epochs))
 	}
 	if len(deltas) < 5 {
 		t.Fatalf("scenario too small for a meaningful matrix: %d epochs", len(deltas))
@@ -68,7 +69,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	for k := 1; k <= len(deltas); k++ {
 		k := k
 		t.Run(fmt.Sprintf("kill-after-epoch-%d", k), func(t *testing.T) {
-			ck := controller.NewCheckpoint(cfg)
+			ck := controller.NewCheckpoint()
 			for _, d := range deltas[:k] {
 				ck.Fold(d)
 			}
@@ -105,13 +106,13 @@ func TestResumeFoldEquivalence(t *testing.T) {
 	if _, err := controller.Run(sc.DC, schedule, tasks, cfg); err != nil {
 		t.Fatal(err)
 	}
-	want := controller.NewCheckpoint(cfg)
+	want := controller.NewCheckpoint()
 	for _, d := range full {
 		want.Fold(d)
 	}
 
 	k := len(full) / 2
-	ck := controller.NewCheckpoint(cfg)
+	ck := controller.NewCheckpoint()
 	for _, d := range full[:k] {
 		ck.Fold(d)
 	}
@@ -132,48 +133,6 @@ func TestResumeFoldEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeWithEpochWindow exercises the MaxEpochReports retention ring
-// across a kill/resume: the windowed reports must match the uninterrupted
-// run's window exactly, including the ring cursor.
-func TestResumeWithEpochWindow(t *testing.T) {
-	sc := buildScenario(t, 3, 10)
-	const horizon = 40.0
-	schedule := handSchedule(horizon)
-	cfg := controller.DefaultConfig(horizon, 10)
-	cfg.MaxEpochReports = 3
-
-	var deltas []*controller.EpochDelta
-	cfg.Checkpoint = func(d *controller.EpochDelta) error { deltas = append(deltas, d); return nil }
-	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(35))
-	golden, err := controller.Run(sc.DC, schedule, tasks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalizeWall(golden)
-	if len(golden.Epochs) != 3 || golden.EpochsSeen <= 4 {
-		t.Fatalf("window not exercised: %d reports of %d epochs", len(golden.Epochs), golden.EpochsSeen)
-	}
-
-	// Kill after the ring has already wrapped.
-	k := 5
-	ck := controller.NewCheckpoint(cfg)
-	for _, d := range deltas[:k] {
-		ck.Fold(d)
-	}
-	rcfg := cfg
-	rcfg.Checkpoint = nil
-	rcfg.Resume = gobRoundTrip(t, ck)
-	rtasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(35))
-	res, err := controller.Run(sc.DC, schedule, rtasks, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalizeWall(res)
-	if !reflect.DeepEqual(golden, res) {
-		t.Errorf("windowed resume diverges:\ngolden %+v\nresumed %+v", golden, res)
-	}
-}
-
 func TestResumeValidation(t *testing.T) {
 	sc := buildScenario(t, 4, 10)
 	const horizon = 40.0
@@ -187,44 +146,44 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := controller.Run(sc.DC, schedule, tasks, ccfg); err != nil {
 		t.Fatal(err)
 	}
-	valid := controller.NewCheckpoint(cfg)
+	valid := controller.NewCheckpoint()
 	for _, d := range deltas[:2] {
 		valid.Fold(d)
 	}
 
 	t.Run("empty checkpoint", func(t *testing.T) {
 		rcfg := cfg
-		rcfg.Resume = controller.NewCheckpoint(cfg)
+		rcfg.Resume = controller.NewCheckpoint()
 		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
 			t.Error("resume from an empty checkpoint succeeded")
 		}
 	})
-	t.Run("window mismatch", func(t *testing.T) {
-		rcfg := cfg
-		rcfg.MaxEpochReports = 7 // checkpoint was built with 0
-		rcfg.Resume = valid
-		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
-			t.Error("resume with a different MaxEpochReports succeeded")
-		}
-	})
-	t.Run("core count mismatch", func(t *testing.T) {
-		bad := gobRoundTrip(t, valid)
-		bad.FreeAt = bad.FreeAt[:len(bad.FreeAt)-1]
-		rcfg := cfg
-		rcfg.Resume = bad
-		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
-			t.Error("resume with a truncated FreeAt succeeded")
-		}
-	})
-	t.Run("epochs beyond horizon", func(t *testing.T) {
-		bad := gobRoundTrip(t, valid)
-		bad.EpochsDone = 1000
-		rcfg := cfg
-		rcfg.Resume = bad
-		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
-			t.Error("resume past the end of the run succeeded")
-		}
-	})
+	for _, tc := range []struct {
+		name   string
+		mutate func(ck *controller.Checkpoint)
+	}{
+		{"core count mismatch", func(ck *controller.Checkpoint) { ck.FreeAt = ck.FreeAt[:len(ck.FreeAt)-1] }},
+		{"epochs beyond horizon", func(ck *controller.Checkpoint) { ck.EpochsDone = 1000 }},
+		{"task cursor past the arrivals", func(ck *controller.Checkpoint) { ck.TaskIdx = len(tasks) + 1 }},
+		{"negative task cursor", func(ck *controller.Checkpoint) { ck.TaskIdx = -1 }},
+		{"negative event cursor", func(ck *controller.Checkpoint) { ck.EvIdx = -1 }},
+		{"event cursor past the schedule", func(ck *controller.Checkpoint) { ck.EvIdx = len(schedule.Events) + 1 }},
+		{"epoch reports disagree with epochs done", func(ck *controller.Checkpoint) { ck.Res.Epochs = ck.Res.Epochs[:1] }},
+		{"plan without stage 1", func(ck *controller.Checkpoint) { ck.Plan.Stage1 = nil }},
+		{"plan without stage 3", func(ck *controller.Checkpoint) { ck.Plan.Stage3 = nil }},
+		{"plan P-states of the wrong length", func(ck *controller.Checkpoint) { ck.Plan.PStates = ck.Plan.PStates[1:] }},
+		{"last good plan without stage 1", func(ck *controller.Checkpoint) { ck.LastGood.Stage1 = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := gobRoundTrip(t, valid)
+			tc.mutate(bad)
+			rcfg := cfg
+			rcfg.Resume = bad
+			if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
+				t.Errorf("resume with %s succeeded", tc.name)
+			}
+		})
+	}
 	t.Run("open loop rejects persistence", func(t *testing.T) {
 		rcfg := cfg
 		rcfg.Mode = controller.OpenLoop
@@ -252,4 +211,80 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("run error %v, want the sink's", err)
 	}
+}
+
+// FuzzResumeCheckpoint feeds the resume boundary checkpoints that are
+// valid except for fuzzed cursors, epoch count, FreeAt and SchedCounts
+// lengths, and missing plan parts. A resume reads its checkpoint from
+// disk, so whatever the fields hold it must return an error or a result,
+// never panic.
+func FuzzResumeCheckpoint(f *testing.F) {
+	sc := buildScenario(f, 4, 10)
+	const horizon = 40.0
+	schedule := handSchedule(horizon)
+	cfg := controller.DefaultConfig(horizon, 10)
+	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(37))
+
+	var deltas []*controller.EpochDelta
+	ccfg := cfg
+	ccfg.Checkpoint = func(d *controller.EpochDelta) error { deltas = append(deltas, d); return nil }
+	if _, err := controller.Run(sc.DC, schedule, tasks, ccfg); err != nil {
+		f.Fatal(err)
+	}
+	valid := controller.NewCheckpoint()
+	for _, d := range deltas[:2] {
+		valid.Fold(d)
+	}
+	var enc bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(valid); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Add(valid.EvIdx, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
+	f.Add(-1, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
+	f.Add(valid.EvIdx, len(tasks)+1, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
+	f.Add(valid.EvIdx, 0, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
+	f.Add(valid.EvIdx, valid.TaskIdx, 0, int8(-1), int8(1), int8(1), uint8(0))
+	f.Add(valid.EvIdx, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(-1), uint8(0))
+	f.Add(valid.EvIdx, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0b10101))
+	// The length arguments are offsets from the valid checkpoint's.
+	f.Fuzz(func(t *testing.T, evIdx, taskIdx, epochsDone int, freeAtLen, countRows, row0Len int8, nils uint8) {
+		ck := new(controller.Checkpoint)
+		if err := gob.NewDecoder(bytes.NewReader(enc.Bytes())).Decode(ck); err != nil {
+			t.Fatal(err)
+		}
+		ck.EvIdx, ck.TaskIdx, ck.EpochsDone = evIdx, taskIdx, epochsDone
+		ck.FreeAt = resized(ck.FreeAt, int(freeAtLen))
+		ck.SchedCounts = resized(ck.SchedCounts, int(countRows))
+		if len(ck.SchedCounts) > 0 {
+			ck.SchedCounts[0] = resized(ck.SchedCounts[0], int(row0Len))
+		}
+		for bit, drop := range []func(){
+			func() { ck.Plan.Stage1 = nil },
+			func() { ck.Plan.Stage3 = nil },
+			func() { ck.LastGood = nil },
+			func() { ck.Faults = nil },
+			func() { ck.Plan = nil },
+		} {
+			if nils&(1<<bit) != 0 {
+				drop()
+			}
+		}
+		rcfg := cfg
+		rcfg.Resume = ck
+		res, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, rcfg)
+		if err == nil && res == nil {
+			t.Fatal("resume returned neither a result nor an error")
+		}
+	})
+}
+
+// resized returns s cut or zero-extended by delta elements (never below
+// empty).
+func resized[T any](s []T, delta int) []T {
+	n := max(len(s)+delta, 0)
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }

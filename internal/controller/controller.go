@@ -92,13 +92,6 @@ type Config struct {
 	// Assign.Recorder. Nil — the default — keeps the whole run on the
 	// uninstrumented fast path. Telemetry never changes results.
 	Recorder *telemetry.Recorder
-	// MaxEpochReports bounds Result.Epochs: 0 (the default) keeps every
-	// per-interval report, preserving historical behavior; N > 0 retains
-	// only the last N reports (older ones are evicted as the run
-	// progresses, keeping memory flat on long horizons). Run totals and
-	// Result.EpochsSeen always cover the whole run — only the per-interval
-	// detail is windowed.
-	MaxEpochReports int
 	// Checkpoint, when non-nil, receives the EpochDelta of every completed
 	// closed-loop interval (see CheckpointSink). A sink error aborts the
 	// run. Nil — the default — keeps the run on the unpersisted fast path.
@@ -216,19 +209,18 @@ type EpochReport struct {
 	LP linprog.Stats
 }
 
-// Result aggregates a controller run.
-type Result struct {
-	Mode    Mode
-	Horizon float64
-	// TotalReward counts only tasks that survived (placed, not lost);
-	// RewardRate = TotalReward / Horizon.
-	TotalReward, RewardRate  float64
+// ResultState holds a run's totals and per-interval reports. Result
+// embeds it and Checkpoint carries it, and both advance it through fold,
+// so a resumed run's totals are the live loop's, bit for bit.
+type ResultState struct {
+	// TotalReward counts only tasks that survived (placed, not lost).
+	TotalReward              float64
 	Completed, Dropped, Lost int
 	// Resolves and Fallbacks count first-step re-solves and safe-plan
 	// activations (rungs at RungPrevPlan or below).
 	Resolves, Fallbacks int
-	// RungCounts tallies epochs by the ladder rung that produced their
-	// plan; Retries totals backed-off retry attempts across the run.
+	// RungCounts tallies re-solving epochs by the ladder rung that produced
+	// their plan; Retries totals backed-off retry attempts across the run.
 	RungCounts [NumRungs]int
 	Retries    int
 	// Violations sums planner-view Verify findings across all plans.
@@ -239,17 +231,50 @@ type Result struct {
 	MaxPower, MaxPowerExcess, MaxInletExcess float64
 	// LP sums the per-epoch simplex counters across the run.
 	LP linprog.Stats
-	// Epochs holds the per-interval telemetry. With Config.MaxEpochReports
-	// set it is a window over the last reports only (chronological after
-	// the run finishes); EpochsSeen counts every interval regardless.
-	Epochs     []EpochReport
-	EpochsSeen int
+	// Epochs holds every interval's report, oldest first.
+	Epochs []EpochReport
+}
 
-	// epochCap/epochNext implement the MaxEpochReports retention ring:
-	// when the cap is hit, accumulate overwrites the oldest slot and
-	// finish rotates the ring back into chronological order.
-	epochCap  int
-	epochNext int
+func newResultState() ResultState {
+	return ResultState{MaxPowerExcess: math.Inf(-1), MaxInletExcess: math.Inf(-1)}
+}
+
+// fold adds one interval's report to the totals. The closed loop, the
+// open loop and Checkpoint.Fold all go through it.
+func (rs *ResultState) fold(rep *EpochReport) {
+	if rep.Resolved {
+		rs.RungCounts[rep.Rung]++
+		rs.Retries += rep.Retries
+		if rep.Fallback {
+			rs.Fallbacks++
+		}
+		rs.Resolves++
+		rs.Violations += rep.Violations
+		rs.LP.Add(rep.LP)
+	}
+	rs.TotalReward += rep.Reward
+	rs.Completed += rep.Completed
+	rs.Dropped += rep.Dropped
+	rs.Lost += rep.Lost
+	if rep.MaxPower > rs.MaxPower {
+		rs.MaxPower = rep.MaxPower
+	}
+	if rep.MaxPowerExcess > rs.MaxPowerExcess {
+		rs.MaxPowerExcess = rep.MaxPowerExcess
+	}
+	if rep.MaxInletExcess > rs.MaxInletExcess {
+		rs.MaxInletExcess = rep.MaxInletExcess
+	}
+	rs.Epochs = append(rs.Epochs, *rep)
+}
+
+// Result aggregates a controller run.
+type Result struct {
+	Mode    Mode
+	Horizon float64
+	// RewardRate = TotalReward / Horizon.
+	RewardRate float64
+	ResultState
 }
 
 // Run drives the data center through the fault schedule. The base model is
@@ -306,8 +331,8 @@ func RunContext(ctx context.Context, base *model.DataCenter, schedule faults.Sch
 // runClosedLoop re-plans at every boundary where the plant changed.
 func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.Schedule, tasks []workload.Task, cfg Config, lost func(int, float64, float64) bool) (*Result, error) {
 	bounds := boundaries(schedule, cfg.Horizon, cfg.Epoch)
-	st := faults.NewState(base.NCRAC(), base.NCN())
-	res := newResult(cfg)
+	res := &Result{Mode: cfg.Mode, Horizon: cfg.Horizon, ResultState: newResultState()}
+	ls := LoopState{Faults: faults.NewState(base.NCRAC(), base.NCN()), FreeAt: make([]float64, base.NumCores())}
 	p := &truthPlant{}
 	m := newRunMetrics(cfg.Recorder, base.NCRAC())
 	tr := cfg.Recorder.Tracer()
@@ -320,26 +345,36 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		lastGood  *assign.ThreeStageResult
 		s         *sched.Scheduler
 	)
-	freeAt := make([]float64, base.NumCores())
-	evIdx := 0
-	taskIdx := 0
-	startBi := 0
 	if ck := cfg.Resume; ck != nil {
-		r, err := restoreClosedLoop(ctx, base, cfg, ck)
-		if err != nil {
+		if err := ck.validate(base, len(schedule.Events), len(tasks), len(bounds)-1); err != nil {
 			return nil, err
 		}
-		res, st = r.res, r.st
-		solver, plannerDC, plannerTM = r.solver, r.plannerDC, r.plannerTM
-		plan, lastGood, s = r.plan, r.lastGood, r.s
-		freeAt = r.freeAt
-		evIdx, taskIdx, startBi = ck.EvIdx, ck.TaskIdx, ck.EpochsDone
-		if startBi > len(bounds)-1 {
-			return nil, fmt.Errorf("controller: resume checkpoint has %d epochs done but the run has only %d intervals",
-				startBi, len(bounds)-1)
+		ls = ck.LoopState.clone()
+		res.ResultState = ck.Res
+		res.Epochs = append([]EpochReport(nil), ck.Res.Epochs...)
+		plan, lastGood = ck.Plan, ck.LastGood
+		var err error
+		if plannerDC, plannerTM, solver, err = newPlanner(base, ls.Faults, cfg.Assign); err != nil {
+			return nil, fmt.Errorf("controller: resume: %w", err)
+		}
+		// Warm-up solve: an uninterrupted run's solver allocated its LP
+		// workspaces epochs ago, so allocate them now and discard the
+		// counters, which the next re-solving epoch would otherwise report.
+		// The outcome is irrelevant: a failing model fails identically when
+		// the next epoch actually solves it.
+		if _, err := guardedSolve(ctx, solver); err != nil && ctx.Err() != nil {
+			return nil, fmt.Errorf("controller: resume canceled: %w", ctx.Err())
+		}
+		solver.TakeLPStats()
+		if s, err = newScheduler(plannerDC, plan, cfg.Recorder, ls.SchedStart); err != nil {
+			return nil, fmt.Errorf("controller: resume: %w", err)
+		}
+		if err := s.RestoreCounts(ls.SchedCounts); err != nil {
+			return nil, fmt.Errorf("controller: resume: %w", err)
 		}
 	}
-	for bi := startBi; bi+1 < len(bounds); bi++ {
+	st := ls.Faults
+	for bi := len(res.Epochs); bi+1 < len(bounds); bi++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("controller: run canceled at t=%g: %w", bounds[bi], cerr)
 		}
@@ -348,12 +383,12 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 
 		// Fold every event at or before this boundary into the state.
 		structural, changed := false, false
-		for evIdx < len(schedule.Events) && schedule.Events[evIdx].Time <= a {
-			if st.Apply(schedule.Events[evIdx]) {
+		for ls.EvIdx < len(schedule.Events) && schedule.Events[ls.EvIdx].Time <= a {
+			if st.Apply(schedule.Events[ls.EvIdx]) {
 				structural = true
 			}
 			changed = true
-			evIdx++
+			ls.EvIdx++
 		}
 
 		rep := EpochReport{Start: a, End: b}
@@ -361,16 +396,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			// Structure changed: project the degraded model and rebuild the
 			// thermal model and LP skeleton.
 			var err error
-			plannerDC, err = st.Degrade(base, faults.Planner)
-			if err != nil {
-				return nil, err
-			}
-			plannerTM, err = thermal.New(plannerDC)
-			if err != nil {
-				return nil, err
-			}
-			solver, err = assign.NewThreeStageSolver(plannerDC, plannerTM, cfg.Assign)
-			if err != nil {
+			if plannerDC, plannerTM, solver, err = newPlanner(base, st, cfg.Assign); err != nil {
 				return nil, err
 			}
 			changed = true
@@ -379,7 +405,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			// so mutating it in place reuses the warm solver.
 			plannerDC.Pconst = base.Pconst * st.CapFactor
 		}
-		if changed || plan == nil {
+		if changed {
 			var prevOut []float64
 			if plan != nil {
 				prevOut = plan.Stage1.CracOut
@@ -392,57 +418,45 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			if lad.solver != nil {
 				solver = lad.solver
 			}
+			rep.Resolved = true
 			rep.Rung = lad.rung
 			rep.Retries = lad.retries
 			rep.SolveWall = lad.wall
 			rep.ErrKind = solvererr.Classify(lad.lastErr)
-			res.RungCounts[lad.rung]++
-			res.Retries += lad.retries
-			if lad.rung >= RungPrevPlan {
-				// Every solve attempt failed: the safe rungs took over.
-				rep.Fallback = true
-				res.Fallbacks++
-			} else {
+			// Every solve attempt failed: the safe rungs took over.
+			rep.Fallback = lad.rung >= RungPrevPlan
+			if !rep.Fallback {
 				lastGood = plan
 			}
-			rep.Resolved = true
-			res.Resolves++
 			rep.Violations = len(assign.Verify(plannerDC, plannerTM, plan, cfg.Tol))
-			res.Violations += rep.Violations
 			// Drain the warm solver's simplex counters for this epoch (a
 			// cold rebuild mid-ladder forfeits the failed attempt's counts).
 			rep.LP = solver.TakeLPStats()
-			res.LP.Add(rep.LP)
 
 			// A new plan means new desired rates, so the scheduler is
 			// rebuilt with its ATC clock started at the boundary; core busy
-			// state (freeAt) carries across, so occupancy is continuous. Only
-			// sim.RunOpts writes freeAt, which keeps ScheduleWith's freeAt
+			// state (FreeAt) carries across, so occupancy is continuous. Only
+			// sim.RunOpts writes FreeAt, which keeps ScheduleWith's freeAt
 			// contract for a scheduler carried across intervals.
 			// Without a plan change the old scheduler keeps running — a
 			// fault-free closed-loop run is then identical to a single
 			// uninterrupted simulation.
 			var err error
-			s, err = sched.New(plannerDC, plan.PStates, plan.Stage3.TC)
-			if err != nil {
+			if s, err = newScheduler(plannerDC, plan, cfg.Recorder, a); err != nil {
 				return nil, err
 			}
-			if cfg.Recorder != nil {
-				s.SetRecorder(cfg.Recorder)
-			}
-			s.SetStartTime(a)
 		}
 		if err := p.update(base, st, plan); err != nil {
 			return nil, err
 		}
-		lo := taskIdx
-		for taskIdx < len(tasks) && tasks[taskIdx].Arrival < b {
-			taskIdx++
+		lo := ls.TaskIdx
+		for ls.TaskIdx < len(tasks) && tasks[ls.TaskIdx].Arrival < b {
+			ls.TaskIdx++
 		}
-		out, err := sim.RunOpts(plannerDC, plan.PStates, plan.Stage3.TC, tasks[lo:taskIdx], b, sim.Options{
+		out, err := sim.RunOpts(plannerDC, plan.PStates, plan.Stage3.TC, tasks[lo:ls.TaskIdx], b, sim.Options{
 			Start:     a,
 			Scheduler: s,
-			FreeAt:    freeAt,
+			FreeAt:    ls.FreeAt,
 			Plant:     p,
 			Lost:      lost,
 		})
@@ -450,30 +464,59 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			return nil, err
 		}
 		rep.Plan = plan
-		accumulate(res, &rep, out)
-		samp, err := m.emitEpoch(res, &rep, p, cfg.FlightRec != nil)
-		if err != nil {
+		rep.setOutcome(out)
+		res.fold(&rep)
+		var samp *telemetry.EpochSample
+		if m != nil || cfg.FlightRec != nil {
+			samp = epochSample(len(res.Epochs)-1, &rep, p)
+		}
+		if err := m.emitEpoch(&rep, samp); err != nil {
 			return nil, err
 		}
-		recordFlight(cfg, res, &rep, st, samp)
+		recordFlight(cfg, &rep, st, samp)
 		if cfg.Checkpoint != nil {
-			d := &EpochDelta{
-				EvIdx:       evIdx,
-				TaskIdx:     taskIdx,
-				Faults:      st.Clone(),
-				FreeAt:      append([]float64(nil), freeAt...),
-				SchedCounts: s.Counts(),
-				SchedStart:  s.StartTime(),
-				Report:      rep,
-			}
+			d := &EpochDelta{LoopState: ls.clone(), Report: rep}
+			d.SchedCounts, d.SchedStart = s.Counts(), s.StartTime()
 			if err := cfg.Checkpoint(d); err != nil {
 				return nil, fmt.Errorf("controller: checkpoint at t=%g: %w", b, err)
 			}
 		}
-		tr.End(clkEpoch, telemetry.SpanEpoch, int32(res.EpochsSeen-1), rep.LP.Pivots, errBit(nil))
+		tr.End(clkEpoch, telemetry.SpanEpoch, int32(len(res.Epochs)-1), rep.LP.Pivots, errBit(nil))
 	}
-	finish(res)
+	res.RewardRate = res.TotalReward / res.Horizon
 	return res, nil
+}
+
+// newPlanner projects the planner's view of the degraded plant and builds
+// its thermal model and three-stage solver.
+func newPlanner(base *model.DataCenter, st *faults.State, opts assign.Options) (*model.DataCenter, *thermal.Model, *assign.ThreeStageSolver, error) {
+	dc, err := st.Degrade(base, faults.Planner)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tm, err := thermal.New(dc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	solver, err := assign.NewThreeStageSolver(dc, tm, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return dc, tm, solver, nil
+}
+
+// newScheduler builds the second-step scheduler of plan with its ATC
+// clock started at start.
+func newScheduler(dc *model.DataCenter, plan *assign.ThreeStageResult, rec *telemetry.Recorder, start float64) (*sched.Scheduler, error) {
+	s, err := sched.New(dc, plan.PStates, plan.Stage3.TC)
+	if err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		s.SetRecorder(rec)
+	}
+	s.SetStartTime(start)
+	return s, nil
 }
 
 // ladderOutcome is the result of one trip down the degradation ladder.
@@ -641,10 +684,13 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(cfg)
-	res.Resolves = 1
-	res.Violations = len(assign.Verify(base, tm, plan, cfg.Tol))
-	res.LP = solver.TakeLPStats()
+	rep := EpochReport{
+		End:        cfg.Horizon,
+		Resolved:   true,
+		Violations: len(assign.Verify(base, tm, plan, cfg.Tol)),
+		Plan:       plan,
+		LP:         solver.TakeLPStats(),
+	}
 
 	st := faults.NewState(base.NCRAC(), base.NCN())
 	p := &truthPlant{}
@@ -677,14 +723,17 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 	if hookErr != nil {
 		return nil, hookErr
 	}
-	rep := EpochReport{Start: 0, End: cfg.Horizon, Resolved: true, Violations: res.Violations, Plan: plan, LP: res.LP}
-	accumulate(res, &rep, out)
+	rep.setOutcome(out)
+	res := &Result{Mode: cfg.Mode, Horizon: cfg.Horizon, ResultState: newResultState()}
+	res.fold(&rep)
+	res.RewardRate = res.TotalReward / res.Horizon
 	// Open loop publishes one sample for the whole horizon; the plant
 	// reflects its final (post-fault) state.
-	if _, err := newRunMetrics(cfg.Recorder, base.NCRAC()).emitEpoch(res, &rep, p, false); err != nil {
-		return nil, err
+	if m := newRunMetrics(cfg.Recorder, base.NCRAC()); m != nil {
+		if err := m.emitEpoch(&rep, epochSample(0, &rep, p)); err != nil {
+			return nil, err
+		}
 	}
-	finish(res)
 	return res, nil
 }
 
@@ -791,54 +840,9 @@ func fallbackPlan(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Con
 	}
 }
 
-func newResult(cfg Config) *Result {
-	return &Result{
-		Mode:           cfg.Mode,
-		Horizon:        cfg.Horizon,
-		MaxPowerExcess: math.Inf(-1),
-		MaxInletExcess: math.Inf(-1),
-		epochCap:       cfg.MaxEpochReports,
-	}
-}
-
-// accumulate folds one interval's sim result into the epoch report and the
-// run totals.
-func accumulate(res *Result, rep *EpochReport, out *sim.Result) {
+// setOutcome copies one interval's simulated outcome into its report.
+func (rep *EpochReport) setOutcome(out *sim.Result) {
 	rep.Reward = out.TotalReward
 	rep.Completed, rep.Dropped, rep.Lost = out.Completed, out.Dropped, out.Lost
 	rep.MaxPower, rep.MaxPowerExcess, rep.MaxInletExcess = out.MaxPower, out.MaxPowerExcess, out.MaxInletExcess
-	res.TotalReward += out.TotalReward
-	res.Completed += out.Completed
-	res.Dropped += out.Dropped
-	res.Lost += out.Lost
-	if out.MaxPower > res.MaxPower {
-		res.MaxPower = out.MaxPower
-	}
-	if out.MaxPowerExcess > res.MaxPowerExcess {
-		res.MaxPowerExcess = out.MaxPowerExcess
-	}
-	if out.MaxInletExcess > res.MaxInletExcess {
-		res.MaxInletExcess = out.MaxInletExcess
-	}
-	res.EpochsSeen++
-	if res.epochCap > 0 && len(res.Epochs) == res.epochCap {
-		res.Epochs[res.epochNext] = *rep
-		res.epochNext = (res.epochNext + 1) % res.epochCap
-	} else {
-		res.Epochs = append(res.Epochs, *rep)
-	}
-}
-
-func finish(res *Result) {
-	if res.Horizon > 0 {
-		res.RewardRate = res.TotalReward / res.Horizon
-	}
-	// Unwind the retention ring so Epochs reads oldest-first.
-	if res.epochNext > 0 {
-		rot := make([]EpochReport, 0, len(res.Epochs))
-		rot = append(rot, res.Epochs[res.epochNext:]...)
-		rot = append(rot, res.Epochs[:res.epochNext]...)
-		res.Epochs = rot
-		res.epochNext = 0
-	}
 }

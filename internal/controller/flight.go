@@ -34,7 +34,7 @@ func flightReason(rep *EpochReport) string {
 // no-op without a flight recorder or when the epoch was healthy. Dump
 // failures are logged and swallowed: the black box never aborts the run
 // it is documenting.
-func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample) {
+func recordFlight(cfg Config, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample) {
 	fr := cfg.FlightRec
 	if fr == nil {
 		return
@@ -43,8 +43,7 @@ func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, s
 	if reason == "" {
 		return
 	}
-	b := flightBundle(cfg, res, rep, st, samp, reason)
-	if _, err := fr.Record(b); err != nil {
+	if _, err := fr.Record(flightBundle(cfg, rep, st, samp, reason)); err != nil {
 		log := cfg.Recorder.Logger()
 		if log == nil {
 			log = telemetry.Default()
@@ -53,28 +52,21 @@ func recordFlight(cfg Config, res *Result, rep *EpochReport, st *faults.State, s
 	}
 }
 
-// flightBundle assembles the diagnostic payload: the epoch's outcome and
-// sample, the recent span window, a metrics snapshot, the fault-schedule
-// state in force, and the epoch's LP work stats.
-func flightBundle(cfg Config, res *Result, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample, reason string) flightrec.Bundle {
+// flightBundle assembles the diagnostic payload: the epoch's sample (whose
+// run, epoch, rung, error kind and violations also head the bundle), the
+// recent span window, a metrics snapshot, the fault-schedule state in
+// force, and the epoch's LP stats.
+func flightBundle(cfg Config, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample, reason string) flightrec.Bundle {
 	b := flightrec.Bundle{
 		Reason:     reason,
-		Epoch:      res.EpochsSeen - 1,
-		Violations: rep.Violations,
+		Run:        samp.Run,
+		Epoch:      samp.Epoch,
+		Rung:       samp.Rung,
+		ErrKind:    samp.ErrKind,
+		Violations: samp.Violations,
 		LP:         rep.LP,
 		LastSample: samp,
-	}
-	if rep.Resolved {
-		b.Rung = rep.Rung.String()
-	}
-	if rep.ErrKind != solvererr.Unknown {
-		b.ErrKind = rep.ErrKind.String()
-	}
-	if st != nil {
-		b.Faults = st.Clone()
-	}
-	if samp != nil {
-		b.Run = samp.Run
+		Faults:     st.Clone(),
 	}
 	if rec := cfg.Recorder; rec != nil {
 		b.Spans = cfg.FlightRec.SpanWindow(rec.Tracer().Snapshot())

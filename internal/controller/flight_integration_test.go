@@ -1,6 +1,8 @@
 package controller_test
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,9 @@ func TestFlightRecorderDumpsOnForcedFault(t *testing.T) {
 
 	rec := telemetry.NewRecorder()
 	rec.Trace = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+	var series strings.Builder
+	rec.Series = telemetry.NewJSONLWriter(&series)
+	rec.Series.NextRun()
 	dir := t.TempDir()
 	fr, err := flightrec.New(flightrec.Config{
 		Dir:         dir,
@@ -69,10 +74,36 @@ func TestFlightRecorderDumpsOnForcedFault(t *testing.T) {
 	if b.Metrics == nil {
 		t.Error("bundle carries no metrics snapshot")
 	}
-	if b.LastSample == nil {
-		t.Error("bundle carries no epoch sample")
-	} else if b.LastSample.Epoch != b.Epoch {
-		t.Errorf("sample epoch %d != bundle epoch %d", b.LastSample.Epoch, b.Epoch)
+
+	// Every bundle's epoch summary is its sample's, and that sample is
+	// the row the series sink wrote for the same epoch.
+	var rows []telemetry.EpochSample
+	for _, line := range strings.Split(strings.TrimSpace(series.String()), "\n") {
+		var s telemetry.EpochSample
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, s)
+	}
+	for _, path := range paths {
+		b, err := flightrec.ReadBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := b.LastSample
+		if s == nil {
+			t.Errorf("%s carries no epoch sample", path)
+			continue
+		}
+		if b.Run != s.Run || b.Epoch != s.Epoch || b.Rung != s.Rung || b.ErrKind != s.ErrKind || b.Violations != s.Violations {
+			t.Errorf("%s: bundle run %d epoch %d rung %q err %q violations %d, sample has %d %d %q %q %d",
+				path, b.Run, b.Epoch, b.Rung, b.ErrKind, b.Violations, s.Run, s.Epoch, s.Rung, s.ErrKind, s.Violations)
+		}
+		if s.Epoch < 0 || s.Epoch >= len(rows) {
+			t.Errorf("%s: sample epoch %d outside the %d series rows", path, s.Epoch, len(rows))
+		} else if !reflect.DeepEqual(*s, rows[s.Epoch]) {
+			t.Errorf("%s: sample differs from series row %d:\nbundle %+v\nseries %+v", path, s.Epoch, *s, rows[s.Epoch])
+		}
 	}
 }
 

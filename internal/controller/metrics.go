@@ -46,8 +46,6 @@ type runMetrics struct {
 	lpAllocBytes telemetry.Counter
 
 	solveWall telemetry.Histogram
-
-	headroomBuf []float64 // per-sensor scratch, reused every epoch
 }
 
 // newRunMetrics registers (or re-attaches to) the controller's metrics on
@@ -97,76 +95,25 @@ func newRunMetrics(rec *telemetry.Recorder, ncrac int) *runMetrics {
 	return m
 }
 
-// emitEpoch publishes one interval's outcomes: counters and gauges on the
-// registry, and one EpochSample row on the recorder's series sink (when
-// one is attached). Called after accumulate, so res.EpochsSeen already
-// counts this interval. The plant p is sampled for power and per-sensor
-// inlet headroom; it is piecewise-constant over the interval, so the
-// sample is exact, not an instant snapshot.
-//
-// The returned sample (nil when neither a series sink is attached nor
-// wantSample is set) aliases per-epoch scratch buffers: it is valid until
-// the next emitEpoch, which is exactly long enough for the flight
-// recorder to bundle it.
-func (m *runMetrics) emitEpoch(res *Result, rep *EpochReport, p *truthPlant, wantSample bool) (*telemetry.EpochSample, error) {
-	if m == nil {
-		return nil, nil
-	}
-	if rep.Resolved {
-		m.epochsByRung[rep.Rung].Inc()
-		m.resolves.Inc()
-		m.solveWall.Observe(rep.SolveWall.Seconds())
-	} else {
-		m.epochsCarry.Inc()
-	}
-	if rep.Fallback {
-		m.fallbacks.Inc()
-	}
-	m.retries.Add(int64(rep.Retries))
-	m.violations.Add(int64(rep.Violations))
-	m.completed.Add(int64(rep.Completed))
-	m.dropped.Add(int64(rep.Dropped))
-	m.lostTasks.Add(int64(rep.Lost))
-
-	epochRate := 0.0
-	if dt := rep.End - rep.Start; dt > 0 {
-		epochRate = rep.Reward / dt
-	}
-	m.reward.Set(epochRate)
-
-	power, cap, by := p.headroomInto(m.headroomBuf)
-	m.headroomBuf = by
+// epochSample builds the exported row of interval epoch from its report
+// and the truth plant in force over it. The plant is piecewise-constant
+// over the interval, so the sample is exact, not an instant snapshot. The
+// per-sensor headroom aliases the plant's scratch: the sample is valid
+// until the next one is built, which is long enough for the series sink
+// and the flight recorder.
+func epochSample(epoch int, rep *EpochReport, p *truthPlant) *telemetry.EpochSample {
+	power, cap, by := p.headroom()
 	worst := 0.0
 	for i, h := range by {
 		if i == 0 || h < worst {
 			worst = h
 		}
 	}
-	m.power.Set(power)
-	m.powerHeadroom.Set(cap - power)
-	m.inletHeadroom.Set(worst)
-	for i := range m.cracOut {
-		if i < len(p.cracOut) {
-			m.cracOut[i].Set(p.cracOut[i])
-		}
-	}
-
-	m.lpSolves.Add(rep.LP.Solves)
-	m.lpPivots.Add(rep.LP.Pivots)
-	m.lpBoundFlips.Add(rep.LP.BoundFlips)
-	m.lpRefreshes.Add(rep.LP.Refreshes)
-	m.lpAllocBytes.Add(rep.LP.AllocBytes)
-
-	jw := m.rec.SeriesSink()
-	if jw == nil && !wantSample {
-		return nil, nil
-	}
-	samp := telemetry.EpochSample{
-		Epoch:                  res.EpochsSeen - 1,
+	samp := &telemetry.EpochSample{
+		Epoch:                  epoch,
 		TStart:                 rep.Start,
 		TEnd:                   rep.End,
 		Resolved:               rep.Resolved,
-		RewardRate:             epochRate,
 		Completed:              rep.Completed,
 		Dropped:                rep.Dropped,
 		Lost:                   rep.Lost,
@@ -182,15 +129,58 @@ func (m *runMetrics) emitEpoch(res *Result, rep *EpochReport, p *truthPlant, wan
 		LPPivots:               rep.LP.Pivots,
 		LPAllocBytes:           rep.LP.AllocBytes,
 	}
+	if dt := rep.End - rep.Start; dt > 0 {
+		samp.RewardRate = rep.Reward / dt
+	}
 	if rep.Resolved {
 		samp.Rung = rep.Rung.String()
 	}
 	if rep.ErrKind != solvererr.Unknown {
 		samp.ErrKind = rep.ErrKind.String()
 	}
-	samp.Run = jw.Run()
-	if err := jw.Write(samp); err != nil {
-		return nil, err
+	return samp
+}
+
+// emitEpoch publishes one interval's outcomes: counters from its report,
+// gauges from its sample, and the sample itself as one row on the
+// recorder's series sink (when one is attached), which stamps its Run.
+func (m *runMetrics) emitEpoch(rep *EpochReport, samp *telemetry.EpochSample) error {
+	if m == nil {
+		return nil
 	}
-	return &samp, nil
+	if rep.Resolved {
+		m.epochsByRung[rep.Rung].Inc()
+		m.resolves.Inc()
+		m.solveWall.Observe(samp.SolveWallS)
+	} else {
+		m.epochsCarry.Inc()
+	}
+	if rep.Fallback {
+		m.fallbacks.Inc()
+	}
+	m.retries.Add(int64(rep.Retries))
+	m.violations.Add(int64(rep.Violations))
+	m.completed.Add(int64(rep.Completed))
+	m.dropped.Add(int64(rep.Dropped))
+	m.lostTasks.Add(int64(rep.Lost))
+
+	m.reward.Set(samp.RewardRate)
+	m.power.Set(samp.PowerKW)
+	m.powerHeadroom.Set(samp.PowerHeadroomKW)
+	m.inletHeadroom.Set(samp.InletHeadroomC)
+	for i, c := range samp.CracOutC {
+		if i < len(m.cracOut) {
+			m.cracOut[i].Set(c)
+		}
+	}
+
+	m.lpSolves.Add(rep.LP.Solves)
+	m.lpPivots.Add(rep.LP.Pivots)
+	m.lpBoundFlips.Add(rep.LP.BoundFlips)
+	m.lpRefreshes.Add(rep.LP.Refreshes)
+	m.lpAllocBytes.Add(rep.LP.AllocBytes)
+
+	jw := m.rec.SeriesSink()
+	samp.Run = jw.Run()
+	return jw.Write(*samp)
 }

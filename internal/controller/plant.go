@@ -21,6 +21,7 @@ type truthPlant struct {
 	cap     float64
 	cracOut []float64
 	pcn     []float64
+	by      []float64 // headroom scratch
 }
 
 // update re-projects the plant after a state or plan change. Dead nodes
@@ -50,16 +51,17 @@ func (p *truthPlant) update(base *model.DataCenter, st *faults.State, plan *assi
 	return nil
 }
 
-// headroomInto reports the truth plant's current total draw, power cap,
-// and per-sensor inlet headroom (redline − inlet, positive = margin),
-// reusing buf for the headroom vector. Telemetry-only companion to Sample.
-func (p *truthPlant) headroomInto(buf []float64) (power, cap float64, by []float64) {
+// headroom reports the truth plant's current total draw, power cap, and
+// per-sensor inlet headroom (redline − inlet, positive = margin). The
+// headroom vector is scratch, overwritten by the next call.
+// Telemetry-only companion to Sample.
+func (p *truthPlant) headroom() (power, cap float64, by []float64) {
 	tin := p.tm.InletTemps(p.cracOut, p.pcn)
-	by = buf[:0]
+	p.by = p.by[:0]
 	for i := range tin {
-		by = append(by, p.redline[i]-tin[i])
+		p.by = append(p.by, p.redline[i]-tin[i])
 	}
-	return p.tm.TotalPower(p.cracOut, p.pcn), p.cap, by
+	return p.tm.TotalPower(p.cracOut, p.pcn), p.cap, p.by
 }
 
 // Sample implements sim.Plant against the current truth model.

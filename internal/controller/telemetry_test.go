@@ -2,7 +2,6 @@ package controller_test
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,51 +10,6 @@ import (
 	"thermaldc/internal/telemetry"
 	"thermaldc/internal/workload"
 )
-
-// TestMaxEpochReportsRing: windowed retention must keep exactly the last N
-// reports (chronological) while run totals still cover every interval.
-func TestMaxEpochReportsRing(t *testing.T) {
-	sc := buildScenario(t, 1, 10)
-	const horizon = 40.0
-	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
-	schedule := handSchedule(horizon)
-
-	full, err := controller.Run(sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := controller.DefaultConfig(horizon, 10)
-	cfg.MaxEpochReports = 3
-	capped, err := controller.Run(sc.DC, schedule, tasks, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if capped.EpochsSeen != full.EpochsSeen || capped.EpochsSeen != len(full.Epochs) {
-		t.Fatalf("EpochsSeen = %d (capped) vs %d (full, %d reports)",
-			capped.EpochsSeen, full.EpochsSeen, len(full.Epochs))
-	}
-	if len(capped.Epochs) != 3 {
-		t.Fatalf("retained %d reports, want 3", len(capped.Epochs))
-	}
-	// SolveWall is wall-clock time and differs between runs; everything
-	// else must match the chronological tail of the full report list.
-	norm := func(eps []controller.EpochReport) []controller.EpochReport {
-		out := append([]controller.EpochReport(nil), eps...)
-		for i := range out {
-			out[i].SolveWall = 0
-		}
-		return out
-	}
-	if !reflect.DeepEqual(norm(capped.Epochs), norm(full.Epochs[len(full.Epochs)-3:])) {
-		t.Error("retained window is not the chronological tail of the full report list")
-	}
-	// Retention must not change any run total.
-	if capped.TotalReward != full.TotalReward || capped.Completed != full.Completed ||
-		capped.Resolves != full.Resolves || capped.LP != full.LP {
-		t.Error("windowed retention changed run totals")
-	}
-}
 
 // TestRecorderPublishes runs the closed loop with full telemetry on —
 // metrics, tracing, and series export — and checks that (a) results are
@@ -122,8 +76,8 @@ func TestRecorderPublishes(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != res.EpochsSeen {
-		t.Fatalf("series wrote %d rows for %d epochs", len(lines), res.EpochsSeen)
+	if len(lines) != len(res.Epochs) {
+		t.Fatalf("series wrote %d rows for %d epochs", len(lines), len(res.Epochs))
 	}
 	schema := telemetry.SampleSchema()
 	prevEnd := 0.0
@@ -149,5 +103,21 @@ func TestRecorderPublishes(t *testing.T) {
 	}
 	if prevEnd != horizon {
 		t.Errorf("series ends at %g, want %g", prevEnd, horizon)
+	}
+
+	// The open loop's single solve folds like any re-solving epoch: its
+	// totals count one warm resolve, as the registry does.
+	orec := telemetry.NewRecorder()
+	ocfg := controller.DefaultConfig(horizon, 10)
+	ocfg.Mode = controller.OpenLoop
+	ocfg.Recorder = orec
+	open, err := controller.Run(sc.DC, schedule, tasks, ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, _ := orec.Metrics.Snapshot()[`tapo_controller_epochs_total{rung="warm"}`].(int64)
+	if warm != 1 || int64(open.Resolves) != warm || int64(open.RungCounts[controller.RungWarm]) != warm {
+		t.Errorf("open loop: Resolves %d, RungCounts[warm] %d, registry warm epochs %d; want all 1",
+			open.Resolves, open.RungCounts[controller.RungWarm], warm)
 	}
 }

@@ -156,7 +156,7 @@ func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedRes
 	baseRun.SolveTimeout = cfg.SolveTimeout
 	baseRun.Recorder = cfg.Recorder
 	baseRun.FlightRec = cfg.FlightRec
-	ck, err := openSweepCheckpoint(cfg, baseRun)
+	ck, err := openSweepCheckpoint(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -110,7 +110,7 @@ func (cfg DegradedConfig) runTag() persist.Tag {
 	opts.Recorder = nil
 	opts.Search.Trace = nil
 	h := sha256.New()
-	fmt.Fprintf(h, "degraded|v1|%d|%d|%v|%v|%d|%v|%v|%d|%+v|%+v|%v",
+	fmt.Fprintf(h, "degraded|v2|%d|%d|%v|%v|%d|%v|%v|%d|%+v|%+v|%v",
 		cfg.NCracs, cfg.NNodes, cfg.StaticShare, cfg.Vprop, cfg.Seed,
 		cfg.Horizon, cfg.Epoch, cfg.Trials, cfg.Levels, opts, cfg.SolveTimeout)
 	var tag persist.Tag
@@ -123,7 +123,6 @@ func (cfg DegradedConfig) runTag() persist.Tag {
 // checks on the hot path.
 type sweepCheckpoint struct {
 	store     *persist.Store
-	ctrl      controller.Config
 	snapEvery int
 	hook      func(commits int)
 
@@ -140,7 +139,7 @@ func corruptErr(dir string, cause error) error {
 
 // openSweepCheckpoint creates or recovers the checkpoint directory. It
 // returns nil when checkpointing is disabled.
-func openSweepCheckpoint(cfg DegradedConfig, ctrl controller.Config) (*sweepCheckpoint, error) {
+func openSweepCheckpoint(cfg DegradedConfig) (*sweepCheckpoint, error) {
 	if cfg.CheckpointDir == "" {
 		if cfg.Resume {
 			return nil, fmt.Errorf("experiments: resume requested without a checkpoint directory")
@@ -148,7 +147,6 @@ func openSweepCheckpoint(cfg DegradedConfig, ctrl controller.Config) (*sweepChec
 		return nil, nil
 	}
 	ck := &sweepCheckpoint{
-		ctrl:      ctrl,
 		snapEvery: cfg.SnapshotEvery,
 		hook:      cfg.CommitHook,
 		done:      make(map[runKey]runSummary),
@@ -214,7 +212,7 @@ func (ck *sweepCheckpoint) fold(jr *journalRecord) error {
 				return fmt.Errorf("epoch record for %+v while %+v is unfinished", key, *ck.partialKey)
 			}
 			k := key
-			ck.partialKey, ck.partial = &k, controller.NewCheckpoint(ck.ctrl)
+			ck.partialKey, ck.partial = &k, controller.NewCheckpoint()
 		}
 		ck.partial.Fold(jr.Epoch.Delta)
 	case jr.RunDone != nil:
@@ -255,7 +253,7 @@ func (ck *sweepCheckpoint) begin(key runKey) (*controller.Checkpoint, error) {
 		return ck.partial, nil
 	}
 	k := key
-	ck.partialKey, ck.partial = &k, controller.NewCheckpoint(ck.ctrl)
+	ck.partialKey, ck.partial = &k, controller.NewCheckpoint()
 	return nil, nil
 }
 
