@@ -45,7 +45,8 @@ race:
 # time series must pass cmd/tscheck's schema validation and whose Chrome trace must pass
 # `tapo trace lint`, a flight-recorder smoke (a 1ns
 # solve budget forces the ladder onto a safe rung every epoch; at least one
-# bundle must exist and parse via `tapo flight`), and a crash-recovery
+# bundle must exist and parse via `tapo flight`, and with no -metrics-out
+# every bundle must still carry its run number, never run=0), and a crash-recovery
 # smoke: a checkpointed sweep is killed mid-run after its 5th durable
 # commit, then resumed, and the resumed table must byte-match an
 # uninterrupted run's.
@@ -77,7 +78,10 @@ ci:
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -solve-timeout 1ns \
 		-flight-dir /tmp/tapo-ci-flight > /dev/null
-	$(GO) run ./cmd/tapo flight /tmp/tapo-ci-flight
+	$(GO) run ./cmd/tapo flight /tmp/tapo-ci-flight > /tmp/tapo-ci-flight.txt
+	cat /tmp/tapo-ci-flight.txt
+	if grep -q ' run=0 ' /tmp/tapo-ci-flight.txt; then \
+		echo "flight-recorder smoke: a bundle carries run=0"; exit 1; fi
 	$(GO) build -o /tmp/tapo-ci ./cmd/tapo
 	rm -rf /tmp/tapo-ci-ck
 	/tmp/tapo-ci degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \

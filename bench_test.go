@@ -384,10 +384,11 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 		}
 	})
 
-	// warm-resolve-allocs-metrics repeats the contract with the metrics
-	// registry live (tracing still off, its default): counter increments
-	// are atomic adds on pre-resolved handles, so instrumentation must not
-	// cost an allocation either (make bench-compare fails otherwise).
+	// warm-resolve-allocs-metrics repeats the contract on a solver wired
+	// to a live, non-nil telemetry.NewRecorder() (every component off,
+	// tracing included, as an untraced run carries it): attaching a
+	// recorder must not cost an allocation either (make bench-compare
+	// fails otherwise).
 	b.Run("warm-resolve-allocs-metrics", func(b *testing.B) {
 		arrs := make([]*pwl.Func, len(sc.DC.NodeTypes))
 		for j := range arrs {

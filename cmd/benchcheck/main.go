@@ -10,7 +10,8 @@
 //
 //   - warm-resolve-allocs and warm-resolve-allocs-metrics must report
 //     exactly 0 allocs/op (the warm Stage-1 scratch path has a
-//     zero-allocation contract, with and without live metrics), and
+//     zero-allocation contract, without and with a live telemetry
+//     Recorder attached), and
 //   - solver-serial (the flat incremental solver) must not be slower than
 //     legacy-rebuild (per-candidate tableau reconstruction).
 //

@@ -19,10 +19,10 @@
 //	tapo trace    [lint] FILE...
 //	tapo flight   DIR
 //
-// Global telemetry flags (before the command): -log-level/-log-json tune
-// the structured logger, -serve-metrics ADDR exposes /metrics (Prometheus
-// text), /debug/vars (expvar), and /debug/pprof on an HTTP listener for
-// the duration of the run.
+// Global flags (before the command): -log-level/-log-json tune the
+// structured logger, -cpuprofile/-memprofile write pprof profiles. Per-run
+// telemetry comes from `degraded`: -metrics-out (a per-epoch JSONL series,
+// checked by cmd/tscheck), -trace-out (a Chrome trace) and -flight-dir.
 //
 // SIGINT/SIGTERM cancel the run at the next epoch or trial boundary and
 // exit 130; a second signal forces immediate exit. With `degraded
@@ -60,17 +60,11 @@ import (
 // Global flags — given before the command (tapo -cpuprofile cpu.out fig6 …)
 // so every subcommand can be profiled and tuned the same way.
 var (
-	cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	logLevel     = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
-	logJSON      = flag.Bool("log-json", false, "emit logs as JSON lines instead of plain text")
-	serveMetrics = flag.String("serve-metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :9090) for the duration of the run")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	logLevel   = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
+	logJSON    = flag.Bool("log-json", false, "emit logs as JSON lines instead of plain text")
 )
-
-// recorder is the process-wide telemetry recorder, non-nil only when
-// -serve-metrics is given (subcommands with their own sinks, like
-// degraded -metrics-out, reuse it when present so one registry backs both).
-var recorder *telemetry.Recorder
 
 // writeCSV writes one experiment result to path via the given writer
 // function ("" = skip). The write is atomic — temp file, fsync, rename —
@@ -104,16 +98,6 @@ func run() int {
 		return 2
 	}
 	telemetry.SetDefault(telemetry.NewLogger(os.Stderr, lvl, *logJSON))
-	if *serveMetrics != "" {
-		recorder = telemetry.NewRecorder()
-		addr, closeServe, srvErr := telemetry.Serve(*serveMetrics, recorder.Registry())
-		if srvErr != nil {
-			fmt.Fprintf(os.Stderr, "tapo: %v\n", srvErr)
-			return 1
-		}
-		defer closeServe()
-		telemetry.Default().Info("serving metrics", "addr", addr)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -259,7 +243,6 @@ global flags (before the command):
   -memprofile FILE     write a heap profile on exit
   -log-level LEVEL     log verbosity: debug | info (default) | warn | error
   -log-json            emit logs as JSON lines instead of plain text
-  -serve-metrics ADDR  serve /metrics, /debug/vars and /debug/pprof on ADDR
 
 SIGINT/SIGTERM stop the run at the next epoch/trial boundary (exit 130);
 a second signal exits immediately. "degraded -checkpoint DIR" makes every
@@ -300,7 +283,6 @@ func runFig6(ctx context.Context, args []string) error {
 	cfg.SimHorizon = *simHorizon
 	cfg.SimPaperPolicy = *simPaper
 	cfg.Options.Search.Parallelism = *searchPar
-	cfg.Options.Recorder = recorder
 	progress := func(line string) { telemetry.Default().Info(line) }
 	if *quiet {
 		progress = nil
@@ -404,7 +386,6 @@ func runSweep(ctx context.Context, args []string) error {
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.StaticShare, cfg.Vprop = *static, *vprop
 	cfg.Options.Search.Parallelism = *searchPar
-	cfg.Options.Recorder = recorder
 	var res *experiments.SweepResult
 	var err error
 	switch *kind {
@@ -436,7 +417,6 @@ func runAblation(ctx context.Context, args []string) error {
 	cfg := experiments.DefaultSweepConfig(nil)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.Options.Search.Parallelism = *searchPar
-	cfg.Options.Recorder = recorder
 	res, err := experiments.StrategyAblationContext(ctx, cfg, []assign.Strategy{
 		assign.CoarseToFine, assign.FullGrid, assign.CoordDescent,
 	})
@@ -469,7 +449,6 @@ func runMinPower(args []string) error {
 	}
 	opts := assign.DefaultOptions()
 	opts.Search.Parallelism = *searchPar
-	opts.Recorder = recorder
 	primal, err := assign.ThreeStage(sc.DC, sc.Thermal, opts)
 	if err != nil {
 		return err
@@ -584,7 +563,6 @@ func runDegraded(ctx context.Context, args []string) error {
 	cfg.Levels = levels
 	cfg.SolveTimeout = *solveTimeout
 	cfg.Options.Search.Parallelism = *searchPar
-	cfg.Options.Recorder = recorder
 	cfg.CheckpointDir = *checkpointDir
 	cfg.SnapshotEvery = *snapEvery
 	if *resumeDir != "" {
@@ -606,12 +584,11 @@ func runDegraded(ctx context.Context, args []string) error {
 			}
 		}
 	}
-	cfg.Recorder = recorder
+	if *metricsOut != "" || *traceOut != "" || *flightDir != "" {
+		cfg.Recorder = telemetry.NewRecorder()
+	}
 	var mf *persist.AtomicFile
 	if *metricsOut != "" {
-		if cfg.Recorder == nil {
-			cfg.Recorder = telemetry.NewRecorder()
-		}
 		// The series streams into a temp file and only takes the final
 		// name on a clean finish, so a crash never leaves a torn JSONL.
 		mf, err = persist.NewAtomicFile(*metricsOut)
@@ -620,18 +597,11 @@ func runDegraded(ctx context.Context, args []string) error {
 		}
 		defer mf.Abort() // no-op after Commit; discards a torn series on error
 		cfg.Recorder.Series = telemetry.NewJSONLWriter(mf)
-		cfg.Options.Recorder = cfg.Recorder
 	}
 	if *traceOut != "" || *flightDir != "" {
 		// Both the trace export and the flight recorder read the span ring,
-		// so either flag enables tracing on a (possibly fresh) recorder.
-		if cfg.Recorder == nil {
-			cfg.Recorder = telemetry.NewRecorder()
-		}
-		if cfg.Recorder.Trace == nil {
-			cfg.Recorder.Trace = telemetry.NewTracer(*traceCap)
-		}
-		cfg.Options.Recorder = cfg.Recorder
+		// so either flag enables tracing.
+		cfg.Recorder.Trace = telemetry.NewTracer(*traceCap)
 	}
 	if *flightDir != "" {
 		fr, frErr := flightrec.New(flightrec.Config{
@@ -735,7 +705,6 @@ func runThermal(args []string) error {
 	opts := assign.DefaultOptions()
 	opts.Psi = *psi
 	opts.Search.Parallelism = *searchPar
-	opts.Recorder = recorder
 	res, err := experiments.ThermalMap(scCfg, opts)
 	if err != nil {
 		return err

@@ -139,7 +139,7 @@ func checkStream(name string, r io.Reader) (seriesStats, error) {
 		tStart, tEnd := mustNum(obj["t_start_s"]), mustNum(obj["t_end_s"])
 		switch {
 		case run < 1:
-			return st, fail("run %d is not positive (JSONLWriter.NextRun was never called)", run)
+			return st, fail("run %d is not positive (Recorder.NextRun was never called)", run)
 		case run < lastRun:
 			return st, fail("run %d after run %d (runs must be non-decreasing)", run, lastRun)
 		case run > lastRun:

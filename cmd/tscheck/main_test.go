@@ -13,11 +13,12 @@ import (
 func goodSeries(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
-	jw := telemetry.NewJSONLWriter(&buf)
+	rec := &telemetry.Recorder{Series: telemetry.NewJSONLWriter(&buf)}
 	for run := 0; run < 2; run++ {
-		jw.NextRun()
+		rec.NextRun()
 		for epoch := 0; epoch < 3; epoch++ {
 			s := telemetry.EpochSample{
+				Run:    rec.Run(),
 				Epoch:  epoch,
 				TStart: float64(epoch) * 15,
 				TEnd:   float64(epoch+1) * 15,
@@ -27,7 +28,7 @@ func goodSeries(t *testing.T) string {
 				CracOutC: []float64{17.5, 18.75},
 				LPSolves: 4, LPPivots: 20, LPAllocBytes: 0,
 			}
-			if err := jw.Write(s); err != nil {
+			if err := rec.Series.Write(&s); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -56,8 +56,7 @@ type Options struct {
 	WarmStart bool
 	// Recorder, when non-nil, wires the whole pipeline to a telemetry
 	// recorder: per-stage and per-LP spans go to its tracer (if tracing is
-	// enabled), solve counters to its metrics registry. Nil — the default —
-	// keeps every solver on the uninstrumented fast path. Telemetry never
+	// enabled). Nil — the default — keeps every solver on the uninstrumented fast path. Telemetry never
 	// changes solver results.
 	Recorder *telemetry.Recorder
 }

@@ -33,12 +33,6 @@ type Stage1Solver struct {
 	outletLP
 	arrs []*pwl.Func
 
-	// Telemetry handles. The zero values are no-ops, so an uninstrumented
-	// solver pays one predictable-branch per solve; instrumented solves pay
-	// two atomic adds and stay allocation-free.
-	mSolves telemetry.Counter
-	mInfeas telemetry.Counter
-
 	// Scratch result + buffers for the zero-allocation SolveScratchContext
 	// path. All are overwritten by the next scratch solve.
 	scratch    Stage1Result
@@ -77,26 +71,19 @@ func NewStage1Solver(dc *model.DataCenter, tm *thermal.Model, arrs []*pwl.Func) 
 
 // Clone returns an independent solver over the same precomputed scenario,
 // for use by another search worker. Clones share only immutable inputs
-// (data center, thermal model, ARR envelopes) and inherit the telemetry
-// wiring (metric handles are atomic and the tracer is
-// internally synchronized, so sharing them across workers is safe).
+// (data center, thermal model, ARR envelopes) and inherit the tracer,
+// which is internally synchronized, so sharing it across workers is safe.
 func (s *Stage1Solver) Clone() *Stage1Solver {
 	c := NewStage1Solver(s.dc, s.tm, s.arrs)
 	c.ws.Trace = s.ws.Trace
-	c.mSolves, c.mInfeas = s.mSolves, s.mInfeas
 	return c
 }
 
-// SetRecorder wires the solver to rec: LP-solve spans go to rec's tracer
-// (nil tracer = untraced fast path) and per-solve counters to its metrics
-// registry. A nil rec (or a rec with tracing disabled) detaches cleanly.
+// SetRecorder sends the solver's LP-solve spans to rec's tracer (nil
+// tracer = untraced fast path). A nil rec (or a rec with tracing
+// disabled) detaches cleanly.
 func (s *Stage1Solver) SetRecorder(rec *telemetry.Recorder) {
 	s.ws.Trace = rec.Tracer()
-	reg := rec.Registry()
-	s.mSolves = reg.Counter("tapo_stage1_solves_total",
-		"Stage-1 LP solve attempts (full and scratch paths)")
-	s.mInfeas = reg.Counter("tapo_stage1_infeasible_total",
-		"Stage-1 solves rejected because base power alone violates a redline")
 }
 
 // TakeStats returns the accumulated simplex work counters and resets them,
@@ -150,12 +137,8 @@ func (s *Stage1Solver) SolveScratchContext(ctx context.Context, cracOut []float6
 	res := &s.scratch
 	s.scrCracOut = append(s.scrCracOut[:0], cracOut...)
 	*res = Stage1Result{CracOut: s.scrCracOut}
-	s.mSolves.Inc()
 	sol, err := s.solve(ctx, cracOut)
 	if err != nil {
-		if err == errBaseRedline {
-			s.mInfeas.Inc()
-		}
 		return res, err
 	}
 

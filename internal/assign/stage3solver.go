@@ -79,10 +79,6 @@ type Stage3Solver struct {
 	// group gi (0 without a variable), util[gi] a member core's utilization.
 	rate []float64
 	util []float64
-
-	// Telemetry handles; zero values are no-ops (see Stage1Solver).
-	mSolves   telemetry.Counter
-	mRebuilds telemetry.Counter
 }
 
 // NewStage3Solver prepares a reusable Stage-3 solver for dc.
@@ -94,15 +90,10 @@ func NewStage3Solver(dc *model.DataCenter) *Stage3Solver {
 // because the group signature changed (1 on first solve).
 func (s *Stage3Solver) Rebuilds() int { return s.rebuilds }
 
-// SetRecorder wires the solver to rec: LP-solve spans go to rec's tracer
-// and per-solve/skeleton-rebuild counters to its metrics registry. A nil
-// rec detaches cleanly.
+// SetRecorder sends the solver's LP-solve spans to rec's tracer. A nil rec
+// detaches cleanly.
 func (s *Stage3Solver) SetRecorder(rec *telemetry.Recorder) {
 	s.ws.Trace = rec.Tracer()
-	reg := rec.Registry()
-	s.mSolves = reg.Counter("tapo_stage3_solves_total", "Stage-3 group-LP solves")
-	s.mRebuilds = reg.Counter("tapo_stage3_rebuilds_total",
-		"Stage-3 LP skeleton rebuilds (group signature changed)")
 }
 
 // TakeStats returns the accumulated simplex counters and resets them.
@@ -125,7 +116,6 @@ func (s *Stage3Solver) SolveContext(ctx context.Context, pstates []int) (*Stage3
 	if len(pstates) != dc.NumCores() {
 		return nil, fmt.Errorf("assign: got %d P-states for %d cores", len(pstates), dc.NumCores())
 	}
-	s.mSolves.Inc()
 	if err := s.group(pstates); err != nil {
 		return nil, err
 	}
@@ -203,7 +193,6 @@ func (s *Stage3Solver) signatureMatches() bool {
 func (s *Stage3Solver) build() {
 	dc := s.dc
 	s.rebuilds++
-	s.mRebuilds.Inc()
 	s.keys = s.keys[:0]
 	for _, g := range s.groups {
 		s.keys = append(s.keys, g.key)

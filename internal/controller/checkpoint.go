@@ -78,12 +78,10 @@ type EpochDelta struct {
 type CheckpointSink func(d *EpochDelta) error
 
 // Checkpoint is the complete resumable state of a closed-loop run after
-// EpochsDone completed intervals. Build one with NewCheckpoint and
-// advance it with Fold, or restore a run by setting Config.Resume.
+// len(Res.Epochs) completed intervals (the resume loop starts at that
+// boundary index). Build one with NewCheckpoint and advance it with Fold,
+// or restore a run by setting Config.Resume.
 type Checkpoint struct {
-	// EpochsDone counts completed intervals (the resume loop starts at
-	// boundary index EpochsDone).
-	EpochsDone int
 	LoopState
 	// Plan is the assignment in force; LastGood is the most recent plan
 	// that solved successfully (they coincide except after fallback
@@ -102,9 +100,13 @@ func NewCheckpoint() *Checkpoint {
 // Fold advances the checkpoint by one completed interval. Applying every
 // delta of a run in order reproduces — field for field, bit for bit — the
 // state the live loop held after that interval, because the totals go
-// through the same ResultState.fold on the same reports.
-func (ck *Checkpoint) Fold(d *EpochDelta) {
-	ck.EpochsDone++
+// through the same ResultState.fold on the same reports. A delta read
+// back from disk can hold anything, so one whose rung lies outside
+// [0, NumRungs) is an error and leaves the checkpoint unchanged.
+func (ck *Checkpoint) Fold(d *EpochDelta) error {
+	if r := d.Report.Rung; r < 0 || int(r) >= NumRungs {
+		return fmt.Errorf("controller: epoch delta has rung %d outside [0, %d)", int(r), NumRungs)
+	}
 	ck.LoopState = d.LoopState
 	ck.Plan = d.Report.Plan
 	if d.Report.Resolved && !d.Report.Fallback {
@@ -113,21 +115,19 @@ func (ck *Checkpoint) Fold(d *EpochDelta) {
 		ck.LastGood = d.Report.Plan
 	}
 	ck.Res.fold(&d.Report)
+	return nil
 }
 
 // validate rejects a checkpoint that cannot continue a run over base with
 // nEvents fault events, nTasks arrivals and nIntervals intervals: a resume
 // must recover exactly or fail loudly, never index out of range.
 func (ck *Checkpoint) validate(base *model.DataCenter, nEvents, nTasks, nIntervals int) error {
-	switch {
-	case ck.EpochsDone < 1 || ck.Faults == nil:
-		return fmt.Errorf("controller: resume checkpoint is incomplete (epochs done %d)", ck.EpochsDone)
-	case ck.EpochsDone > nIntervals:
+	switch done := len(ck.Res.Epochs); {
+	case done < 1 || ck.Faults == nil:
+		return fmt.Errorf("controller: resume checkpoint is incomplete (epochs done %d)", done)
+	case done > nIntervals:
 		return fmt.Errorf("controller: resume checkpoint has %d epochs done but the run has only %d intervals",
-			ck.EpochsDone, nIntervals)
-	case len(ck.Res.Epochs) != ck.EpochsDone:
-		return fmt.Errorf("controller: resume checkpoint has %d epochs done but %d epoch reports",
-			ck.EpochsDone, len(ck.Res.Epochs))
+			done, nIntervals)
 	case ck.EvIdx < 0 || ck.EvIdx > nEvents || ck.TaskIdx < 0 || ck.TaskIdx > nTasks:
 		return fmt.Errorf("controller: resume checkpoint cursors (event %d, task %d) outside the run's %d events and %d tasks",
 			ck.EvIdx, ck.TaskIdx, nEvents, nTasks)

@@ -37,6 +37,18 @@ func gobRoundTrip(t *testing.T, ck *controller.Checkpoint) *controller.Checkpoin
 	return out
 }
 
+// foldAll folds deltas into ck in order, failing the test on a rejected
+// delta.
+func foldAll(t testing.TB, ck *controller.Checkpoint, deltas []*controller.EpochDelta) *controller.Checkpoint {
+	t.Helper()
+	for _, d := range deltas {
+		if err := ck.Fold(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ck
+}
+
 // TestResumeMatrixBitIdentical is the exact-resume property: for every
 // epoch k, a run killed after epoch k and resumed from its checkpoint
 // finishes with a Result identical — bit for bit, wall clock excepted —
@@ -69,10 +81,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	for k := 1; k <= len(deltas); k++ {
 		k := k
 		t.Run(fmt.Sprintf("kill-after-epoch-%d", k), func(t *testing.T) {
-			ck := controller.NewCheckpoint()
-			for _, d := range deltas[:k] {
-				ck.Fold(d)
-			}
+			ck := foldAll(t, controller.NewCheckpoint(), deltas[:k])
 			rcfg := cfg
 			rcfg.Checkpoint = nil
 			rcfg.Resume = gobRoundTrip(t, ck)
@@ -106,19 +115,13 @@ func TestResumeFoldEquivalence(t *testing.T) {
 	if _, err := controller.Run(sc.DC, schedule, tasks, cfg); err != nil {
 		t.Fatal(err)
 	}
-	want := controller.NewCheckpoint()
-	for _, d := range full {
-		want.Fold(d)
-	}
+	want := foldAll(t, controller.NewCheckpoint(), full)
 
 	k := len(full) / 2
-	ck := controller.NewCheckpoint()
-	for _, d := range full[:k] {
-		ck.Fold(d)
-	}
+	ck := foldAll(t, controller.NewCheckpoint(), full[:k])
 	rcfg := cfg
 	rcfg.Resume = gobRoundTrip(t, ck)
-	rcfg.Checkpoint = func(d *controller.EpochDelta) error { ck.Fold(d); return nil }
+	rcfg.Checkpoint = ck.Fold
 	rtasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(33))
 	if _, err := controller.Run(sc.DC, schedule, rtasks, rcfg); err != nil {
 		t.Fatal(err)
@@ -146,10 +149,7 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := controller.Run(sc.DC, schedule, tasks, ccfg); err != nil {
 		t.Fatal(err)
 	}
-	valid := controller.NewCheckpoint()
-	for _, d := range deltas[:2] {
-		valid.Fold(d)
-	}
+	valid := foldAll(t, controller.NewCheckpoint(), deltas[:2])
 
 	t.Run("empty checkpoint", func(t *testing.T) {
 		rcfg := cfg
@@ -163,12 +163,13 @@ func TestResumeValidation(t *testing.T) {
 		mutate func(ck *controller.Checkpoint)
 	}{
 		{"core count mismatch", func(ck *controller.Checkpoint) { ck.FreeAt = ck.FreeAt[:len(ck.FreeAt)-1] }},
-		{"epochs beyond horizon", func(ck *controller.Checkpoint) { ck.EpochsDone = 1000 }},
+		{"epochs beyond horizon", func(ck *controller.Checkpoint) {
+			ck.Res.Epochs = append(ck.Res.Epochs, make([]controller.EpochReport, 1000)...)
+		}},
 		{"task cursor past the arrivals", func(ck *controller.Checkpoint) { ck.TaskIdx = len(tasks) + 1 }},
 		{"negative task cursor", func(ck *controller.Checkpoint) { ck.TaskIdx = -1 }},
 		{"negative event cursor", func(ck *controller.Checkpoint) { ck.EvIdx = -1 }},
 		{"event cursor past the schedule", func(ck *controller.Checkpoint) { ck.EvIdx = len(schedule.Events) + 1 }},
-		{"epoch reports disagree with epochs done", func(ck *controller.Checkpoint) { ck.Res.Epochs = ck.Res.Epochs[:1] }},
 		{"plan without stage 1", func(ck *controller.Checkpoint) { ck.Plan.Stage1 = nil }},
 		{"plan without stage 3", func(ck *controller.Checkpoint) { ck.Plan.Stage3 = nil }},
 		{"plan P-states of the wrong length", func(ck *controller.Checkpoint) { ck.Plan.PStates = ck.Plan.PStates[1:] }},
@@ -199,6 +200,25 @@ func TestResumeValidation(t *testing.T) {
 	})
 }
 
+// TestCheckpointFoldRejectsBadRung: a delta decoded from disk may carry
+// any rung. One outside [0, NumRungs) must fail the fold, not index the
+// rung tally out of range, and must leave the checkpoint untouched.
+func TestCheckpointFoldRejectsBadRung(t *testing.T) {
+	for _, rung := range []controller.Rung{-1, controller.Rung(controller.NumRungs), 99} {
+		t.Run(fmt.Sprintf("rung %d", rung), func(t *testing.T) {
+			ck := controller.NewCheckpoint()
+			before := gobRoundTrip(t, ck)
+			d := &controller.EpochDelta{Report: controller.EpochReport{Resolved: true, Rung: rung}}
+			if err := ck.Fold(d); err == nil {
+				t.Fatalf("fold accepted rung %d", rung)
+			}
+			if !reflect.DeepEqual(before, gobRoundTrip(t, ck)) {
+				t.Error("a rejected fold changed the checkpoint")
+			}
+		})
+	}
+}
+
 func TestCheckpointSinkErrorAborts(t *testing.T) {
 	sc := buildScenario(t, 5, 10)
 	const horizon = 40.0
@@ -215,9 +235,10 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 
 // FuzzResumeCheckpoint feeds the resume boundary checkpoints that are
 // valid except for fuzzed cursors, epoch count, FreeAt and SchedCounts
-// lengths, and missing plan parts. A resume reads its checkpoint from
-// disk, so whatever the fields hold it must return an error or a result,
-// never panic.
+// lengths, missing plan parts, and the rung of the last folded delta. A
+// resume reads its checkpoint from disk, so whatever the fields hold the
+// fold must return an error or the resume an error or a result, never
+// panic.
 func FuzzResumeCheckpoint(f *testing.F) {
 	sc := buildScenario(f, 4, 10)
 	const horizon = 40.0
@@ -231,29 +252,47 @@ func FuzzResumeCheckpoint(f *testing.F) {
 	if _, err := controller.Run(sc.DC, schedule, tasks, ccfg); err != nil {
 		f.Fatal(err)
 	}
-	valid := controller.NewCheckpoint()
-	for _, d := range deltas[:2] {
-		valid.Fold(d)
-	}
-	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(valid); err != nil {
+	// The valid checkpoint folds two deltas; the fuzz body decodes the
+	// first-delta checkpoint and the second delta afresh each time and
+	// folds the delta under a fuzzed rung.
+	var enc, encDelta bytes.Buffer
+	if err := gob.NewEncoder(&enc).Encode(foldAll(f, controller.NewCheckpoint(), deltas[:1])); err != nil {
 		f.Fatal(err)
 	}
+	if err := gob.NewEncoder(&encDelta).Encode(deltas[1]); err != nil {
+		f.Fatal(err)
+	}
+	valid := foldAll(f, controller.NewCheckpoint(), deltas[:2])
+	rung := int8(deltas[1].Report.Rung)
 
-	f.Add(valid.EvIdx, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
-	f.Add(-1, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
-	f.Add(valid.EvIdx, len(tasks)+1, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
-	f.Add(valid.EvIdx, 0, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0))
-	f.Add(valid.EvIdx, valid.TaskIdx, 0, int8(-1), int8(1), int8(1), uint8(0))
-	f.Add(valid.EvIdx, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(-1), uint8(0))
-	f.Add(valid.EvIdx, valid.TaskIdx, valid.EpochsDone, int8(0), int8(0), int8(0), uint8(0b10101))
-	// The length arguments are offsets from the valid checkpoint's.
-	f.Fuzz(func(t *testing.T, evIdx, taskIdx, epochsDone int, freeAtLen, countRows, row0Len int8, nils uint8) {
+	f.Add(valid.EvIdx, valid.TaskIdx, int8(0), int8(0), int8(0), int8(0), uint8(0), rung)
+	f.Add(-1, valid.TaskIdx, int8(0), int8(0), int8(0), int8(0), uint8(0), rung)
+	f.Add(valid.EvIdx, len(tasks)+1, int8(0), int8(0), int8(0), int8(0), uint8(0), rung)
+	f.Add(valid.EvIdx, 0, int8(0), int8(0), int8(0), int8(0), uint8(0), rung)
+	f.Add(valid.EvIdx, valid.TaskIdx, int8(-2), int8(-1), int8(1), int8(1), uint8(0), rung)
+	f.Add(valid.EvIdx, valid.TaskIdx, int8(0), int8(0), int8(0), int8(-1), uint8(0), rung)
+	f.Add(valid.EvIdx, valid.TaskIdx, int8(0), int8(0), int8(0), int8(0), uint8(0b10101), rung)
+	f.Add(valid.EvIdx, valid.TaskIdx, int8(0), int8(0), int8(0), int8(0), uint8(0), int8(99))
+	// The epoch and length arguments are offsets from the valid
+	// checkpoint's.
+	f.Fuzz(func(t *testing.T, evIdx, taskIdx int, epochs, freeAtLen, countRows, row0Len int8, nils uint8, rung int8) {
 		ck := new(controller.Checkpoint)
 		if err := gob.NewDecoder(bytes.NewReader(enc.Bytes())).Decode(ck); err != nil {
 			t.Fatal(err)
 		}
-		ck.EvIdx, ck.TaskIdx, ck.EpochsDone = evIdx, taskIdx, epochsDone
+		d := new(controller.EpochDelta)
+		if err := gob.NewDecoder(bytes.NewReader(encDelta.Bytes())).Decode(d); err != nil {
+			t.Fatal(err)
+		}
+		d.Report.Rung = controller.Rung(rung)
+		if err := ck.Fold(d); err != nil {
+			if rung >= 0 && int(rung) < controller.NumRungs {
+				t.Fatalf("fold rejected rung %d: %v", rung, err)
+			}
+			return
+		}
+		ck.EvIdx, ck.TaskIdx = evIdx, taskIdx
+		ck.Res.Epochs = resized(ck.Res.Epochs, int(epochs))
 		ck.FreeAt = resized(ck.FreeAt, int(freeAtLen))
 		ck.SchedCounts = resized(ck.SchedCounts, int(countRows))
 		if len(ck.SchedCounts) > 0 {

@@ -84,10 +84,10 @@ type Config struct {
 	// RetryBackoff is the pause before the first retry attempt; it doubles
 	// per attempt and is cut short by the SolveTimeout deadline.
 	RetryBackoff time.Duration
-	// Recorder, when non-nil, publishes the run's telemetry: per-epoch
-	// counters and gauges on its metrics registry, epoch/rung/stage/LP
-	// spans on its tracer (if tracing is enabled), and one EpochSample row
-	// per interval on its series sink (if one is attached). The recorder
+	// Recorder, when non-nil, publishes the run's telemetry:
+	// epoch/rung/stage/LP spans on its tracer (if tracing is enabled) and
+	// one EpochSample row per interval, stamped with the recorder's run
+	// number, on its series sink (if one is attached). The recorder
 	// is also threaded into the assignment pipeline, overriding
 	// Assign.Recorder. Nil — the default — keeps the whole run on the
 	// uninstrumented fast path. Telemetry never changes results.
@@ -100,12 +100,11 @@ type Config struct {
 	// FlightRec, when non-nil, arms the failure flight recorder (closed
 	// loop only): any epoch that engages the degradation ladder above
 	// warm, fails plan verification, or ends with a classified solver
-	// error dumps a diagnostic bundle —
-	// recent spans, metrics snapshot, the epoch's sample, fault state, LP
-	// stats — to the recorder's directory (rate-limited and bounded; see
-	// internal/flightrec). Dump failures are logged, never fatal: the
-	// black box must not take down the plane. Telemetry never changes
-	// results.
+	// error dumps a diagnostic bundle — recent spans, the epoch's sample,
+	// fault state, LP stats — to the recorder's directory (rate-limited
+	// and bounded; see internal/flightrec). Dump failures are logged,
+	// never fatal: the black box must not take down the plane. Telemetry
+	// never changes results.
 	FlightRec *flightrec.Recorder
 	// Resume, when non-nil, restores a closed-loop run from a checkpoint
 	// instead of starting at t = 0: the loop continues at the next epoch
@@ -300,8 +299,8 @@ func RunContext(ctx context.Context, base *model.DataCenter, schedule faults.Sch
 	}
 	if cfg.Recorder != nil {
 		// One recorder observes the whole pipeline: the assignment solvers
-		// (stage/candidate/LP spans, solve counters) share it with the
-		// controller's own epoch metrics.
+		// (stage/candidate/LP spans) share it with the controller's own
+		// epoch spans and samples.
 		cfg.Assign.Recorder = cfg.Recorder
 	}
 
@@ -334,8 +333,8 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 	res := &Result{Mode: cfg.Mode, Horizon: cfg.Horizon, ResultState: newResultState()}
 	ls := LoopState{Faults: faults.NewState(base.NCRAC(), base.NCN()), FreeAt: make([]float64, base.NumCores())}
 	p := &truthPlant{}
-	m := newRunMetrics(cfg.Recorder, base.NCRAC())
 	tr := cfg.Recorder.Tracer()
+	series := cfg.Recorder.SeriesSink()
 
 	var (
 		solver    *assign.ThreeStageSolver
@@ -366,7 +365,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			return nil, fmt.Errorf("controller: resume canceled: %w", ctx.Err())
 		}
 		solver.TakeLPStats()
-		if s, err = newScheduler(plannerDC, plan, cfg.Recorder, ls.SchedStart); err != nil {
+		if s, err = newScheduler(plannerDC, plan, ls.SchedStart); err != nil {
 			return nil, fmt.Errorf("controller: resume: %w", err)
 		}
 		if err := s.RestoreCounts(ls.SchedCounts); err != nil {
@@ -442,7 +441,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			// fault-free closed-loop run is then identical to a single
 			// uninterrupted simulation.
 			var err error
-			if s, err = newScheduler(plannerDC, plan, cfg.Recorder, a); err != nil {
+			if s, err = newScheduler(plannerDC, plan, a); err != nil {
 				return nil, err
 			}
 		}
@@ -467,10 +466,10 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		rep.setOutcome(out)
 		res.fold(&rep)
 		var samp *telemetry.EpochSample
-		if m != nil || cfg.FlightRec != nil {
-			samp = epochSample(len(res.Epochs)-1, &rep, p)
+		if series != nil || cfg.FlightRec != nil {
+			samp = epochSample(cfg.Recorder.Run(), len(res.Epochs)-1, &rep, p)
 		}
-		if err := m.emitEpoch(&rep, samp); err != nil {
+		if err := series.Write(samp); err != nil {
 			return nil, err
 		}
 		recordFlight(cfg, &rep, st, samp)
@@ -507,13 +506,10 @@ func newPlanner(base *model.DataCenter, st *faults.State, opts assign.Options) (
 
 // newScheduler builds the second-step scheduler of plan with its ATC
 // clock started at start.
-func newScheduler(dc *model.DataCenter, plan *assign.ThreeStageResult, rec *telemetry.Recorder, start float64) (*sched.Scheduler, error) {
+func newScheduler(dc *model.DataCenter, plan *assign.ThreeStageResult, start float64) (*sched.Scheduler, error) {
 	s, err := sched.New(dc, plan.PStates, plan.Stage3.TC)
 	if err != nil {
 		return nil, err
-	}
-	if rec != nil {
-		s.SetRecorder(rec)
 	}
 	s.SetStartTime(start)
 	return s, nil
@@ -729,8 +725,8 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 	res.RewardRate = res.TotalReward / res.Horizon
 	// Open loop publishes one sample for the whole horizon; the plant
 	// reflects its final (post-fault) state.
-	if m := newRunMetrics(cfg.Recorder, base.NCRAC()); m != nil {
-		if err := m.emitEpoch(&rep, epochSample(0, &rep, p)); err != nil {
+	if series := cfg.Recorder.SeriesSink(); series != nil {
+		if err := series.Write(epochSample(cfg.Recorder.Run(), 0, &rep, p)); err != nil {
 			return nil, err
 		}
 	}

@@ -54,10 +54,10 @@ func recordFlight(cfg Config, rep *EpochReport, st *faults.State, samp *telemetr
 
 // flightBundle assembles the diagnostic payload: the epoch's sample (whose
 // run, epoch, rung, error kind and violations also head the bundle), the
-// recent span window, a metrics snapshot, the fault-schedule state in
-// force, and the epoch's LP stats.
+// recent span window, the fault-schedule state in force, and the epoch's
+// LP stats.
 func flightBundle(cfg Config, rep *EpochReport, st *faults.State, samp *telemetry.EpochSample, reason string) flightrec.Bundle {
-	b := flightrec.Bundle{
+	return flightrec.Bundle{
 		Reason:     reason,
 		Run:        samp.Run,
 		Epoch:      samp.Epoch,
@@ -67,12 +67,6 @@ func flightBundle(cfg Config, rep *EpochReport, st *faults.State, samp *telemetr
 		LP:         rep.LP,
 		LastSample: samp,
 		Faults:     st.Clone(),
+		Spans:      cfg.FlightRec.SpanWindow(cfg.Recorder.Tracer().Snapshot()),
 	}
-	if rec := cfg.Recorder; rec != nil {
-		b.Spans = cfg.FlightRec.SpanWindow(rec.Tracer().Snapshot())
-		if reg := rec.Registry(); reg != nil {
-			b.Metrics = reg.Snapshot()
-		}
-	}
-	return b
 }

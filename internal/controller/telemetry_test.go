@@ -12,8 +12,9 @@ import (
 )
 
 // TestRecorderPublishes runs the closed loop with full telemetry on —
-// metrics, tracing, and series export — and checks that (a) results are
-// identical to an uninstrumented run and (b) every layer published.
+// tracing and series export — and checks that (a) results are identical
+// to an uninstrumented run and (b) every layer published, with the series
+// rows adding up to the run's totals.
 func TestRecorderPublishes(t *testing.T) {
 	sc := buildScenario(t, 1, 10)
 	const horizon = 40.0
@@ -29,7 +30,7 @@ func TestRecorderPublishes(t *testing.T) {
 	rec.Trace = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
 	var buf strings.Builder
 	rec.Series = telemetry.NewJSONLWriter(&buf)
-	rec.Series.NextRun()
+	rec.NextRun()
 	cfg := controller.DefaultConfig(horizon, 10)
 	cfg.Recorder = rec
 	res, err := controller.Run(sc.DC, schedule, tasks, cfg)
@@ -41,28 +42,6 @@ func TestRecorderPublishes(t *testing.T) {
 	if res.TotalReward != plain.TotalReward || res.Completed != plain.Completed ||
 		res.Resolves != plain.Resolves || res.LP != plain.LP {
 		t.Error("instrumented run differs from uninstrumented run")
-	}
-
-	snap := rec.Metrics.Snapshot()
-	for _, name := range []string{
-		"tapo_controller_resolves_total",
-		"tapo_sim_tasks_completed_total",
-		"tapo_lp_solves_total",
-		"tapo_lp_pivots_total",
-		"tapo_stage1_solves_total",
-		"tapo_stage3_solves_total",
-		"tapo_sched_assigned_total",
-	} {
-		v, ok := snap[name].(int64)
-		if !ok || v <= 0 {
-			t.Errorf("metric %s = %v, want > 0", name, snap[name])
-		}
-	}
-	if v, ok := snap[`tapo_controller_epochs_total{rung="warm"}`].(int64); !ok || v <= 0 {
-		t.Errorf("warm-rung epoch counter = %v", snap[`tapo_controller_epochs_total{rung="warm"}`])
-	}
-	if v, ok := snap["tapo_plant_power_kw"].(float64); !ok || v <= 0 {
-		t.Errorf("power gauge = %v", snap["tapo_plant_power_kw"])
 	}
 
 	byKind := rec.Trace.CountByKind()
@@ -81,6 +60,8 @@ func TestRecorderPublishes(t *testing.T) {
 	}
 	schema := telemetry.SampleSchema()
 	prevEnd := 0.0
+	var warm, completed int
+	var lpSolves int64
 	for i, line := range lines {
 		var keys map[string]json.RawMessage
 		if err := json.Unmarshal([]byte(line), &keys); err != nil {
@@ -100,14 +81,29 @@ func TestRecorderPublishes(t *testing.T) {
 				i, s.Run, s.Epoch, s.TStart, s.TEnd)
 		}
 		prevEnd = s.TEnd
+		if s.Rung == controller.RungWarm.String() {
+			warm++
+		}
+		completed += s.Completed
+		lpSolves += s.LPSolves
+		if s.PowerKW <= 0 {
+			t.Errorf("row %d power %g kW, want > 0", i, s.PowerKW)
+		}
 	}
 	if prevEnd != horizon {
 		t.Errorf("series ends at %g, want %g", prevEnd, horizon)
 	}
+	if warm == 0 || warm != res.RungCounts[controller.RungWarm] ||
+		completed != res.Completed || lpSolves <= 0 || lpSolves != res.LP.Solves {
+		t.Errorf("series totals: %d warm rows, %d completed, %d LP solves; run has %d, %d, %d",
+			warm, completed, lpSolves, res.RungCounts[controller.RungWarm], res.Completed, res.LP.Solves)
+	}
 
 	// The open loop's single solve folds like any re-solving epoch: its
-	// totals count one warm resolve, as the registry does.
-	orec := telemetry.NewRecorder()
+	// totals count one warm resolve, and its one series row says so.
+	var obuf strings.Builder
+	orec := &telemetry.Recorder{Series: telemetry.NewJSONLWriter(&obuf)}
+	orec.NextRun()
 	ocfg := controller.DefaultConfig(horizon, 10)
 	ocfg.Mode = controller.OpenLoop
 	ocfg.Recorder = orec
@@ -115,9 +111,12 @@ func TestRecorderPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _ := orec.Metrics.Snapshot()[`tapo_controller_epochs_total{rung="warm"}`].(int64)
-	if warm != 1 || int64(open.Resolves) != warm || int64(open.RungCounts[controller.RungWarm]) != warm {
-		t.Errorf("open loop: Resolves %d, RungCounts[warm] %d, registry warm epochs %d; want all 1",
-			open.Resolves, open.RungCounts[controller.RungWarm], warm)
+	var row telemetry.EpochSample
+	if err := json.Unmarshal([]byte(obuf.String()), &row); err != nil || orec.Series.Samples() != 1 {
+		t.Fatalf("open loop wrote %d rows (%v), want 1", orec.Series.Samples(), err)
+	}
+	if !row.Resolved || row.Rung != controller.RungWarm.String() || open.Resolves != 1 || open.RungCounts[controller.RungWarm] != 1 {
+		t.Errorf("open loop: row resolved %v rung %q, Resolves %d, RungCounts[warm] %d; want one warm resolve",
+			row.Resolved, row.Rung, open.Resolves, open.RungCounts[controller.RungWarm])
 	}
 }

@@ -50,9 +50,9 @@ type DegradedConfig struct {
 	// no deadline.
 	SolveTimeout time.Duration
 	// Recorder, when non-nil, threads telemetry through every controller
-	// run of the sweep (closed and open loop): metrics accumulate across
-	// the whole sweep, and if a series sink is attached, each run writes
-	// its per-epoch rows under a fresh run number (JSONLWriter.NextRun).
+	// run of the sweep (closed and open loop). Each run takes a fresh run
+	// number (Recorder.NextRun), which its series rows, span pids and
+	// flight bundles carry.
 	Recorder *telemetry.Recorder
 	// FlightRec, when non-nil, arms the failure flight recorder on every
 	// closed-loop run of the sweep (see controller.Config.FlightRec).
@@ -253,10 +253,9 @@ func degradedRun(ctx context.Context, cfg DegradedConfig, ck *sweepCheckpoint, k
 		run.Resume = resume
 		run.Checkpoint = ck.sink(key)
 	}
-	// Advance the series and trace run numbers in lockstep, so exported
-	// trace pids line up with the time series' run column.
-	cfg.Recorder.SeriesSink().NextRun()
-	cfg.Recorder.Tracer().NextRun()
+	// One run number per controller run stamps its series rows, its span
+	// pids and its flight bundles alike.
+	cfg.Recorder.NextRun()
 	r, err := controller.RunContext(ctx, sc.DC, schedule, tasks, run)
 	if err != nil {
 		return runSummary{}, err

@@ -110,7 +110,7 @@ func (cfg DegradedConfig) runTag() persist.Tag {
 	opts.Recorder = nil
 	opts.Search.Trace = nil
 	h := sha256.New()
-	fmt.Fprintf(h, "degraded|v2|%d|%d|%v|%v|%d|%v|%v|%d|%+v|%+v|%v",
+	fmt.Fprintf(h, "degraded|v3|%d|%d|%v|%v|%d|%v|%v|%d|%+v|%+v|%v",
 		cfg.NCracs, cfg.NNodes, cfg.StaticShare, cfg.Vprop, cfg.Seed,
 		cfg.Horizon, cfg.Epoch, cfg.Trials, cfg.Levels, opts, cfg.SolveTimeout)
 	var tag persist.Tag
@@ -208,13 +208,18 @@ func (ck *sweepCheckpoint) fold(jr *journalRecord) error {
 			return fmt.Errorf("epoch record for already finished run %+v", key)
 		}
 		if ck.partialKey == nil || *ck.partialKey != key {
-			if ck.partial != nil && ck.partial.EpochsDone > 0 {
+			if ck.partial != nil && len(ck.partial.Res.Epochs) > 0 {
 				return fmt.Errorf("epoch record for %+v while %+v is unfinished", key, *ck.partialKey)
 			}
 			k := key
 			ck.partialKey, ck.partial = &k, controller.NewCheckpoint()
 		}
-		ck.partial.Fold(jr.Epoch.Delta)
+		if jr.Epoch.Delta == nil {
+			return fmt.Errorf("epoch record for %+v carries no delta", key)
+		}
+		if err := ck.partial.Fold(jr.Epoch.Delta); err != nil {
+			return err
+		}
 	case jr.RunDone != nil:
 		key := jr.RunDone.Key
 		if _, isDone := ck.done[key]; isDone {
@@ -249,7 +254,7 @@ func (ck *sweepCheckpoint) begin(key runKey) (*controller.Checkpoint, error) {
 		return nil, corruptErr(ck.store.Dir(),
 			fmt.Errorf("journal holds progress for run %+v but the sweep is at %+v", *ck.partialKey, key))
 	}
-	if ck.partial != nil && ck.partial.EpochsDone > 0 {
+	if ck.partial != nil && len(ck.partial.Res.Epochs) > 0 {
 		return ck.partial, nil
 	}
 	k := key
@@ -269,7 +274,9 @@ func (ck *sweepCheckpoint) sink(key runKey) controller.CheckpointSink {
 		if err := ck.commit(&journalRecord{Epoch: &epochRecord{Key: key, Delta: d}}); err != nil {
 			return err
 		}
-		ck.partial.Fold(d)
+		if err := ck.partial.Fold(d); err != nil {
+			return err
+		}
 		return ck.maybeSnapshot()
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"thermaldc/internal/experiments"
+	"thermaldc/internal/flightrec"
+	"thermaldc/internal/telemetry"
 )
 
 func TestDegradedSweepRejectsImpossibleLevels(t *testing.T) {
@@ -84,5 +87,59 @@ func TestDegradedSweepRejectsBadConfig(t *testing.T) {
 	cfg.Levels = nil
 	if _, err := experiments.DegradedSweep(cfg); err == nil {
 		t.Error("empty levels accepted")
+	}
+}
+
+// TestDegradedSweepFlightBundlesCarryRuns: with a tracer and a flight
+// recorder but no series sink, each closed-loop run's bundles must carry
+// that run's number (never 0), distinct per run and equal to the trace
+// pid of the spans the run recorded.
+func TestDegradedSweepFlightBundlesCarryRuns(t *testing.T) {
+	cfg := experiments.DefaultDegradedConfig(3)
+	cfg.NNodes = 10
+	cfg.Trials = 1
+	cfg.Horizon = 30
+	cfg.Epoch = 10
+	cfg.Levels = []experiments.DegradedLevel{{0, 0}, {2, 1}}
+	cfg.SolveTimeout = time.Nanosecond // every re-solve falls to a safe rung
+	tr := telemetry.NewTracer(0)
+	cfg.Recorder = &telemetry.Recorder{Trace: tr}
+	dir := t.TempDir()
+	fr, err := flightrec.New(flightrec.Config{Dir: dir, MaxBundles: 1000, MinInterval: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.FlightRec = fr
+	if _, err := experiments.DegradedSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	paths, err := flightrec.List(dir)
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("bundle listing = %v, %v", paths, err)
+	}
+	pids := map[int32]bool{}
+	for _, s := range tr.Snapshot() {
+		pids[s.Run] = true
+	}
+	runs := map[int]bool{}
+	for _, path := range paths {
+		b, err := flightrec.ReadBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.LastSample == nil {
+			t.Fatalf("%s carries no epoch sample", path)
+		}
+		if b.Run < 1 || b.LastSample.Run != b.Run {
+			t.Errorf("%s: run %d, sample run %d; want them equal and at least 1", path, b.Run, b.LastSample.Run)
+		}
+		if n := len(b.Spans); n == 0 || int(b.Spans[n-1].Run) != b.Run || !pids[int32(b.Run)] {
+			t.Errorf("%s: run %d does not match the pid of its latest span", path, b.Run)
+		}
+		runs[b.Run] = true
+	}
+	if len(runs) != len(cfg.Levels)*cfg.Trials {
+		t.Errorf("bundles carry runs %v, want one distinct run per closed-loop run (%d)", runs, len(cfg.Levels)*cfg.Trials)
 	}
 }

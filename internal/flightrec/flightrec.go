@@ -2,8 +2,8 @@
 // that captures a diagnostic bundle the moment the controller degrades —
 // a ladder engagement above the warm rung, a plan-verifier rejection, or
 // any classified solver error. Each bundle is one JSON file (recent span
-// window, metrics snapshot, last exported EpochSample, fault-schedule
-// state, LP work stats) written atomically via internal/persist so a
+// window, last exported EpochSample, fault-schedule state, LP work
+// stats) written atomically via internal/persist so a
 // crash mid-dump can never leave a torn file.
 // Recording is rate-limited and the directory is pruned to a fixed
 // bundle count, so a flapping fault cannot fill the disk. A nil
@@ -72,8 +72,6 @@ type Bundle struct {
 	Violations int    `json:"violations,omitempty"`
 	// Spans is the most recent window of the tracer ring, oldest first.
 	Spans []telemetry.Span `json:"spans,omitempty"`
-	// Metrics is the registry snapshot at capture time.
-	Metrics map[string]any `json:"metrics,omitempty"`
 	// LastSample is the epoch's exported time-series row.
 	LastSample *telemetry.EpochSample `json:"last_sample,omitempty"`
 	// Faults is the fault-schedule state in force (faults.State).

@@ -37,7 +37,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		Spans: []telemetry.Span{
 			{Kind: telemetry.SpanEpoch, Dur: time.Millisecond, Seq: 41},
 		},
-		Metrics:    map[string]any{"tapo_controller_fallbacks_total": 1.0},
 		LastSample: &telemetry.EpochSample{Epoch: 7, RewardRate: 12.5},
 	}
 	path, err := r.Record(b)

@@ -221,7 +221,6 @@ func (s *Scheduler) scan(policy Policy, task workload.Task, now, elapsed, limit 
 // to change.
 func (s *Scheduler) settle(typ, core int, completion float64, ok bool) (int, float64, bool) {
 	if !ok {
-		s.mRejected.Inc()
 		return -1, 0, false
 	}
 	s.counts[typ][core]++
@@ -229,7 +228,6 @@ func (s *Scheduler) settle(typ, core int, completion float64, ok bool) (int, flo
 		x.setCount(typ, core, s.counts[typ][core])
 		x.last = core
 	}
-	s.mAssigned.Inc()
 	return core, completion, true
 }
 

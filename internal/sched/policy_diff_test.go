@@ -34,12 +34,10 @@ func referenceScheduleWith(s *Scheduler, policy Policy, task workload.Task, now 
 		})
 	}
 	if len(cands) == 0 {
-		s.mRejected.Inc()
 		return -1, 0, false
 	}
 	idx, drop := policy.Pick(task, now, cands)
 	if drop {
-		s.mRejected.Inc()
 		return -1, 0, false
 	}
 	if idx < 0 || idx >= len(cands) {
@@ -47,7 +45,6 @@ func referenceScheduleWith(s *Scheduler, policy Policy, task workload.Task, now 
 	}
 	chosen := cands[idx]
 	s.counts[task.Type][chosen.Core]++
-	s.mAssigned.Inc()
 	return chosen.Core, chosen.Completion, true
 }
 

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"thermaldc/internal/model"
-	"thermaldc/internal/telemetry"
 	"thermaldc/internal/workload"
 )
 
@@ -38,22 +37,6 @@ type Scheduler struct {
 	// ix is PaperPolicy's dispatch index, derived lazily on the first
 	// call that can use it (nil until then); see dispatchIndex.
 	ix *dispatchIndex
-
-	// Telemetry counters; the zero values are no-ops, so an uninstrumented
-	// scheduler pays nothing on the per-arrival path.
-	mAssigned telemetry.Counter
-	mRejected telemetry.Counter
-}
-
-// SetRecorder wires per-arrival assignment counters to rec's metrics
-// registry (tapo_sched_assigned_total / tapo_sched_rejected_total). A nil
-// rec detaches cleanly.
-func (s *Scheduler) SetRecorder(rec *telemetry.Recorder) {
-	reg := rec.Registry()
-	s.mAssigned = reg.Counter("tapo_sched_assigned_total",
-		"tasks assigned to a core by the second-step scheduler")
-	s.mRejected = reg.Counter("tapo_sched_rejected_total",
-		"task arrivals the scheduler could not place (no deadline-feasible core, or policy drop)")
 }
 
 // SetStartTime anchors the ATC clock at t: rates are computed over

@@ -107,9 +107,8 @@ type Options struct {
 	// voids the task's reward (a fault destroys it) while the core stays
 	// occupied. The fault layer supplies the node-failure timeline here.
 	Lost func(core int, start, completion float64) bool
-	// Telemetry, when non-nil, wires a freshly built scheduler's assignment
-	// counters to the recorder (a caller-supplied Scheduler keeps whatever
-	// wiring it already has) and enables debug-level run logging.
+	// Telemetry, when non-nil, supplies the run's logger (debug-level run
+	// logging).
 	Telemetry *telemetry.Recorder
 }
 
@@ -154,9 +153,6 @@ func RunOpts(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []worklo
 		s, err = sched.New(dc, pstates, tc)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Telemetry != nil {
-			s.SetRecorder(opts.Telemetry)
 		}
 	}
 	if log := opts.Telemetry.Logger(); log.Enabled(slog.LevelDebug) {

@@ -51,21 +51,7 @@ const (
 	// I/O. Recovery must stop loudly: resuming past a persistence defect
 	// risks silently diverging from the uninterrupted run.
 	Persist
-
-	numKinds
 )
-
-// Kinds enumerates every taxonomy class, Unknown first. Telemetry uses
-// it to pre-register one labeled counter per kind at wiring time, so the
-// hot path increments pre-resolved handles and never allocates a label
-// string mid-solve.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
 
 func (k Kind) String() string {
 	switch k {

@@ -12,12 +12,13 @@ import (
 func tracedWork(t *testing.T) *Tracer {
 	t.Helper()
 	tr := NewTracer(16)
-	tr.NextRun()
+	rec := &Recorder{Trace: tr}
+	rec.NextRun()
 	e := tr.Begin()
 	tr.EndOnTrack(tr.Begin(), SpanZoneSolve, 2, 2, 11, 0)
 	tr.End(tr.Begin(), SpanLPSolve, 0, 5, 0)
 	tr.End(e, SpanEpoch, 0, 0, 0)
-	tr.NextRun()
+	rec.NextRun()
 	tr.End(tr.Begin(), SpanEpoch, 1, 0, 0)
 	return tr
 }

@@ -90,16 +90,16 @@ func TestDefaultLoggerSwap(t *testing.T) {
 
 func TestRecorderNilAccessors(t *testing.T) {
 	var r *Recorder
-	if r.Registry() != nil || r.Tracer() != nil || r.SeriesSink() != nil {
+	if r.Tracer() != nil || r.SeriesSink() != nil {
 		t.Fatal("nil recorder handed out components")
 	}
 	if r.Logger() == nil {
 		t.Fatal("nil recorder must fall back to the default logger")
 	}
-	rec := NewRecorder()
-	if rec.Registry() == nil {
-		t.Fatal("NewRecorder has no registry")
+	if r.NextRun() != 0 || r.Run() != 0 {
+		t.Fatal("nil recorder counted runs")
 	}
+	rec := NewRecorder()
 	if rec.Tracer() != nil || rec.SeriesSink() != nil {
 		t.Fatal("NewRecorder must leave tracing and series export disabled")
 	}

@@ -16,7 +16,8 @@ import (
 // negative means the constraint was violated by that much.
 type EpochSample struct {
 	// Run separates concatenated controller runs in one file (a sweep
-	// writes many); timestamps restart per run. Filled by JSONLWriter.
+	// writes many); timestamps restart per run. It is the producing
+	// Recorder's Run().
 	Run int `json:"run"`
 	// Epoch is the interval index within the run.
 	Epoch int `json:"epoch"`
@@ -156,49 +157,23 @@ func (s *EpochSample) Validate() error {
 }
 
 // JSONLWriter appends EpochSample rows to a writer, one JSON object per
-// line, stamping each with the current run number. Safe for concurrent
-// use; a nil *JSONLWriter drops everything.
+// line. Safe for concurrent use; a nil *JSONLWriter drops everything.
 type JSONLWriter struct {
 	mu  sync.Mutex
-	w   io.Writer
 	enc *json.Encoder
-	run int
 	n   int
 }
 
 // NewJSONLWriter wraps w.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: w, enc: json.NewEncoder(w)}
+	return &JSONLWriter{enc: json.NewEncoder(w)}
 }
 
-// NextRun advances the run number stamped on subsequent samples and
-// returns it. Sweeps call it once per controller run so cmd/tscheck can
-// check timestamp monotonicity within each run. Nil-safe.
-func (jw *JSONLWriter) NextRun() int {
-	if jw == nil {
-		return 0
-	}
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	jw.run++
-	return jw.run
-}
-
-// Run returns the current run number (0 before the first NextRun).
-// Nil-safe.
-func (jw *JSONLWriter) Run() int {
-	if jw == nil {
-		return 0
-	}
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	return jw.run
-}
-
-// Write validates s, stamps the run number, and appends one line. A
-// validation failure is returned (and nothing is written) so bad values
-// surface at the producer, not in a consumer's parser. Nil-safe.
-func (jw *JSONLWriter) Write(s EpochSample) error {
+// Write validates s and appends it as one line. A validation failure is
+// returned (and nothing is written) so bad values surface at the
+// producer, not in a consumer's parser. Nil-safe: a nil writer never
+// reads s.
+func (jw *JSONLWriter) Write(s *EpochSample) error {
 	if jw == nil {
 		return nil
 	}
@@ -207,8 +182,7 @@ func (jw *JSONLWriter) Write(s EpochSample) error {
 	}
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
-	s.Run = jw.run
-	if err := jw.enc.Encode(&s); err != nil {
+	if err := jw.enc.Encode(s); err != nil {
 		return fmt.Errorf("telemetry: writing sample: %w", err)
 	}
 	jw.n++

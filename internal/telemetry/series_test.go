@@ -19,28 +19,36 @@ func sample() EpochSample {
 	}
 }
 
-func TestJSONLWriterStampsRuns(t *testing.T) {
+// TestRecorderRunsStampSeriesAndSpans: the recorder's run number is the
+// one counter behind series rows and span pids, so a row and a span from
+// the same run agree, with or without a series sink attached.
+func TestRecorderRunsStampSeriesAndSpans(t *testing.T) {
 	var b strings.Builder
-	jw := NewJSONLWriter(&b)
-	jw.NextRun()
-	if err := jw.Write(sample()); err != nil {
-		t.Fatal(err)
-	}
-	jw.NextRun()
-	if err := jw.Write(sample()); err != nil {
-		t.Fatal(err)
+	tr := NewTracer(8)
+	rec := &Recorder{Trace: tr, Series: NewJSONLWriter(&b)}
+	for run := 1; run <= 2; run++ {
+		if got := rec.NextRun(); got != run {
+			t.Fatalf("NextRun = %d, want %d", got, run)
+		}
+		s := sample()
+		s.Run = rec.Run()
+		if err := rec.SeriesSink().Write(&s); err != nil {
+			t.Fatal(err)
+		}
+		tr.End(tr.Begin(), SpanEpoch, 0, 0, 0)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 || jw.Samples() != 2 {
-		t.Fatalf("wrote %d lines, Samples()=%d, want 2", len(lines), jw.Samples())
+	if len(lines) != 2 || rec.Series.Samples() != 2 {
+		t.Fatalf("wrote %d lines, Samples()=%d, want 2", len(lines), rec.Series.Samples())
 	}
+	spans := tr.Snapshot()
 	for i, line := range lines {
 		var got EpochSample
 		if err := json.Unmarshal([]byte(line), &got); err != nil {
 			t.Fatalf("line %d not valid JSON: %v", i, err)
 		}
-		if got.Run != i+1 {
-			t.Errorf("line %d run = %d, want %d", i, got.Run, i+1)
+		if got.Run != i+1 || int(spans[i].Run) != got.Run {
+			t.Errorf("line %d run = %d, span run = %d, want %d", i, got.Run, spans[i].Run, i+1)
 		}
 	}
 }
@@ -50,22 +58,22 @@ func TestWriteRejectsBadSamples(t *testing.T) {
 	jw := NewJSONLWriter(&b)
 	bad := sample()
 	bad.PowerKW = math.NaN()
-	if err := jw.Write(bad); err == nil {
+	if err := jw.Write(&bad); err == nil {
 		t.Errorf("NaN power accepted")
 	}
 	bad = sample()
 	bad.InletHeadroomBySensorC = []float64{math.Inf(-1)}
-	if err := jw.Write(bad); err == nil {
+	if err := jw.Write(&bad); err == nil {
 		t.Errorf("-Inf headroom accepted")
 	}
 	bad = sample()
 	bad.TEnd = bad.TStart - 1
-	if err := jw.Write(bad); err == nil {
+	if err := jw.Write(&bad); err == nil {
 		t.Errorf("backwards interval accepted")
 	}
 	bad = sample()
 	bad.LPPivots = -1
-	if err := jw.Write(bad); err == nil {
+	if err := jw.Write(&bad); err == nil {
 		t.Errorf("negative count accepted")
 	}
 	if b.Len() != 0 {
@@ -75,10 +83,10 @@ func TestWriteRejectsBadSamples(t *testing.T) {
 
 func TestNilJSONLWriterIsSafe(t *testing.T) {
 	var jw *JSONLWriter
-	if err := jw.Write(sample()); err != nil {
+	if err := jw.Write(nil); err != nil {
 		t.Fatal(err)
 	}
-	if jw.NextRun() != 0 || jw.Samples() != 0 {
+	if jw.Samples() != 0 {
 		t.Fatal("nil writer kept state")
 	}
 }

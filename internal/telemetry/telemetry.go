@@ -1,15 +1,10 @@
 // Package telemetry is the observability substrate of the repository: a
 // dependency-free (standard library only) layer that the controller, the
-// three-stage solvers, the simplex core, the scheduler, and the truth
-// plant all report through.
+// three-stage solvers, the simplex core, and the truth plant all report
+// through.
 //
-// It has four parts, bundled by Recorder:
+// It has three parts, bundled by Recorder:
 //
-//   - a metrics Registry of counters, gauges, and fixed-bucket histograms
-//     backed by flat arrays of atomics keyed by interned IDs. Handles are
-//     resolved once at setup; the write path (Counter.Add, Gauge.Set,
-//     Histogram.Observe) is lock-free, allocation-free, and safe for
-//     concurrent writers.
 //   - a span Tracer for the solve pipeline (controller epoch → ladder
 //     rung → three-stage stage → tempsearch candidate → linprog solve)
 //     recording wall time, simplex pivots, and an error kind into a
@@ -25,16 +20,20 @@
 //     lines it replaced; -log-json switches the same call sites to
 //     machine-readable output.
 //
+// The Recorder also owns the run number (NextRun) that separates the
+// controller runs of a sweep: series rows, span pids and flight bundles
+// all read it from there.
+//
 // Everything is nil-safe: a nil *Recorder (and nil components) disables
 // the layer at the cost of one pointer comparison per call site.
 package telemetry
+
+import "sync/atomic"
 
 // Recorder bundles the telemetry components one run threads through the
 // solver plumbing. Any field may be nil to disable that component; a nil
 // *Recorder disables everything.
 type Recorder struct {
-	// Metrics is the shared registry counters and gauges resolve against.
-	Metrics *Registry
 	// Trace receives solve-pipeline spans (nil = tracing disabled, the
 	// default; the solvers' hot paths then skip their time.Now calls).
 	Trace *Tracer
@@ -44,20 +43,36 @@ type Recorder struct {
 	// Log overrides the package default logger for this run (nil = use
 	// Default()).
 	Log *Logger
+
+	run atomic.Int32
 }
 
-// NewRecorder returns a Recorder with a fresh metrics registry and
-// tracing, series export, and logging left disabled.
+// NewRecorder returns a Recorder with tracing, series export, and logging
+// left disabled; callers switch components on by setting its fields.
 func NewRecorder() *Recorder {
-	return &Recorder{Metrics: NewRegistry()}
+	return &Recorder{}
 }
 
-// Registry returns the metrics registry, nil when disabled.
-func (r *Recorder) Registry() *Registry {
+// NextRun advances the run number and returns it. Sweeps call it once
+// before each controller run; the run's series rows and flight bundles
+// carry Run() and its spans carry it as their Span.Run, so one run number
+// ties the three outputs together. Nil-safe (returns 0).
+func (r *Recorder) NextRun() int {
 	if r == nil {
-		return nil
+		return 0
 	}
-	return r.Metrics
+	n := r.run.Add(1)
+	r.Trace.setRun(n)
+	return int(n)
+}
+
+// Run returns the current run number (0 before the first NextRun).
+// Nil-safe.
+func (r *Recorder) Run() int {
+	if r == nil {
+		return 0
+	}
+	return int(r.run.Load())
 }
 
 // Tracer returns the span tracer, nil when disabled.

@@ -85,8 +85,8 @@ type Span struct {
 	// time containment, which is how the exported timeline expresses
 	// parentage without explicit parent pointers.
 	Track int32
-	// Run is the controller run the span belongs to (Chrome-trace pid),
-	// advanced by Tracer.NextRun in lockstep with JSONLWriter.NextRun.
+	// Run is the controller run the span belongs to (Chrome-trace pid):
+	// the Recorder.NextRun number current when the span ended.
 	Run int32
 	// Seq is the global record sequence number (monotone per tracer).
 	Seq uint64
@@ -164,18 +164,16 @@ func (t *Tracer) EndOnTrack(c SpanClock, kind SpanKind, label, track int32, pivo
 	t.mu.Unlock()
 }
 
-// NextRun advances the run number stamped on subsequent spans and returns
-// it. Sweeps call it once per controller run, next to the matching
-// JSONLWriter.NextRun, so trace pids line up with time-series run
-// numbers. Nil-safe.
-func (t *Tracer) NextRun() int32 {
+// setRun sets the run number stamped on subsequent spans. Only
+// Recorder.NextRun calls it, so the recorder's counter stays the one
+// source of run numbers. Nil-safe.
+func (t *Tracer) setRun(run int32) {
 	if t == nil {
-		return 0
+		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.run++
-	return t.run
+	t.run = run
+	t.mu.Unlock()
 }
 
 // WallStart is the wall-clock instant Span.Start offsets are relative to

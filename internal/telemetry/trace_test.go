@@ -120,9 +120,10 @@ func TestSnapshotOrderAroundWraparound(t *testing.T) {
 
 func TestEndOnTrackAndRunStamping(t *testing.T) {
 	tr := NewTracer(8)
+	rec := &Recorder{Trace: tr}
 	tr.EndOnTrack(tr.Begin(), SpanZoneSolve, 3, 3, 17, 1)
-	if got := tr.NextRun(); got != 1 {
-		t.Fatalf("NextRun = %d, want 1", got)
+	if got := rec.NextRun(); got != 1 || rec.Run() != 1 {
+		t.Fatalf("NextRun = %d, Run = %d, want 1", got, rec.Run())
 	}
 	tr.End(tr.Begin(), SpanEpoch, 0, 0, 0)
 	spans := tr.Snapshot()
@@ -136,8 +137,9 @@ func TestEndOnTrackAndRunStamping(t *testing.T) {
 		t.Errorf("post-run span = %+v, want track 0 run 1", s)
 	}
 	var nilTr *Tracer
-	if nilTr.NextRun() != 0 {
-		t.Error("nil tracer NextRun != 0")
+	nilTr.setRun(1) // must not panic
+	if (&Recorder{}).NextRun() != 1 {
+		t.Error("a recorder without a tracer must still count runs")
 	}
 	if !nilTr.WallStart().IsZero() {
 		t.Error("nil tracer WallStart not zero")

@@ -578,9 +578,8 @@ func (s *searcher) evalChunk(cands [][]float64, chunk []int, results []memoEntry
 		wg.Add(1)
 		go func(w int, eval Evaluator) {
 			defer wg.Done()
-			// pprof labels attribute CPU samples from -cpuprofile and the
-			// -serve-metrics profile endpoint to the search stage and
-			// worker lane.
+			// pprof labels attribute -cpuprofile samples to the search
+			// stage and worker lane.
 			pprof.Do(ctx, pprof.Labels("stage", "tempsearch", "worker", strconv.Itoa(w)), func(ctx context.Context) {
 				for ctx.Err() == nil {
 					k := int(atomic.AddInt64(&next, 1)) - 1

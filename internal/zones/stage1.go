@@ -54,8 +54,9 @@ type Config struct {
 	// exceeded bound falls back to the monolithic solve when one is
 	// available and errors otherwise.
 	MaxRounds int
-	// Recorder, when non-nil, publishes solve counters and per-zone budget
-	// gauges on its metrics registry. Telemetry never changes results.
+	// Recorder, when non-nil, sends coordination-round and zone-solve spans
+	// (and every zone LP's solve spans) to its tracer. Telemetry never
+	// changes results.
 	Recorder *telemetry.Recorder
 }
 
@@ -227,12 +228,7 @@ type Solver struct {
 	bestDual float64
 	res      assign.Stage1Result // SolveScratch's retained result buffers
 
-	tr                                       *telemetry.Tracer
-	mSolves, mRounds, mShortcuts, mFallbacks telemetry.Counter
-	mZoneSolves                              telemetry.Counter
-	mGap, mPrice, mCuts                      telemetry.Gauge
-	mFallbackCause                           []telemetry.Counter // indexed by solvererr.Kind
-	zBudget, zValue                          []telemetry.Gauge
+	tr *telemetry.Tracer
 }
 
 // NewSolverFromPartition builds a zone solver over part, sharing one ARR
@@ -320,47 +316,12 @@ func (s *Solver) configure(sv *assign.Stage1Solver) *assign.Stage1Solver {
 	return sv
 }
 
-// maxZoneGauges bounds the per-zone labeled metric families registered, so
-// a 10k-zone fleet does not mint 10k gauges; aggregate counters cover the
-// rest.
-const maxZoneGauges = 16
-
-// wire registers the solver's telemetry (no-ops when cfg.Recorder is nil).
+// wire numbers the zones and hands them the recorder's tracer (nil when
+// tracing is off).
 func (s *Solver) wire() {
-	for i, z := range s.zones {
-		z.idx = i
-	}
-	if s.cfg.Recorder == nil {
-		return
-	}
 	s.tr = s.cfg.Recorder.Tracer()
-	for _, z := range s.zones {
-		z.tr = s.tr
-	}
-	reg := s.cfg.Recorder.Registry()
-	s.mSolves = reg.Counter("tapo_zones_solves_total", "zone-decomposed Stage-1 solves")
-	s.mRounds = reg.Counter("tapo_zones_rounds_total", "price-coordination master rounds")
-	s.mShortcuts = reg.Counter("tapo_zones_shortcut_total", "solves settled by the unconstrained shortcut")
-	s.mFallbacks = reg.Counter("tapo_zones_fallback_total", "solves delegated to the monolithic fallback")
-	s.mZoneSolves = reg.Counter("tapo_zones_zone_solves_total", "per-zone LP solves across all coordination rounds")
-	s.mGap = reg.Gauge("tapo_zones_gap", "upper-minus-lower bound gap after the last coordination round")
-	s.mPrice = reg.Gauge("tapo_zones_price", "coordination price (budget-row dual) of the last master round")
-	s.mCuts = reg.Gauge("tapo_zones_cuts", "Kelley cuts in the zones' retained pools after the last round")
-	kinds := solvererr.Kinds()
-	s.mFallbackCause = make([]telemetry.Counter, len(kinds))
-	for _, k := range kinds {
-		s.mFallbackCause[k] = reg.Counter("tapo_zones_fallback_cause_total",
-			"monolithic fallbacks by classified cause", "cause", k.String())
-	}
-	for i := range s.zones {
-		if i >= maxZoneGauges {
-			break
-		}
-		lbl := fmt.Sprintf("%d", i)
-		s.zBudget = append(s.zBudget, reg.Gauge("tapo_zone_budget_kw",
-			"power budget allocated to the zone in the last solve", "zone", lbl))
-		s.zValue = append(s.zValue, reg.Gauge("tapo_zone_value",
-			"zone LP objective at its allocated budget in the last solve", "zone", lbl))
+	for i, z := range s.zones {
+		z.idx, z.tr = i, s.tr
 	}
 }
 
@@ -433,7 +394,6 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 	}
 	P := s.totalBudget()
 	st := Stats{Zones: len(s.zones)}
-	s.mSolves.Inc()
 
 	for _, z := range s.zones {
 		z.setOutlets(cracOut)
@@ -477,7 +437,7 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 		if sumLin <= P+eps {
 			st.Shortcut, st.Converged = true, true
 			s.copyBest()
-			s.finish(&st)
+			s.last = st
 			s.assembleInto(&s.res, cracOut, P, &st)
 			return &s.res, nil
 		}
@@ -517,7 +477,6 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 			z.addCut(cut{Budget: z.budget, Value: z.value, Price: z.price})
 		}
 		st.UpperBound, st.LowerBound, st.Gap = ub, lb, ub-lb
-		s.observeRound(&st, mdual)
 		s.tr.End(cRound, telemetry.SpanCoordRound, int32(round), 0, 0)
 		if ub-lb <= s.cfg.Tol*math.Max(1, math.Abs(ub)) {
 			st.Converged = true
@@ -528,25 +487,9 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 		return s.recover(ctx, cracOut, &st, solvererr.New("zones", solvererr.IterationLimit,
 			fmt.Errorf("zones: price coordination did not converge in %d rounds (gap %.3g)", st.Rounds, st.Gap)))
 	}
-	s.finish(&st)
+	s.last = st
 	s.assembleInto(&s.res, cracOut, P, &st)
 	return &s.res, nil
-}
-
-// observeRound publishes the per-round coordination gauges (price, gap,
-// retained cut-pool size). Skipped entirely with telemetry off, so the
-// disabled path touches no metric handles and counts no cuts.
-func (s *Solver) observeRound(st *Stats, dual float64) {
-	if s.cfg.Recorder == nil {
-		return
-	}
-	s.mGap.Set(st.Gap)
-	s.mPrice.Set(dual)
-	cuts := 0
-	for _, z := range s.zones {
-		cuts += len(z.cuts)
-	}
-	s.mCuts.Set(float64(cuts))
 }
 
 // evalRound evaluates every zone at its current budget, fanning out over
@@ -598,7 +541,6 @@ func (s *Solver) evalRound(ctx context.Context) (int, error) {
 			solves++
 		}
 	}
-	s.mZoneSolves.Add(int64(solves))
 	return solves, nil
 }
 
@@ -828,39 +770,11 @@ func (z *zoneState) envelope(zi int, lo, hi float64, segs *[]masterSeg) float64 
 func (s *Solver) recover(ctx context.Context, cracOut []float64, st *Stats, cause error) (*assign.Stage1Result, error) {
 	if s.fallback == nil {
 		s.last = *st
-		s.countFallbackCause(cause)
 		return nil, cause
 	}
 	st.Fallback = true
-	s.mFallbacks.Inc()
-	s.countFallbackCause(cause)
-	s.finish(st)
-	return s.fallback.SolveContext(ctx, cracOut)
-}
-
-// countFallbackCause bumps the per-cause fallback counter (pre-registered
-// per solvererr.Kind, so no label rendering happens here).
-func (s *Solver) countFallbackCause(cause error) {
-	if len(s.mFallbackCause) == 0 {
-		return
-	}
-	if k := solvererr.Classify(cause); int(k) < len(s.mFallbackCause) {
-		s.mFallbackCause[k].Inc()
-	}
-}
-
-// finish publishes telemetry and retains the solve's stats.
-func (s *Solver) finish(st *Stats) {
 	s.last = *st
-	s.mRounds.Add(int64(st.Rounds))
-	if st.Shortcut {
-		s.mShortcuts.Inc()
-	}
-	for i := range s.zBudget {
-		z := s.zones[i]
-		s.zBudget[i].Set(z.budget)
-		s.zValue[i].Set(z.value)
-	}
+	return s.fallback.SolveContext(ctx, cracOut)
 }
 
 // assembleInto scatters the retained per-zone solutions into one
