@@ -11,7 +11,9 @@
 // unless TAPO_BENCH_50K is set.
 //
 // BenchmarkFleetReadback times the Stage-3 plan readback at the 1k and 10k
-// sizes and reports ns/core; no gate reads it.
+// sizes and reports ns/core; no gate reads it. BenchmarkFleetVerify times
+// assign.Verify on a 1k-node cap step's plan (ns/core, allocs/op); it has
+// no 10k point, whose dense assembled α would be ~800 MB.
 package thermaldc_test
 
 import (
@@ -21,6 +23,7 @@ import (
 
 	"thermaldc/internal/assign"
 	"thermaldc/internal/model"
+	"thermaldc/internal/thermal"
 	"thermaldc/internal/zones"
 )
 
@@ -162,4 +165,56 @@ func BenchmarkFleetReadback(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pstates)), "ns/core")
 		})
 	}
+}
+
+// verifySink keeps BenchmarkFleetVerify's calls from being optimized away.
+var verifySink []assign.Violation
+
+// BenchmarkFleetVerify is one assign.Verify per iteration of the plan a
+// warm cap step produces on the 1k-node fleet at 15 °C outlets: the
+// node-blocked pass over TC for constraints 1–3, node powers, and the
+// banded G·PCN product for constraints 4–5.
+func BenchmarkFleetVerify(b *testing.B) {
+	b.Run("1k", func(b *testing.B) {
+		f := getFleet(b, 10)
+		dc, err := f.Assemble()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tm, err := thermal.New(dc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zs, err := zones.NewFleetSolver(f, zones.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := make([]float64, f.NumCRACs())
+		for i := range out {
+			out[i] = 15
+		}
+		ctx := context.Background()
+		s1, err := zs.Solve(ctx, out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts, err := assign.NewThreeStageSolver(dc, tm, assign.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := ts.FinishFromStage1(ctx, s1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if vs := assign.Verify(dc, tm, plan, 1e-6); len(vs) != 0 {
+			b.Fatalf("plan fails Verify: %v", vs[0])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			verifySink = assign.Verify(dc, tm, plan, 1e-6)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(plan.PStates)), "ns/core")
+	})
 }

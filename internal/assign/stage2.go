@@ -24,12 +24,26 @@ func DisaggregateNodePower(envelope *pwl.Func, nCores int, total float64) ([]flo
 	if nCores <= 0 {
 		return nil, fmt.Errorf("assign: nCores must be positive, got %d", nCores)
 	}
-	if math.IsNaN(total) || math.IsInf(total, 0) {
-		return nil, fmt.Errorf("assign: node core-power budget is non-finite: %g", total)
-	}
 	out := make([]float64, nCores)
+	if err := disaggregateInto(envelope, total, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// disaggregateInto is DisaggregateNodePower for len(out) cores, writing
+// every core's target into out.
+func disaggregateInto(envelope *pwl.Func, total float64, out []float64) error {
+	nCores := len(out)
+	if nCores == 0 {
+		return fmt.Errorf("assign: nCores must be positive, got %d", nCores)
+	}
+	if math.IsNaN(total) || math.IsInf(total, 0) {
+		return fmt.Errorf("assign: node core-power budget is non-finite: %g", total)
+	}
 	if total <= 0 {
-		return out, nil
+		clear(out)
+		return nil
 	}
 	perCore := total / float64(nCores)
 	xs := envelope.X
@@ -38,7 +52,7 @@ func DisaggregateNodePower(envelope *pwl.Func, nCores int, total float64) ([]flo
 		for i := range out {
 			out[i] = xs[len(xs)-1]
 		}
-		return out, nil
+		return nil
 	}
 	// Locate the segment [b_l, b_{l+1}] containing perCore.
 	l := sort.SearchFloat64s(xs, perCore)
@@ -66,7 +80,7 @@ func DisaggregateNodePower(envelope *pwl.Func, nCores int, total float64) ([]flo
 		residual = bh
 	}
 	out[m] = residual
-	return out, nil
+	return nil
 }
 
 // Stage2Node converts per-core power targets into integer P-states for one
@@ -86,9 +100,16 @@ func Stage2Node(nt *model.NodeType, targets []float64, nodeBudget float64) ([]in
 	if len(targets) != nt.NumCores {
 		return nil, fmt.Errorf("assign: node has %d cores, got %d targets", nt.NumCores, len(targets))
 	}
-	powers := nt.CorePowers() // decreasing, last = 0 (off)
-	off := nt.OffState()
 	ps := make([]int, nt.NumCores)
+	stage2NodeInto(nt, nt.CorePowers(), targets, nodeBudget, ps)
+	return ps, nil
+}
+
+// stage2NodeInto is Stage2Node writing each core's P-state into ps, with
+// powers = nt.CorePowers() (decreasing, last = 0 for off) taken by the
+// caller.
+func stage2NodeInto(nt *model.NodeType, powers, targets []float64, nodeBudget float64, ps []int) {
+	off := nt.OffState()
 	for c, target := range targets {
 		// Highest P-state (largest index, lowest power) with power ≥ target.
 		k := off
@@ -124,27 +145,32 @@ func Stage2Node(nt *model.NodeType, targets []float64, nodeBudget float64) ([]in
 		}
 		ps[best]++
 	}
-	return ps, nil
 }
 
 // Stage2 converts the Stage-1 node power assignment into per-core integer
 // P-states for the whole data center, returning a flat slice indexed by
-// global core index.
+// global core index. Each node type's core powers are read once, and every
+// node disaggregates into one reused targets scratch and writes its
+// P-states straight into the result, so a call allocates per node type,
+// not per node.
 func Stage2(dc *model.DataCenter, arrs []*pwl.Func, s1 *Stage1Result) ([]int, error) {
 	out := make([]int, dc.NumCores())
+	powers := make([][]float64, len(dc.NodeTypes))
+	maxCores := 0
+	for typ := range dc.NodeTypes {
+		powers[typ] = dc.NodeTypes[typ].CorePowers()
+		maxCores = max(maxCores, dc.NodeTypes[typ].NumCores)
+	}
+	targets := make([]float64, maxCores)
 	lo := 0
 	for j := range dc.Nodes {
 		nt := dc.NodeType(j)
-		env := arrs[dc.Nodes[j].Type]
-		targets, err := DisaggregateNodePower(env, nt.NumCores, s1.NodeCorePower[j])
-		if err != nil {
+		typ := dc.Nodes[j].Type
+		t := targets[:nt.NumCores]
+		if err := disaggregateInto(arrs[typ], s1.NodeCorePower[j], t); err != nil {
 			return nil, fmt.Errorf("node %d: %w", j, err)
 		}
-		ps, err := Stage2Node(nt, targets, s1.NodePower[j])
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", j, err)
-		}
-		copy(out[lo:], ps)
+		stage2NodeInto(nt, powers[typ], t, s1.NodePower[j], out[lo:lo+nt.NumCores])
 		lo += nt.NumCores
 	}
 	return out, nil

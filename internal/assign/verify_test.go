@@ -1,9 +1,14 @@
 package assign_test
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"thermaldc/internal/assign"
+	"thermaldc/internal/model"
+	"thermaldc/internal/thermal"
 )
 
 func TestVerifyCleanAssignment(t *testing.T) {
@@ -145,5 +150,144 @@ func TestVerifyPowerAndRedlineAmounts(t *testing.T) {
 	}
 	if redlines == 0 {
 		t.Fatal("no plan broke a redline; the redline check went unexercised")
+	}
+}
+
+// sameViolations requires Verify's findings to equal the core-by-core
+// oracle's: the whole slice, in order, with every Amount equal bit for bit.
+func sameViolations(t *testing.T, name string, dc *model.DataCenter, tm *thermal.Model, r *assign.ThreeStageResult, tol float64) []assign.Violation {
+	t.Helper()
+	got := assign.Verify(dc, tm, r, tol)
+	want := assign.VerifyOracle(dc, tm, r, tol)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Verify = %v\noracle  = %v", name, got, want)
+	}
+	for i := range got {
+		if !bitsEq(got[i].Amount, want[i].Amount) {
+			t.Fatalf("%s: violation %d amount %v, oracle %v", name, i, got[i].Amount, want[i].Amount)
+		}
+	}
+	return got
+}
+
+// clonePlan deep-copies the parts of a plan Verify reads.
+func clonePlan(r *assign.ThreeStageResult) *assign.ThreeStageResult {
+	c := *r
+	c.PStates = append([]int(nil), r.PStates...)
+	s1 := *r.Stage1
+	s1.CracOut = append([]float64(nil), r.Stage1.CracOut...)
+	c.Stage1 = &s1
+	s3 := *r.Stage3
+	s3.TC = make([][]float64, len(r.Stage3.TC))
+	for i, row := range r.Stage3.TC {
+		s3.TC[i] = append([]float64(nil), row...)
+	}
+	c.Stage3 = &s3
+	return &c
+}
+
+// tamperPlan breaks a random subset of the plan's constraints: P-state
+// indices out of range, over-utilized cores, work on cores whose ECS is
+// zero (off cores), negative rates, tightened deadlines and arrival
+// rates, a lowered power cap and warmer CRAC outlets. It returns the
+// tampered data-center copy (task types are copied before any change)
+// and plan.
+func tamperPlan(rng *rand.Rand, dc *model.DataCenter, base *assign.ThreeStageResult) (*model.DataCenter, *assign.ThreeStageResult) {
+	d := *dc
+	d.TaskTypes = append([]model.TaskType(nil), dc.TaskTypes...)
+	r := clonePlan(base)
+	tc := r.Stage3.TC
+	ncores := len(r.PStates)
+	pick := func() bool { return rng.Intn(3) == 0 }
+	if pick() {
+		for range 1 + rng.Intn(3) {
+			k := rng.Intn(ncores)
+			r.PStates[k] = []int{-1, d.NodeType(d.CoreNode(k)).OffState() + 1, 99}[rng.Intn(3)]
+		}
+	}
+	if pick() {
+		for range 1 + rng.Intn(5) {
+			tc[rng.Intn(len(tc))][rng.Intn(ncores)] += 10 * rng.Float64()
+		}
+	}
+	if pick() {
+		for k, ps := range r.PStates {
+			if ps == d.NodeType(d.CoreNode(k)).OffState() && rng.Intn(4) == 0 {
+				tc[rng.Intn(len(tc))][k] = rng.Float64()
+			}
+		}
+	}
+	if pick() {
+		tc[rng.Intn(len(tc))][rng.Intn(ncores)] = -rng.Float64()
+	}
+	if pick() {
+		i := rng.Intn(len(d.TaskTypes))
+		d.TaskTypes[i].RelDeadline *= rng.Float64()
+	}
+	if pick() {
+		i := rng.Intn(len(d.TaskTypes))
+		d.TaskTypes[i].ArrivalRate *= 0.5 + 0.5*rng.Float64()
+	}
+	if pick() {
+		d.Pconst *= 0.8 + 0.2*rng.Float64()
+	}
+	if pick() {
+		for i := range r.Stage1.CracOut {
+			r.Stage1.CracOut[i] += 8 * rng.Float64()
+		}
+	}
+	return &d, r
+}
+
+// TestVerifyMatchesOracle holds Verify's one node-blocked pass and banded
+// inlet product to the core-by-core oracle on clean and randomly tampered
+// plans of small scenarios, at a positive and a zero tolerance, and
+// requires the tampering to have exercised every kind of violation.
+func TestVerifyMatchesOracle(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := int64(61); seed < 64; seed++ {
+		sc := smallScenario(t, seed)
+		base, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := sameViolations(t, "clean", sc.DC, sc.Thermal, base, 1e-6); len(vs) != 0 {
+			t.Fatalf("seed %d: clean plan has violations %v", seed, vs)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 60; trial++ {
+			dc, r := tamperPlan(rng, sc.DC, base)
+			for _, tol := range []float64{1e-6, 0} {
+				for _, v := range sameViolations(t, "tampered", dc, sc.Thermal, r, tol) {
+					seen[v.Constraint] = true
+					if strings.HasSuffix(v.Detail, "zero ECS") {
+						seen["zero-ecs"] = true
+					}
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"pstate-range", "utilization", "deadline", "zero-ecs", "arrival", "power", "redline"} {
+		if !seen[kind] {
+			t.Errorf("no tampered plan produced a %q violation", kind)
+		}
+	}
+}
+
+// TestVerifyMatchesOracleFleet compares Verify with the oracle on a 1k-node
+// fleet cap step's plan, clean and tampered.
+func TestVerifyMatchesOracleFleet(t *testing.T) {
+	p := getFleet1k(t)
+	if vs := sameViolations(t, "fleet clean", p.dc, p.tm, p.plan, 1e-6); len(vs) != 0 {
+		t.Fatalf("clean fleet plan has violations %v", vs)
+	}
+	rng := rand.New(rand.NewSource(5))
+	found := 0
+	for trial := 0; trial < 4; trial++ {
+		dc, r := tamperPlan(rng, p.dc, p.plan)
+		found += len(sameViolations(t, "fleet tampered", dc, p.tm, r, 1e-6))
+	}
+	if found == 0 {
+		t.Error("no tampered fleet plan had a violation")
 	}
 }

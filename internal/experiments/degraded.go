@@ -220,6 +220,11 @@ func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedRes
 // folded checkpoint. Either way the summary is identical to an
 // uninterrupted run's — the experiment is deterministic given its seeds.
 func degradedRun(ctx context.Context, cfg DegradedConfig, ck *sweepCheckpoint, key runKey, lvl DegradedLevel, baseRun controller.Config) (runSummary, error) {
+	// One run number per sweep position stamps the run's series rows, span
+	// pids and flight bundles alike. It advances before the journal check,
+	// so a resumed sweep numbers its remaining runs as an uninterrupted
+	// one does.
+	cfg.Recorder.NextRun()
 	if sum, ok := ck.completed(key); ok {
 		return sum, nil
 	}
@@ -253,9 +258,6 @@ func degradedRun(ctx context.Context, cfg DegradedConfig, ck *sweepCheckpoint, k
 		run.Resume = resume
 		run.Checkpoint = ck.sink(key)
 	}
-	// One run number per controller run stamps its series rows, its span
-	// pids and its flight bundles alike.
-	cfg.Recorder.NextRun()
 	r, err := controller.RunContext(ctx, sc.DC, schedule, tasks, run)
 	if err != nil {
 		return runSummary{}, err

@@ -1,15 +1,20 @@
 package experiments_test
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"thermaldc/internal/experiments"
 	"thermaldc/internal/persist"
 	"thermaldc/internal/solvererr"
+	"thermaldc/internal/telemetry"
 )
 
 // persistSweepConfig is a small sweep with enough epochs per closed run
@@ -106,6 +111,57 @@ func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 				t.Errorf("resumed table diverges from the uninterrupted run:\n%s\nwant:\n%s", got, golden)
 			}
 		})
+	}
+}
+
+// seriesRuns runs the sweep with a series sink and returns the (run,
+// epoch) pair of every row it writes; crashAfter > 0 kills the sweep after
+// that durable commit, as `tapo degraded -crash-after` does.
+func seriesRuns(t *testing.T, cfg experiments.DegradedConfig, crashAfter int) [][2]int {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Recorder = &telemetry.Recorder{Series: telemetry.NewJSONLWriter(&buf)}
+	if crashAfter > 0 {
+		crashed, err := runWithCrash(cfg, crashAfter)
+		if err != nil || !crashed {
+			t.Fatalf("pre-crash sweep: crashed=%v err=%v", crashed, err)
+		}
+	} else if _, err := experiments.DegradedSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][2]int
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var s telemetry.EpochSample
+		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, [2]int{s.Run, s.Epoch})
+	}
+	return rows
+}
+
+// TestDegradedSweepResumeKeepsRunNumbers: a sweep killed mid-run and
+// resumed must stamp its remaining series rows with the run numbers the
+// uninterrupted sweep gives them, so the two halves of a crashed sweep's
+// series concatenate to the uninterrupted series.
+func TestDegradedSweepResumeKeepsRunNumbers(t *testing.T) {
+	base := persistSweepConfig()
+	full := seriesRuns(t, base, 0)
+	if n := len(full); n == 0 || full[n-1][0] != 2*len(base.Levels) {
+		t.Fatalf("uninterrupted series rows %v, want the last from run %d", full, 2*len(base.Levels))
+	}
+
+	cfg := base
+	cfg.CheckpointDir = filepath.Join(t.TempDir(), "ck")
+	before := seriesRuns(t, cfg, 5)
+	cfg.Resume = true
+	after := seriesRuns(t, cfg, 0)
+	if len(after) == 0 {
+		t.Fatal("resumed sweep wrote no series rows")
+	}
+	if got := append(before, after...); !reflect.DeepEqual(got, full) {
+		t.Errorf("crashed %v + resumed %v series rows (run, epoch), want %v", before, after, full)
 	}
 }
 

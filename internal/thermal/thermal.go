@@ -43,6 +43,12 @@ type Model struct {
 	tinFromCRAC *linalg.Matrix
 	g           *linalg.Matrix
 
+	// gLo and gHi bound row t's nonzero band: every entry of g's row t
+	// outside columns [gLo[t], gHi[t]) is an exact zero (an all-zero row
+	// has an empty band). A zoned fleet's G is block-diagonal, so G·PCN
+	// over each row's band costs its zone's nodes only.
+	gLo, gHi []int32
+
 	// flows caches dc.Flows() — invariant after construction and needed on
 	// every CRAC-power evaluation in the temperature-search hot path.
 	flows []float64
@@ -101,15 +107,65 @@ func New(dc *model.DataCenter) (*Model, error) {
 		return nil, fmt.Errorf("thermal: solving power sensitivity: %w", err)
 	}
 
+	g := a.Mul(outFromPower)
+	gLo, gHi := rowBands(g)
 	return &Model{
 		dc:           dc,
 		a:            a,
 		outFromCRAC:  outFromCRAC,
 		outFromPower: outFromPower,
 		tinFromCRAC:  a.Mul(outFromCRAC),
-		g:            a.Mul(outFromPower),
+		g:            g,
+		gLo:          gLo,
+		gHi:          gHi,
 		flows:        flows,
 	}, nil
+}
+
+// rowBands returns, for each row of m, the first nonzero column and one
+// past the last (both 0 for an all-zero row).
+func rowBands(m *linalg.Matrix) (lo, hi []int32) {
+	lo = make([]int32, m.Rows)
+	hi = make([]int32, m.Rows)
+	for r := range lo {
+		row := m.Row(r)
+		first, last := 0, len(row)
+		for first < last && row[first] == 0 {
+			first++
+		}
+		for last > first && row[last-1] == 0 {
+			last--
+		}
+		if first == last {
+			first, last = 0, 0
+		}
+		lo[r], hi[r] = int32(first), int32(last)
+	}
+	return lo, hi
+}
+
+// mulGInto computes G·pcn into dst (reused when capacity allows), summing
+// each row over its nonzero band only, in column order. Every product
+// skipped is an exact ±0 for finite pcn, and a sum that starts at +0
+// never becomes −0 under round-to-nearest, so adding ±0 changes nothing:
+// the result is bit-identical to the dense product.
+func (m *Model) mulGInto(pcn, dst []float64) []float64 {
+	if cap(dst) >= m.g.Rows {
+		dst = dst[:m.g.Rows]
+	} else {
+		dst = make([]float64, m.g.Rows)
+	}
+	for r := range dst {
+		lo, hi := m.gLo[r], m.gHi[r]
+		row := m.g.Row(r)[lo:hi]
+		x := pcn[lo:hi]
+		s := 0.0
+		for c, v := range row {
+			s += v * x[c]
+		}
+		dst[r] = s
+	}
+	return dst
 }
 
 // A returns the heat-distribution matrix of Equation 5 (read-only).
@@ -136,12 +192,13 @@ func (m *Model) InletBaseInto(cracOut, dst []float64) []float64 {
 
 // InletTemps returns all inlet temperatures (thermal-index order) for the
 // given CRAC outlet temperatures and node powers PCN (kW, including base
-// power).
+// power). The G·PCN term sums each row of G over its nonzero band only;
+// for finite PCN that equals the dense product bit for bit.
 func (m *Model) InletTemps(cracOut, pcn []float64) []float64 {
 	m.checkCRACLen(cracOut)
 	m.checkNodeLen(pcn)
 	tin := m.tinFromCRAC.MulVec(cracOut)
-	gp := m.g.MulVec(pcn)
+	gp := m.mulGInto(pcn, nil)
 	for i := range tin {
 		tin[i] += gp[i]
 	}
@@ -157,7 +214,7 @@ func (m *Model) InletTempsInto(cracOut, pcn, dst, gp []float64) (tin, gpOut []fl
 	m.checkCRACLen(cracOut)
 	m.checkNodeLen(pcn)
 	tin = m.tinFromCRAC.MulVecInto(cracOut, dst)
-	gp = m.g.MulVecInto(pcn, gp)
+	gp = m.mulGInto(pcn, gp)
 	for i := range tin {
 		tin[i] += gp[i]
 	}
