@@ -35,18 +35,19 @@ race:
 # with invariant checks (also behind the slow tag), short fuzz smokes on
 # the workload parser, the LU factorizer, the checkpoint journal decoder,
 # the -faults level parser, the scheduler's dispatch index (held to the
-# candidate scan on decoded data centers and task streams) and the
+# candidate scan on decoded data centers and task streams), the
 # controller's resume boundary (damaged checkpoints must fail with an error,
-# never a panic), the simplex and fleet-scaling performance
+# never a panic), the concave-envelope builder and the knapsack LP (held to
+# its greedy optimum), the simplex and fleet-scaling performance
 # gates (the fleet family includes the zone-warm-resolve 0-allocs gate),
 # the benchmark harness's own tests (perfbench/ is a separate module, so the
 # root `go test ./...` never builds it; an API change that breaks the
 # benchmark fails here), a short instrumented degraded run whose exported
 # time series must pass cmd/tscheck's schema validation and whose Chrome trace must pass
-# `tapo trace lint`, a flight-recorder smoke (a 1ns
-# solve budget forces the ladder onto a safe rung every epoch; at least one
-# bundle must exist and parse via `tapo flight`, and with no -metrics-out
-# every bundle must still carry its run number, never run=0), and a crash-recovery
+# `tapo trace lint`, a forced-ladder smoke (a 1ns
+# solve budget forces the ladder off the warm rung; the exported series must
+# pass cmd/tscheck and at least one row must name a rung other than warm),
+# and a crash-recovery
 # smoke: a checkpointed sweep is killed mid-run after its 5th durable
 # commit, then resumed, and the resumed table must byte-match an
 # uninterrupted run's.
@@ -67,6 +68,8 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
 	$(GO) test -run '^$$' -fuzz FuzzScheduleIndex -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzResumeCheckpoint -fuzztime 10s ./internal/controller
+	$(GO) test -run '^$$' -fuzz FuzzConcaveEnvelope -fuzztime 10s ./internal/pwl
+	$(GO) test -run '^$$' -fuzz FuzzKnapsackLP -fuzztime 10s ./internal/linprog
 	$(MAKE) bench-compare BENCHTIME=1x
 	cd perfbench && $(GO) test -count=1 ./...
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
@@ -74,14 +77,12 @@ ci:
 		-trace-out /tmp/tapo-ci-trace.json > /dev/null
 	$(GO) run ./cmd/tscheck /tmp/tapo-ci-metrics.jsonl
 	$(GO) run ./cmd/tapo trace lint /tmp/tapo-ci-trace.json
-	rm -rf /tmp/tapo-ci-flight
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -solve-timeout 1ns \
-		-flight-dir /tmp/tapo-ci-flight > /dev/null
-	$(GO) run ./cmd/tapo flight /tmp/tapo-ci-flight > /tmp/tapo-ci-flight.txt
-	cat /tmp/tapo-ci-flight.txt
-	if grep -q ' run=0 ' /tmp/tapo-ci-flight.txt; then \
-		echo "flight-recorder smoke: a bundle carries run=0"; exit 1; fi
+		-metrics-out /tmp/tapo-ci-ladder.jsonl > /dev/null
+	$(GO) run ./cmd/tscheck /tmp/tapo-ci-ladder.jsonl
+	if ! grep -o '"rung":"[^"]*"' /tmp/tapo-ci-ladder.jsonl | grep -qv '"rung":"warm"'; then \
+		echo "forced-ladder smoke: no epoch left the warm rung"; exit 1; fi
 	$(GO) build -o /tmp/tapo-ci ./cmd/tapo
 	rm -rf /tmp/tapo-ci-ck
 	/tmp/tapo-ci degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \

@@ -15,14 +15,13 @@
 //	tapo degraded [-trials N] [-nodes N] [-cracs N] [-horizon SEC]
 //	              [-epoch SEC] [-faults nodes:cracs,...] [-solve-timeout DUR]
 //	              [-metrics-out FILE] [-checkpoint DIR] [-resume DIR]
-//	              [-trace-out FILE] [-flight-dir DIR]
+//	              [-trace-out FILE]
 //	tapo trace    [lint] FILE...
-//	tapo flight   DIR
 //
 // Global flags (before the command): -log-level/-log-json tune the
 // structured logger, -cpuprofile/-memprofile write pprof profiles. Per-run
 // telemetry comes from `degraded`: -metrics-out (a per-epoch JSONL series,
-// checked by cmd/tscheck), -trace-out (a Chrome trace) and -flight-dir.
+// checked by cmd/tscheck) and -trace-out (a Chrome trace).
 //
 // SIGINT/SIGTERM cancel the run at the next epoch or trial boundary and
 // exit 130; a second signal forces immediate exit. With `degraded
@@ -50,7 +49,6 @@ import (
 
 	"thermaldc/internal/assign"
 	"thermaldc/internal/experiments"
-	"thermaldc/internal/flightrec"
 	"thermaldc/internal/persist"
 	"thermaldc/internal/report"
 	"thermaldc/internal/scenario"
@@ -168,8 +166,6 @@ func run() int {
 		err = runBurst(ctx, args)
 	case "trace":
 		err = runTrace(args)
-	case "flight":
-		err = runFlight(args)
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -236,7 +232,6 @@ commands:
   burst     MMPP arrival-burstiness sweep over both scheduler policies
   trace     summarize ("trace FILE") or lint ("trace lint FILE...") a
             Chrome trace written by "degraded -trace-out"
-  flight    validate and summarize flight-recorder bundles in a directory
 
 global flags (before the command):
   -cpuprofile FILE     write a CPU profile (inspect with go tool pprof)
@@ -546,9 +541,6 @@ func runDegraded(ctx context.Context, args []string) error {
 	crashAfter := fs.Int("crash-after", 0, "TESTING: exit hard right after the Nth durable commit (requires -checkpoint)")
 	traceOut := fs.String("trace-out", "", "write a Chrome/Perfetto trace of the solve pipeline to this file (open at ui.perfetto.dev)")
 	traceCap := fs.Int("trace-cap", 0, "span ring capacity for -trace-out (0 = default; the trace keeps the most recent spans)")
-	flightDir := fs.String("flight-dir", "", "dump a diagnostic flight-recorder bundle to this directory on every degraded epoch")
-	flightMax := fs.Int("flight-max", flightrec.DefaultMaxBundles, "keep at most N flight bundles, pruning the oldest")
-	flightInterval := fs.Duration("flight-interval", flightrec.DefaultMinInterval, "minimum wall time between flight bundles (rate limit)")
 	searchPar := searchParFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -584,7 +576,7 @@ func runDegraded(ctx context.Context, args []string) error {
 			}
 		}
 	}
-	if *metricsOut != "" || *traceOut != "" || *flightDir != "" {
+	if *metricsOut != "" || *traceOut != "" {
 		cfg.Recorder = telemetry.NewRecorder()
 	}
 	var mf *persist.AtomicFile
@@ -598,21 +590,8 @@ func runDegraded(ctx context.Context, args []string) error {
 		defer mf.Abort() // no-op after Commit; discards a torn series on error
 		cfg.Recorder.Series = telemetry.NewJSONLWriter(mf)
 	}
-	if *traceOut != "" || *flightDir != "" {
-		// Both the trace export and the flight recorder read the span ring,
-		// so either flag enables tracing.
+	if *traceOut != "" {
 		cfg.Recorder.Trace = telemetry.NewTracer(*traceCap)
-	}
-	if *flightDir != "" {
-		fr, frErr := flightrec.New(flightrec.Config{
-			Dir:         *flightDir,
-			MaxBundles:  *flightMax,
-			MinInterval: *flightInterval,
-		})
-		if frErr != nil {
-			return frErr
-		}
-		cfg.FlightRec = fr
 	}
 	res, err := experiments.DegradedSweepContext(ctx, cfg)
 	if err != nil {
@@ -640,11 +619,6 @@ func runDegraded(ctx context.Context, args []string) error {
 			return err
 		}
 		telemetry.Default().Info("wrote " + *traceOut)
-	}
-	if cfg.FlightRec != nil {
-		recorded, dropped := cfg.FlightRec.Stats()
-		telemetry.Default().Info("flight recorder done",
-			"dir", *flightDir, "bundles", recorded, "rate_limited", dropped)
 	}
 	return nil
 }

@@ -5,10 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
-	"thermaldc/internal/flightrec"
 	"thermaldc/internal/telemetry"
 )
 
@@ -173,43 +171,4 @@ func summarizeEpoch(ct *telemetry.ChromeTrace, ep telemetry.ChromeEvent) {
 	}
 	fmt.Printf("  %-4d %-6d %10.1f %11.1f %11.1f %9s %8d %9d\n",
 		ep.PID, ep.Args.Label, ep.Dur, controlUS, totalWorkerUS, busy, solves, pivots)
-}
-
-// runFlight implements `tapo flight DIR`: it validates every flight
-// bundle in DIR (parse + required fields) and prints a one-line summary
-// per bundle. Missing or empty directories are an error so CI smokes
-// fail loudly when the recorder produced nothing.
-func runFlight(args []string) error {
-	fs := flag.NewFlagSet("flight", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return errors.New("usage: tapo flight DIR")
-	}
-	dir := fs.Arg(0)
-	paths, err := flightrec.List(dir)
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no flight bundles in %s", dir)
-	}
-	fmt.Printf("%s: %d bundle(s)\n", dir, len(paths))
-	for _, path := range paths {
-		b, err := flightrec.ReadBundle(path)
-		if err != nil {
-			return fmt.Errorf("%s: %w", filepath.Base(path), err)
-		}
-		fmt.Printf("  %s: reason=%s run=%d epoch=%d violations=%d spans=%d",
-			filepath.Base(path), b.Reason, b.Run, b.Epoch, b.Violations, len(b.Spans))
-		if b.Rung != "" {
-			fmt.Printf(" rung=%s", b.Rung)
-		}
-		if b.ErrKind != "" {
-			fmt.Printf(" err=%s", b.ErrKind)
-		}
-		fmt.Println()
-	}
-	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"thermaldc/internal/flightrec"
 )
 
 // degradedScale is the tiny fault sweep every observability test drives.
@@ -56,31 +54,5 @@ func TestRunTraceErrors(t *testing.T) {
 	}
 	if err := runTrace([]string{"lint", junk}); err == nil || !strings.Contains(err.Error(), "ph") {
 		t.Fatalf("malformed trace passed lint: %v", err)
-	}
-}
-
-func TestRunDegradedFlightDir(t *testing.T) {
-	dir := t.TempDir() + "/flight"
-	// A 1ns solve budget times out every epoch, marching the ladder to a
-	// safe rung — guaranteed flight-recorder triggers.
-	args := append([]string{"-solve-timeout", "1ns", "-flight-dir", dir}, degradedScale...)
-	if err := runDegraded(context.Background(), args); err != nil {
-		t.Fatal(err)
-	}
-	paths, err := flightrec.List(dir)
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no flight bundles: %v", err)
-	}
-	if err := runFlight([]string{dir}); err != nil {
-		t.Fatalf("flight summary failed: %v", err)
-	}
-}
-
-func TestRunFlightErrors(t *testing.T) {
-	if err := runFlight(nil); err == nil {
-		t.Fatal("flight with no dir accepted")
-	}
-	if err := runFlight([]string{t.TempDir()}); err == nil {
-		t.Fatal("empty dir accepted")
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"thermaldc/internal/assign"
 	"thermaldc/internal/faults"
-	"thermaldc/internal/flightrec"
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
 	"thermaldc/internal/sched"
@@ -97,15 +96,6 @@ type Config struct {
 	// run. Nil — the default — keeps the run on the unpersisted fast path.
 	// Closed loop only: open-loop runs are single-shot and restart instead.
 	Checkpoint CheckpointSink
-	// FlightRec, when non-nil, arms the failure flight recorder (closed
-	// loop only): any epoch that engages the degradation ladder above
-	// warm, fails plan verification, or ends with a classified solver
-	// error dumps a diagnostic bundle — recent spans, the epoch's sample,
-	// fault state, LP stats — to the recorder's directory (rate-limited
-	// and bounded; see internal/flightrec). Dump failures are logged,
-	// never fatal: the black box must not take down the plane. Telemetry
-	// never changes results.
-	FlightRec *flightrec.Recorder
 	// Resume, when non-nil, restores a closed-loop run from a checkpoint
 	// instead of starting at t = 0: the loop continues at the next epoch
 	// boundary and the remaining intervals compute bit-identically to an
@@ -332,7 +322,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 	bounds := boundaries(schedule, cfg.Horizon, cfg.Epoch)
 	res := &Result{Mode: cfg.Mode, Horizon: cfg.Horizon, ResultState: newResultState()}
 	ls := LoopState{Faults: faults.NewState(base.NCRAC(), base.NCN()), FreeAt: make([]float64, base.NumCores())}
-	p := &truthPlant{}
+	p := newTruthPlant(base)
 	tr := cfg.Recorder.Tracer()
 	series := cfg.Recorder.SeriesSink()
 
@@ -445,9 +435,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 				return nil, err
 			}
 		}
-		if err := p.update(base, st, plan); err != nil {
-			return nil, err
-		}
+		p.update(plannerDC, plannerTM, st, plan)
 		lo := ls.TaskIdx
 		for ls.TaskIdx < len(tasks) && tasks[ls.TaskIdx].Arrival < b {
 			ls.TaskIdx++
@@ -465,14 +453,11 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		rep.Plan = plan
 		rep.setOutcome(out)
 		res.fold(&rep)
-		var samp *telemetry.EpochSample
-		if series != nil || cfg.FlightRec != nil {
-			samp = epochSample(cfg.Recorder.Run(), len(res.Epochs)-1, &rep, p)
+		if series != nil {
+			if err := series.Write(epochSample(cfg.Recorder.Run(), len(res.Epochs)-1, &rep, p)); err != nil {
+				return nil, err
+			}
 		}
-		if err := series.Write(samp); err != nil {
-			return nil, err
-		}
-		recordFlight(cfg, &rep, st, samp)
 		if cfg.Checkpoint != nil {
 			d := &EpochDelta{LoopState: ls.clone(), Report: rep}
 			d.SchedCounts, d.SchedStart = s.Counts(), s.StartTime()
@@ -689,10 +674,8 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 	}
 
 	st := faults.NewState(base.NCRAC(), base.NCN())
-	p := &truthPlant{}
-	if err := p.update(base, st, plan); err != nil {
-		return nil, err
-	}
+	p := newTruthPlant(base)
+	p.update(base, tm, st, plan) // healthy until the first hook fires
 	var hookErr error
 	var hooks []sim.Hook
 	for _, e := range schedule.Events {
@@ -702,7 +685,7 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 		e := e
 		hooks = append(hooks, sim.Hook{Time: e.Time, Fire: func(now float64) {
 			st.Apply(e)
-			if err := p.update(base, st, plan); err != nil && hookErr == nil {
+			if err := p.project(base, st, plan); err != nil && hookErr == nil {
 				hookErr = err
 			}
 		}})

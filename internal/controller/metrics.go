@@ -18,8 +18,7 @@ func errBit(err error) int32 {
 // over it. The plant is piecewise-constant over the interval, so the
 // sample is exact, not an instant snapshot. The per-sensor headroom
 // aliases the plant's scratch: the sample is valid until the next one is
-// built, which is long enough for the series sink and the flight
-// recorder.
+// built, which is long enough for the series sink.
 func epochSample(run, epoch int, rep *EpochReport, p *truthPlant) *telemetry.EpochSample {
 	power, cap, by := p.headroom()
 	worst := 0.0

@@ -11,24 +11,47 @@ import (
 )
 
 // truthPlant is the physical data center as the simulator's telemetry sees
-// it: the truth-view degraded model (real redlines, real flows) evaluated
-// at the plan currently in force. The paper's power model is
-// utilization-independent, so the plant is piecewise-constant between
-// updates and sampling at update instants captures the exact maxima.
+// it: the degraded model (real redlines, real flows) evaluated at the plan
+// currently in force. The paper's power model is utilization-independent,
+// so the plant is piecewise-constant between updates and sampling at
+// update instants captures the exact maxima.
 type truthPlant struct {
 	tm      *thermal.Model
-	redline []float64
+	redline []float64 // the base redlines: sensor bias never moves the real ones
 	cap     float64
 	cracOut []float64
 	pcn     []float64
 	by      []float64 // headroom scratch
 }
 
-// update re-projects the plant after a state or plan change. Dead nodes
+func newTruthPlant(base *model.DataCenter) *truthPlant {
+	return &truthPlant{redline: base.Redline()}
+}
+
+// update points the plant at plan on a degraded model of the plant's
+// current state. The Truth and Planner projections differ only in their
+// redlines, which the plant takes from the base, so dc and tm may be
+// either view: thermal.New reads only α, flows and dimensions. Dead nodes
 // draw nothing — their plan P-states are irrelevant to the physics — so
 // their node power is zeroed regardless of what the (possibly stale,
 // open-loop) plan assigns them.
-func (p *truthPlant) update(base *model.DataCenter, st *faults.State, plan *assign.ThreeStageResult) error {
+func (p *truthPlant) update(dc *model.DataCenter, tm *thermal.Model, st *faults.State, plan *assign.ThreeStageResult) {
+	pcn := assign.NodePowersFromPStates(dc, plan.PStates)
+	for j, failed := range st.NodeFailed {
+		if failed {
+			pcn[j] = 0
+		}
+	}
+	p.tm = tm
+	p.cap = dc.Pconst
+	p.cracOut = plan.Stage1.CracOut
+	p.pcn = pcn
+}
+
+// project rebuilds the truth-view model of base under st and points the
+// plant at plan on it: the open loop's fault hooks, which have no planner
+// model to share.
+func (p *truthPlant) project(base *model.DataCenter, st *faults.State, plan *assign.ThreeStageResult) error {
 	truth, err := st.Degrade(base, faults.Truth)
 	if err != nil {
 		return err
@@ -37,17 +60,7 @@ func (p *truthPlant) update(base *model.DataCenter, st *faults.State, plan *assi
 	if err != nil {
 		return err
 	}
-	pcn := assign.NodePowersFromPStates(truth, plan.PStates)
-	for j, failed := range st.NodeFailed {
-		if failed {
-			pcn[j] = 0
-		}
-	}
-	p.tm = tm
-	p.redline = truth.Redline()
-	p.cap = truth.Pconst
-	p.cracOut = plan.Stage1.CracOut
-	p.pcn = pcn
+	p.update(truth, tm, st, plan)
 	return nil
 }
 

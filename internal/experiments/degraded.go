@@ -10,7 +10,6 @@ import (
 	"thermaldc/internal/assign"
 	"thermaldc/internal/controller"
 	"thermaldc/internal/faults"
-	"thermaldc/internal/flightrec"
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/scenario"
 	"thermaldc/internal/stats"
@@ -51,14 +50,9 @@ type DegradedConfig struct {
 	SolveTimeout time.Duration
 	// Recorder, when non-nil, threads telemetry through every controller
 	// run of the sweep (closed and open loop). Each run takes a fresh run
-	// number (Recorder.NextRun), which its series rows, span pids and
-	// flight bundles carry.
+	// number (Recorder.NextRun), which its series rows and span pids
+	// carry.
 	Recorder *telemetry.Recorder
-	// FlightRec, when non-nil, arms the failure flight recorder on every
-	// closed-loop run of the sweep (see controller.Config.FlightRec).
-	// Excluded from the checkpoint run tag, like all telemetry: it never
-	// changes results.
-	FlightRec *flightrec.Recorder
 	// CheckpointDir, when non-empty, makes the sweep crash-safe: every
 	// completed closed-loop epoch and finished run is committed durably to
 	// a journal in this directory (see internal/persist), with periodic
@@ -155,7 +149,6 @@ func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedRes
 	baseRun.Assign = cfg.Options
 	baseRun.SolveTimeout = cfg.SolveTimeout
 	baseRun.Recorder = cfg.Recorder
-	baseRun.FlightRec = cfg.FlightRec
 	ck, err := openSweepCheckpoint(cfg)
 	if err != nil {
 		return nil, err
@@ -220,8 +213,8 @@ func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedRes
 // folded checkpoint. Either way the summary is identical to an
 // uninterrupted run's — the experiment is deterministic given its seeds.
 func degradedRun(ctx context.Context, cfg DegradedConfig, ck *sweepCheckpoint, key runKey, lvl DegradedLevel, baseRun controller.Config) (runSummary, error) {
-	// One run number per sweep position stamps the run's series rows, span
-	// pids and flight bundles alike. It advances before the journal check,
+	// One run number per sweep position stamps the run's series rows and
+	// span pids alike. It advances before the journal check,
 	// so a resumed sweep numbers its remaining runs as an uninterrupted
 	// one does.
 	cfg.Recorder.NextRun()

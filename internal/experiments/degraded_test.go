@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"thermaldc/internal/experiments"
-	"thermaldc/internal/flightrec"
 	"thermaldc/internal/telemetry"
 )
 
@@ -90,11 +89,10 @@ func TestDegradedSweepRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestDegradedSweepFlightBundlesCarryRuns: with a tracer and a flight
-// recorder but no series sink, each closed-loop run's bundles must carry
-// that run's number (never 0), distinct per run and equal to the trace
-// pid of the spans the run recorded.
-func TestDegradedSweepFlightBundlesCarryRuns(t *testing.T) {
+// TestDegradedSweepSpansCarryRuns: with a tracer but no series sink, each
+// closed-loop run's spans must carry one run number, at least 1 and
+// distinct per run, so the trace's pids separate the sweep's runs.
+func TestDegradedSweepSpansCarryRuns(t *testing.T) {
 	cfg := experiments.DefaultDegradedConfig(3)
 	cfg.NNodes = 10
 	cfg.Trials = 1
@@ -102,44 +100,37 @@ func TestDegradedSweepFlightBundlesCarryRuns(t *testing.T) {
 	cfg.Epoch = 10
 	cfg.Levels = []experiments.DegradedLevel{{0, 0}, {2, 1}}
 	cfg.SolveTimeout = time.Nanosecond // every re-solve falls to a safe rung
-	tr := telemetry.NewTracer(0)
+	const capacity = 1 << 14
+	tr := telemetry.NewTracer(capacity)
 	cfg.Recorder = &telemetry.Recorder{Trace: tr}
-	dir := t.TempDir()
-	fr, err := flightrec.New(flightrec.Config{Dir: dir, MaxBundles: 1000, MinInterval: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.FlightRec = fr
 	if _, err := experiments.DegradedSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
+	if n := tr.Count(); n > capacity {
+		t.Fatalf("%d spans overflowed the %d-span ring", n, capacity)
+	}
 
-	paths, err := flightrec.List(dir)
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("bundle listing = %v, %v", paths, err)
-	}
-	pids := map[int32]bool{}
+	// Only the closed loop records epoch spans, and each run's epoch
+	// labels restart at 0.
+	var runs []int32
 	for _, s := range tr.Snapshot() {
-		pids[s.Run] = true
-	}
-	runs := map[int]bool{}
-	for _, path := range paths {
-		b, err := flightrec.ReadBundle(path)
-		if err != nil {
-			t.Fatal(err)
+		if s.Kind != telemetry.SpanEpoch {
+			continue
 		}
-		if b.LastSample == nil {
-			t.Fatalf("%s carries no epoch sample", path)
+		if s.Label == 0 {
+			runs = append(runs, s.Run)
+		} else if len(runs) == 0 || s.Run != runs[len(runs)-1] {
+			t.Errorf("epoch %d span carries run %d, not its run's (runs so far %v)", s.Label, s.Run, runs)
 		}
-		if b.Run < 1 || b.LastSample.Run != b.Run {
-			t.Errorf("%s: run %d, sample run %d; want them equal and at least 1", path, b.Run, b.LastSample.Run)
-		}
-		if n := len(b.Spans); n == 0 || int(b.Spans[n-1].Run) != b.Run || !pids[int32(b.Run)] {
-			t.Errorf("%s: run %d does not match the pid of its latest span", path, b.Run)
-		}
-		runs[b.Run] = true
 	}
 	if len(runs) != len(cfg.Levels)*cfg.Trials {
-		t.Errorf("bundles carry runs %v, want one distinct run per closed-loop run (%d)", runs, len(cfg.Levels)*cfg.Trials)
+		t.Fatalf("epoch spans start %d runs %v, want one per closed-loop run (%d)", len(runs), runs, len(cfg.Levels)*cfg.Trials)
+	}
+	seen := map[int32]bool{}
+	for _, r := range runs {
+		if r < 1 || seen[r] {
+			t.Errorf("closed-loop runs carry %v; want distinct numbers of at least 1", runs)
+		}
+		seen[r] = true
 	}
 }

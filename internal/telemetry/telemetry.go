@@ -21,8 +21,8 @@
 //     machine-readable output.
 //
 // The Recorder also owns the run number (NextRun) that separates the
-// controller runs of a sweep: series rows, span pids and flight bundles
-// all read it from there.
+// controller runs of a sweep: series rows and span pids both read it
+// from there.
 //
 // Everything is nil-safe: a nil *Recorder (and nil components) disables
 // the layer at the cost of one pointer comparison per call site.
@@ -54,9 +54,9 @@ func NewRecorder() *Recorder {
 }
 
 // NextRun advances the run number and returns it. Sweeps call it once
-// before each controller run; the run's series rows and flight bundles
-// carry Run() and its spans carry it as their Span.Run, so one run number
-// ties the three outputs together. Nil-safe (returns 0).
+// before each controller run; the run's series rows carry Run() and its
+// spans carry it as their Span.Run, so one run number ties the two
+// outputs together. Nil-safe (returns 0).
 func (r *Recorder) NextRun() int {
 	if r == nil {
 		return 0
