@@ -37,10 +37,13 @@ race:
 # the -faults level parser, the scheduler's dispatch index (held to the
 # candidate scan on decoded data centers and task streams), the
 # controller's resume boundary (damaged checkpoints must fail with an error,
-# never a panic), the concave-envelope builder and the knapsack LP (held to
-# its greedy optimum), the simplex and fleet-scaling performance
-# gates (the fleet family includes the zone-warm-resolve 0-allocs gate),
-# the benchmark harness's own tests (perfbench/ is a separate module, so the
+# never a panic), the sweep's journal replay (CRC-valid records with
+# arbitrary payloads must recover or fail as corrupt, never panic; its
+# seeds are real ~30 KB journal records, too long for the quadratic input
+# minimizer, so minimization is off), the concave-envelope builder and the
+# knapsack LP (held to its greedy optimum), the simplex and fleet-scaling
+# performance gates at 1x into /tmp (the fleet family includes the
+# zone-warm-resolve 0-allocs gate), the benchmark harness's own tests (perfbench/ is a separate module, so the
 # root `go test ./...` never builds it; an API change that breaks the
 # benchmark fails here), a short instrumented degraded run whose exported
 # time series must pass cmd/tscheck's schema validation and whose Chrome trace must pass
@@ -68,9 +71,11 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
 	$(GO) test -run '^$$' -fuzz FuzzScheduleIndex -fuzztime 10s ./internal/sched
 	$(GO) test -run '^$$' -fuzz FuzzResumeCheckpoint -fuzztime 10s ./internal/controller
+	$(GO) test -run '^$$' -fuzz FuzzSweepReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzConcaveEnvelope -fuzztime 10s ./internal/pwl
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackLP -fuzztime 10s ./internal/linprog
-	$(MAKE) bench-compare BENCHTIME=1x
+	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json)
+	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),/tmp/tapo-ci-bench-fleet.json)
 	cd perfbench && $(GO) test -count=1 ./...
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -metrics-out /tmp/tapo-ci-metrics.jsonl \
@@ -102,16 +107,20 @@ bench:
 # allocation subbenchmarks, then fails if the warm scratch path allocates
 # or the flat solver regresses below the legacy rebuild path. The fleet pass
 # records the 1k/10k-node zone-decomposed solves and fails if ns/node
-# grows super-linearly with fleet size. BENCHTIME=1x (as in `make ci`)
-# keeps it quick; the default 3x smooths scheduler noise.
+# grows super-linearly with fleet size. bench-compare records the tracked
+# baselines BENCH_simplex.json and BENCH_fleet.json at the default 3x, which
+# smooths scheduler noise; `make ci` runs the same gates at 1x into /tmp,
+# leaving the baselines alone.
 BENCHTIME ?= 3x
 FLEETBENCHTIME ?= 1x
+SIMPLEX_BENCH = 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-parallel|solver-warm-epoch|warm-resolve-allocs)'
+FLEET_BENCH = 'FleetStage1'
+# $(call bench-gate,regex,benchtime,file) runs one benchmark family into
+# file as JSON and gates it with cmd/benchcheck.
+bench-gate = $(GO) test -run '^$$' -bench $(1) -benchtime $(2) -json . > $(3) && $(GO) run ./cmd/benchcheck $(3)
 bench-compare:
-	$(GO) test -run '^$$' -bench 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-parallel|solver-warm-epoch|warm-resolve-allocs)' \
-		-benchtime $(BENCHTIME) -json . > BENCH_simplex.json
-	$(GO) run ./cmd/benchcheck BENCH_simplex.json
-	$(GO) test -run '^$$' -bench 'FleetStage1' -benchtime $(FLEETBENCHTIME) -json . > BENCH_fleet.json
-	$(GO) run ./cmd/benchcheck BENCH_fleet.json
+	$(call bench-gate,$(SIMPLEX_BENCH),$(BENCHTIME),BENCH_simplex.json)
+	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),BENCH_fleet.json)
 
 # The paper's headline experiment at full scale (25 trials, 150 nodes,
 # 3 CRACs); takes ~10 minutes on one core.

@@ -537,7 +537,6 @@ func runDegraded(ctx context.Context, args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write a per-epoch JSONL time series (one run per trial×mode) to this file")
 	checkpointDir := fs.String("checkpoint", "", "journal every completed epoch to this directory; a killed sweep resumes with -resume")
 	resumeDir := fs.String("resume", "", "resume a killed sweep from this checkpoint directory (config must match)")
-	snapEvery := fs.Int("snapshot-every", 0, "compact the checkpoint journal every N commits (0 = default, negative = never)")
 	crashAfter := fs.Int("crash-after", 0, "TESTING: exit hard right after the Nth durable commit (requires -checkpoint)")
 	traceOut := fs.String("trace-out", "", "write a Chrome/Perfetto trace of the solve pipeline to this file (open at ui.perfetto.dev)")
 	traceCap := fs.Int("trace-cap", 0, "span ring capacity for -trace-out (0 = default; the trace keeps the most recent spans)")
@@ -556,7 +555,6 @@ func runDegraded(ctx context.Context, args []string) error {
 	cfg.SolveTimeout = *solveTimeout
 	cfg.Options.Search.Parallelism = *searchPar
 	cfg.CheckpointDir = *checkpointDir
-	cfg.SnapshotEvery = *snapEvery
 	if *resumeDir != "" {
 		if *checkpointDir != "" && *checkpointDir != *resumeDir {
 			return fmt.Errorf("-checkpoint %q and -resume %q name different directories", *checkpointDir, *resumeDir)

@@ -10,27 +10,29 @@ import (
 	"thermaldc/internal/tempsearch"
 )
 
-// monotone tracks a sequence of optima along rising caps: once a cap is
-// feasible every higher cap must be, and the optimum may never fall (up
-// to the simplex's round-off).
+// monotone tracks a sequence of optima along a rising parameter (a cap in
+// kW, a redline in °C): once a point is feasible every higher one must
+// be, and the optimum may never fall (up to the simplex's round-off). An
+// infeasible point thus counts as −∞.
 type monotone struct {
 	t       *testing.T
 	name    string
+	unit    string
 	prev    float64
-	prevCap float64
+	prevArg float64
 	ok      bool
 }
 
-func (m *monotone) next(capKW, value float64, ok bool) {
+func (m *monotone) next(arg, value float64, ok bool) {
 	m.t.Helper()
 	switch {
 	case m.ok && !ok:
-		m.t.Fatalf("%s: feasible at cap %.6g kW (value %.10g) but not at the higher cap %.6g kW", m.name, m.prevCap, m.prev, capKW)
+		m.t.Fatalf("%s: feasible at %.6g %s (value %.10g) but not at the higher %.6g %s", m.name, m.prevArg, m.unit, m.prev, arg, m.unit)
 	case m.ok && value < m.prev-1e-9*(1+math.Abs(m.prev)):
-		m.t.Fatalf("%s: optimum fell from %.12g at cap %.6g kW to %.12g at %.6g kW", m.name, m.prev, m.prevCap, value, capKW)
+		m.t.Fatalf("%s: optimum fell from %.12g at %.6g %s to %.12g at %.6g %s", m.name, m.prev, m.prevArg, m.unit, value, arg, m.unit)
 	}
 	if ok {
-		m.prev, m.prevCap, m.ok = value, capKW, true
+		m.prev, m.prevArg, m.ok = value, arg, true
 	}
 }
 
@@ -65,9 +67,9 @@ func TestStage1OptimumMonotoneInCap(t *testing.T) {
 		}
 		fixed := make([]monotone, len(outlets))
 		for o := range fixed {
-			fixed[o] = monotone{t: t, name: "Stage1Solver"}
+			fixed[o] = monotone{t: t, name: "Stage1Solver", unit: "kW"}
 		}
-		grid := monotone{t: t, name: "exhaustive grid"}
+		grid := monotone{t: t, name: "exhaustive grid", unit: "kW"}
 		for _, c := range caps {
 			dc.Pconst = c
 			for o, out := range outlets {
@@ -89,5 +91,51 @@ func TestStage1OptimumMonotoneInCap(t *testing.T) {
 	}
 	if feasible == 0 {
 		t.Fatal("no fixed-outlet solve was feasible")
+	}
+}
+
+// TestStage1OptimumMonotoneInRedline is the cap property's twin: raising
+// RedlineNode only loosens the node thermal rows (constraint 5), so at fixed
+// CRAC outlets and a fixed cap the Stage-1 optimum never decreases as the
+// redline rises. The seeded redlines span the edge where the coolest
+// outlets become infeasible and the range where the cap, not the redline,
+// binds. outletLP.init bakes the redlines into the LP, so every redline
+// gets a freshly built solver.
+func TestStage1OptimumMonotoneInRedline(t *testing.T) {
+	outlets := [][]float64{{10, 10}, {12.5, 17.5}, {15, 15}, {20, 12.5}, {20, 20}}
+	feasible, infeasible := 0, 0
+	for seed := int64(71); seed < 74; seed++ {
+		sc := smallScenario(t, seed)
+		dc := sc.DC
+		arrs := buildARRs(t, sc, assign.DefaultOptions().Psi)
+		rng := stats.NewRand(seed)
+		redlines := make([]float64, 16)
+		for i := range redlines {
+			redlines[i] = stats.Uniform(rng, 18, 30)
+		}
+		sort.Float64s(redlines)
+		fixed := make([]monotone, len(outlets))
+		for o := range fixed {
+			fixed[o] = monotone{t: t, name: "Stage1Solver", unit: "°C"}
+		}
+		for _, redline := range redlines {
+			dc.RedlineNode = redline
+			s1 := assign.NewStage1Solver(dc, sc.Thermal, arrs)
+			for o, out := range outlets {
+				res, err := s1.Solve(out)
+				ok := err == nil && res.Feasible
+				value := 0.0
+				if ok {
+					value = res.PredictedARR
+					feasible++
+				} else {
+					infeasible++
+				}
+				fixed[o].next(redline, value, ok)
+			}
+		}
+	}
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("%d feasible and %d infeasible solves; the redline range must cross the feasibility edge", feasible, infeasible)
 	}
 }

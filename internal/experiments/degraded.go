@@ -55,9 +55,8 @@ type DegradedConfig struct {
 	Recorder *telemetry.Recorder
 	// CheckpointDir, when non-empty, makes the sweep crash-safe: every
 	// completed closed-loop epoch and finished run is committed durably to
-	// a journal in this directory (see internal/persist), with periodic
-	// snapshots. Empty — the default — keeps the sweep on the unpersisted
-	// fast path.
+	// a journal in this directory (see internal/persist). Empty — the
+	// default — keeps the sweep on the unpersisted fast path.
 	CheckpointDir string
 	// Resume recovers the sweep from CheckpointDir instead of starting
 	// fresh: finished runs are skipped (their journaled summaries feed the
@@ -65,9 +64,6 @@ type DegradedConfig struct {
 	// next epoch, and the completed sweep renders byte-identically to an
 	// uninterrupted one.
 	Resume bool
-	// SnapshotEvery is the snapshot period in journal commits (0 means a
-	// default of 8; negative disables snapshots).
-	SnapshotEvery int
 	// CommitHook, when non-nil, is called after every durable journal
 	// commit with the running commit count. Crash-injection tests and the
 	// CLI's -crash-after flag use it to die at an exact persistence point.

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"thermaldc/internal/controller"
 	"thermaldc/internal/linprog"
@@ -13,7 +15,9 @@ import (
 
 // This file persists the degraded-operation sweep through internal/persist:
 // every completed closed-loop epoch and every finished run is one durable
-// journal record, so a killed sweep resumes at the exact epoch it died in.
+// record of the journal DIR/journal.wal, so a killed sweep resumes at the
+// exact epoch it died in. The journal is the whole checkpoint: the live
+// sweep only appends to it, and resume replays it from the first record.
 //
 // The journal carries two record kinds, gob-encoded:
 //
@@ -29,10 +33,6 @@ import (
 // Open-loop runs are single solves and do not checkpoint mid-run: killed
 // mid-open-run, the resume re-executes it from scratch (deterministic, so
 // nothing is lost but wall time).
-//
-// Snapshots compact recovery: every snapshotEvery commits the folded sweep
-// state (finished-run summaries + the in-progress run's checkpoint) is
-// atomically rewritten, so resume replays only the journal tail.
 
 // runKey identifies one run of the sweep.
 type runKey struct {
@@ -85,22 +85,6 @@ type journalRecord struct {
 	RunDone *runDoneRecord
 }
 
-// doneEntry is one finished run in the snapshot, in completion order.
-type doneEntry struct {
-	Key     runKey
-	Summary runSummary
-}
-
-// sweepSnapshot is the compacted sweep state written as the snapshot
-// payload.
-type sweepSnapshot struct {
-	Done []doneEntry
-	// PartialKey/Partial carry the in-progress closed run's folded
-	// checkpoint, when one exists.
-	PartialKey *runKey
-	Partial    *controller.Checkpoint
-}
-
 // runTag hashes every configuration field that influences results, so a
 // checkpoint directory can never be resumed under different parameters
 // (persist.KindMismatch instead of a silently diverging run). Telemetry
@@ -118,19 +102,25 @@ func (cfg DegradedConfig) runTag() persist.Tag {
 	return tag
 }
 
-// sweepCheckpoint drives the store for one sweep. A nil *sweepCheckpoint
+// journalFile is the journal's name inside the checkpoint directory.
+const journalFile = "journal.wal"
+
+// sweepCheckpoint drives the journal for one sweep. A nil *sweepCheckpoint
 // is valid and inert, so the sweep body is uncluttered by enablement
 // checks on the hot path.
 type sweepCheckpoint struct {
-	store     *persist.Store
-	snapEvery int
-	hook      func(commits int)
+	dir     string
+	journal *persist.Journal
+	hook    func(commits int)
+	commits int
 
+	// done, partialKey and partial are what replay recovered: the
+	// finished runs' summaries and the interrupted closed-loop run's
+	// folded checkpoint, which begin hands out once. The live sweep only
+	// appends to the journal and never adds to them.
 	done       map[runKey]runSummary
-	order      []runKey
 	partialKey *runKey
 	partial    *controller.Checkpoint
-	commits    int
 }
 
 func corruptErr(dir string, cause error) error {
@@ -147,56 +137,43 @@ func openSweepCheckpoint(cfg DegradedConfig) (*sweepCheckpoint, error) {
 		return nil, nil
 	}
 	ck := &sweepCheckpoint{
-		snapEvery: cfg.SnapshotEvery,
-		hook:      cfg.CommitHook,
-		done:      make(map[runKey]runSummary),
+		dir:  cfg.CheckpointDir,
+		hook: cfg.CommitHook,
+		done: make(map[runKey]runSummary),
 	}
-	if ck.snapEvery == 0 {
-		ck.snapEvery = 8
-	}
+	path := filepath.Join(cfg.CheckpointDir, journalFile)
 	tag := cfg.runTag()
 	if !cfg.Resume {
-		store, err := persist.CreateStore(cfg.CheckpointDir, tag)
+		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+			return nil, &persist.Error{Op: "checkpoint create", Kind: persist.KindIO, Path: cfg.CheckpointDir, Cause: err}
+		}
+		j, err := persist.CreateJournal(path, tag)
 		if err != nil {
 			return nil, err
 		}
-		ck.store = store
+		ck.journal = j
 		return ck, nil
 	}
-	store, rec, err := persist.OpenStore(cfg.CheckpointDir, tag)
+	j, recs, err := persist.OpenJournal(path, tag)
 	if err != nil {
 		return nil, err
 	}
-	ck.store = store
-	if rec.Snapshot != nil {
-		var snap sweepSnapshot
-		if err := gob.NewDecoder(bytes.NewReader(rec.Snapshot)).Decode(&snap); err != nil {
-			store.Close()
-			return nil, corruptErr(cfg.CheckpointDir, fmt.Errorf("decoding snapshot: %w", err))
-		}
-		for _, e := range snap.Done {
-			ck.done[e.Key] = e.Summary
-			ck.order = append(ck.order, e.Key)
-		}
-		ck.partialKey, ck.partial = snap.PartialKey, snap.Partial
-	}
-	for _, r := range rec.Records {
+	ck.journal = j
+	for _, r := range recs {
 		var jr journalRecord
 		if err := gob.NewDecoder(bytes.NewReader(r.Payload)).Decode(&jr); err != nil {
-			store.Close()
+			j.Close()
 			return nil, corruptErr(cfg.CheckpointDir, fmt.Errorf("decoding record %d: %w", r.Seq, err))
 		}
 		if err := ck.fold(&jr); err != nil {
-			store.Close()
+			j.Close()
 			return nil, corruptErr(cfg.CheckpointDir, fmt.Errorf("replaying record %d: %w", r.Seq, err))
 		}
 	}
 	return ck, nil
 }
 
-// fold replays one journal record into the recovered sweep state,
-// mirroring exactly what the live sink/finishRun pair did when the record
-// was committed.
+// fold replays one journal record into the recovered sweep state.
 func (ck *sweepCheckpoint) fold(jr *journalRecord) error {
 	switch {
 	case jr.Epoch != nil:
@@ -207,15 +184,14 @@ func (ck *sweepCheckpoint) fold(jr *journalRecord) error {
 		if _, isDone := ck.done[key]; isDone {
 			return fmt.Errorf("epoch record for already finished run %+v", key)
 		}
-		if ck.partialKey == nil || *ck.partialKey != key {
-			if ck.partial != nil && len(ck.partial.Res.Epochs) > 0 {
-				return fmt.Errorf("epoch record for %+v while %+v is unfinished", key, *ck.partialKey)
-			}
-			k := key
-			ck.partialKey, ck.partial = &k, controller.NewCheckpoint()
-		}
 		if jr.Epoch.Delta == nil {
 			return fmt.Errorf("epoch record for %+v carries no delta", key)
+		}
+		if ck.partialKey == nil {
+			k := key
+			ck.partialKey, ck.partial = &k, controller.NewCheckpoint()
+		} else if *ck.partialKey != key {
+			return fmt.Errorf("epoch record for %+v while %+v is unfinished", key, *ck.partialKey)
 		}
 		if err := ck.partial.Fold(jr.Epoch.Delta); err != nil {
 			return err
@@ -226,7 +202,6 @@ func (ck *sweepCheckpoint) fold(jr *journalRecord) error {
 			return fmt.Errorf("run %+v finished twice", key)
 		}
 		ck.done[key] = jr.RunDone.Summary
-		ck.order = append(ck.order, key)
 		if ck.partialKey != nil && *ck.partialKey == key {
 			ck.partialKey, ck.partial = nil, nil
 		}
@@ -245,66 +220,54 @@ func (ck *sweepCheckpoint) completed(key runKey) (runSummary, bool) {
 	return s, ok
 }
 
-// begin prepares persistence for one closed-loop run: the checkpoint to
-// resume from (nil for a fresh run) and the live fold target the sink
-// advances. A recovered partial belonging to a different run than the
-// first unfinished one means the journal and the sweep order disagree.
+// begin returns the checkpoint the closed-loop run for key resumes from:
+// the recovered partial, handed out once, or nil for a fresh run. A
+// recovered partial belonging to a different run than the first
+// unfinished one means the journal and the sweep order disagree.
 func (ck *sweepCheckpoint) begin(key runKey) (*controller.Checkpoint, error) {
-	if ck.partialKey != nil && *ck.partialKey != key {
-		return nil, corruptErr(ck.store.Dir(),
+	if ck.partialKey == nil {
+		return nil, nil
+	}
+	if *ck.partialKey != key {
+		return nil, corruptErr(ck.dir,
 			fmt.Errorf("journal holds progress for run %+v but the sweep is at %+v", *ck.partialKey, key))
 	}
-	if ck.partial != nil && len(ck.partial.Res.Epochs) > 0 {
-		return ck.partial, nil
-	}
-	k := key
-	ck.partialKey, ck.partial = &k, controller.NewCheckpoint()
-	return nil, nil
+	resume := ck.partial
+	ck.partialKey, ck.partial = nil, nil
+	return resume, nil
 }
 
 // sink returns the CheckpointSink of the closed-loop run for key: commit
-// the epoch record durably, advance the folded state, snapshot on the
-// period. The crash hook fires after the commit is durable — exactly the
-// point where killing the process must lose nothing.
+// each epoch record durably.
 func (ck *sweepCheckpoint) sink(key runKey) controller.CheckpointSink {
 	if ck == nil {
 		return nil
 	}
 	return func(d *controller.EpochDelta) error {
-		if err := ck.commit(&journalRecord{Epoch: &epochRecord{Key: key, Delta: d}}); err != nil {
-			return err
-		}
-		if err := ck.partial.Fold(d); err != nil {
-			return err
-		}
-		return ck.maybeSnapshot()
+		return ck.commit(&journalRecord{Epoch: &epochRecord{Key: key, Delta: d}})
 	}
 }
 
-// finishRun journals a run completion and retires any partial state.
+// finishRun journals a run completion.
 func (ck *sweepCheckpoint) finishRun(key runKey, sum runSummary) error {
 	if ck == nil {
 		return nil
 	}
-	if err := ck.commit(&journalRecord{RunDone: &runDoneRecord{Key: key, Summary: sum}}); err != nil {
-		return err
-	}
-	ck.done[key] = sum
-	ck.order = append(ck.order, key)
-	if ck.partialKey != nil && *ck.partialKey == key {
-		ck.partialKey, ck.partial = nil, nil
-	}
-	return ck.maybeSnapshot()
+	return ck.commit(&journalRecord{RunDone: &runDoneRecord{Key: key, Summary: sum}})
 }
 
-// commit encodes and durably appends one record, then fires the crash
-// hook.
+// commit encodes one record, appends it and makes it durable (fsync), then
+// fires the crash hook — exactly the point where killing the process must
+// lose nothing.
 func (ck *sweepCheckpoint) commit(jr *journalRecord) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(jr); err != nil {
 		return fmt.Errorf("experiments: encoding journal record: %w", err)
 	}
-	if _, err := ck.store.Commit(buf.Bytes()); err != nil {
+	if err := ck.journal.Append(ck.journal.LastSeq()+1, buf.Bytes()); err != nil {
+		return err
+	}
+	if err := ck.journal.Commit(); err != nil {
 		return err
 	}
 	ck.commits++
@@ -314,26 +277,10 @@ func (ck *sweepCheckpoint) commit(jr *journalRecord) error {
 	return nil
 }
 
-// maybeSnapshot compacts recovery state every snapEvery commits.
-func (ck *sweepCheckpoint) maybeSnapshot() error {
-	if ck.snapEvery <= 0 || ck.commits%ck.snapEvery != 0 {
-		return nil
-	}
-	snap := sweepSnapshot{PartialKey: ck.partialKey, Partial: ck.partial}
-	for _, key := range ck.order {
-		snap.Done = append(snap.Done, doneEntry{Key: key, Summary: ck.done[key]})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return fmt.Errorf("experiments: encoding snapshot: %w", err)
-	}
-	return ck.store.Snapshot(buf.Bytes())
-}
-
-// Close releases the store.
+// Close releases the journal.
 func (ck *sweepCheckpoint) Close() error {
 	if ck == nil {
 		return nil
 	}
-	return ck.store.Close()
+	return ck.journal.Close()
 }

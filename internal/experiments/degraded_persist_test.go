@@ -57,7 +57,10 @@ func runWithCrash(cfg experiments.DegradedConfig, k int) (crashed bool, err erro
 // TestDegradedSweepCrashResumeMatrix is the sweep-level exact-resume
 // property: for every journal commit k, a sweep killed right after commit
 // k and resumed from the directory renders a byte-identical table to an
-// uninterrupted, checkpoint-free sweep.
+// uninterrupted, checkpoint-free sweep. Resume replays the journal alone:
+// each killed directory also gets a snapshot.snap of arbitrary bytes, as
+// a directory written by an older, snapshotting build may hold, and the
+// resume must never read it.
 func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash matrix re-runs the sweep once per commit")
@@ -75,7 +78,6 @@ func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 	commits := 0
 	full := base
 	full.CheckpointDir = filepath.Join(t.TempDir(), "ck")
-	full.SnapshotEvery = 3
 	full.CommitHook = func(n int) { commits = n }
 	res, err := experiments.DegradedSweep(full)
 	if err != nil {
@@ -93,13 +95,16 @@ func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 		t.Run(fmt.Sprintf("kill-at-commit-%d", k), func(t *testing.T) {
 			cfg := base
 			cfg.CheckpointDir = filepath.Join(t.TempDir(), "ck")
-			cfg.SnapshotEvery = 3
 			crashed, err := runWithCrash(cfg, k)
 			if err != nil {
 				t.Fatalf("pre-crash sweep error: %v", err)
 			}
 			if !crashed {
 				t.Fatalf("sweep finished before commit %d", k)
+			}
+			snap := filepath.Join(cfg.CheckpointDir, "snapshot.snap")
+			if err := os.WriteFile(snap, []byte("not a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
 			}
 			cfg.CommitHook = nil
 			cfg.Resume = true
@@ -182,7 +187,7 @@ func TestDegradedSweepResumeTornTail(t *testing.T) {
 	if err != nil || !crashed {
 		t.Fatalf("pre-crash sweep: crashed=%v err=%v", crashed, err)
 	}
-	jpath := filepath.Join(cfg.CheckpointDir, persist.JournalFile)
+	jpath := filepath.Join(cfg.CheckpointDir, "journal.wal")
 	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +215,11 @@ func TestDegradedSweepResumeTornTail(t *testing.T) {
 func TestDegradedSweepResumeRejectsCorruption(t *testing.T) {
 	cfg := persistSweepConfig()
 	cfg.CheckpointDir = filepath.Join(t.TempDir(), "ck")
-	cfg.SnapshotEvery = -1 // keep every record load-bearing
 	crashed, err := runWithCrash(cfg, 6)
 	if err != nil || !crashed {
 		t.Fatalf("pre-crash sweep: crashed=%v err=%v", crashed, err)
 	}
-	jpath := filepath.Join(cfg.CheckpointDir, persist.JournalFile)
+	jpath := filepath.Join(cfg.CheckpointDir, "journal.wal")
 	data, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)

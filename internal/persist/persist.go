@@ -1,11 +1,12 @@
 // Package persist implements crash-safe persistence for long runs: a
 // WAL-style run journal (length-prefixed records with CRC32C, fsync on
-// commit) plus periodic snapshots written via temp-file + Sync + atomic
-// rename. Together they give the epoch controller the property every
-// long-horizon control scheme in the related work assumes but this
-// reproduction lacked: a run killed at any instant — SIGKILL, OOM,
-// power loss — resumes from its last committed epoch and produces
-// byte-identical remaining output versus an uninterrupted run.
+// commit) and atomic whole-file writes (temp file + Sync + rename). The
+// journal gives the epoch controller the property every long-horizon
+// control scheme in the related work assumes but this reproduction
+// lacked: a run killed at any instant — SIGKILL, OOM, power loss —
+// resumes from its last committed epoch and produces byte-identical
+// remaining output versus an uninterrupted run. Recovery replays the
+// whole journal; there is no second, compacted copy of the state.
 //
 // Recovery is paranoid by design. Every failure mode either recovers
 // exactly or fails loudly with a typed Error — never silently diverges:
@@ -21,12 +22,10 @@
 //     and fails with KindCorrupt.
 //   - Records carry strictly increasing sequence numbers; a duplicate or
 //     regressing sequence fails with KindCorrupt.
-//   - Journal and snapshot carry a caller-supplied run tag (a hash of
-//     the run configuration); opening with a different tag fails with
-//     KindMismatch, so a checkpoint directory can never silently resume
-//     under different flags.
-//   - A snapshot whose sequence is ahead of the journal's last record
-//     claims state the journal never committed and fails with KindStale.
+//   - The journal carries a caller-supplied run tag (a hash of the run
+//     configuration); opening with a different tag fails with
+//     KindMismatch, so a checkpoint can never silently resume under
+//     different flags.
 //
 // The package is storage only: it moves opaque []byte payloads. Record
 // schemas live with their owners (internal/controller, experiments).
@@ -51,12 +50,9 @@ const (
 	// on a non-tail record, sequence regression) — fail loudly, never
 	// replay.
 	KindCorrupt
-	// KindMismatch: the journal or snapshot belongs to a different run
-	// configuration (run-tag mismatch).
+	// KindMismatch: the journal belongs to a different run configuration
+	// (run-tag mismatch).
 	KindMismatch
-	// KindStale: journal and snapshot disagree (snapshot sequence ahead
-	// of the journal tail) — the directory is internally inconsistent.
-	KindStale
 )
 
 func (k Kind) String() string {
@@ -67,8 +63,6 @@ func (k Kind) String() string {
 		return "corrupt"
 	case KindMismatch:
 		return "mismatch"
-	case KindStale:
-		return "stale"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -77,7 +71,7 @@ func (k Kind) String() string {
 // Error is a typed persistence failure; the solve-pipeline taxonomy
 // (internal/solvererr) classifies it as a Persist failure.
 type Error struct {
-	// Op names the failing operation ("journal open", "snapshot read", …).
+	// Op names the failing operation ("journal open", "journal commit", …).
 	Op string
 	// Kind classifies the failure.
 	Kind Kind
@@ -120,7 +114,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // configuration, by convention).
 const TagLen = 32
 
-// Tag identifies the run configuration a journal or snapshot belongs to.
+// Tag identifies the run configuration a journal belongs to.
 type Tag [TagLen]byte
 
 // WriteFileAtomic writes a file via temp-file + Sync + rename, so a crash

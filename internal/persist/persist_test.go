@@ -235,156 +235,34 @@ func TestJournalBadMagic(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	tag := testTag(9)
-	path := filepath.Join(t.TempDir(), "s.snap")
-
-	// Missing file: recovery proceeds with the journal alone.
-	if snap, err := ReadSnapshot(path, tag); err != nil || snap != nil {
-		t.Fatalf("missing snapshot: got (%v, %v), want (nil, nil)", snap, err)
-	}
-
-	payload := bytes.Repeat([]byte{1, 2, 3}, 100)
-	if err := WriteSnapshot(path, tag, 42, payload); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	snap, err := ReadSnapshot(path, tag)
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
-	if snap.Seq != 42 || !bytes.Equal(snap.Payload, payload) {
-		t.Fatalf("snapshot round-trip mismatch: seq %d", snap.Seq)
-	}
-
-	// Overwrite replaces atomically.
-	if err := WriteSnapshot(path, tag, 43, []byte("newer")); err != nil {
-		t.Fatal(err)
-	}
-	snap, err = ReadSnapshot(path, tag)
-	if err != nil || snap.Seq != 43 || string(snap.Payload) != "newer" {
-		t.Fatalf("overwritten snapshot: seq %d, err %v", snap.Seq, err)
-	}
-
-	// Tag mismatch and bit flips are loud.
-	if _, err := ReadSnapshot(path, testTag(10)); err == nil {
-		t.Error("ReadSnapshot accepted a foreign tag")
-	} else if k := kindOf(t, err); k != KindMismatch {
-		t.Errorf("kind %v, want KindMismatch", k)
-	}
-	data, _ := os.ReadFile(path)
-	data[len(data)-1] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(path, tag); err == nil {
-		t.Error("ReadSnapshot accepted a corrupted payload")
-	} else if k := kindOf(t, err); k != KindCorrupt {
-		t.Errorf("kind %v, want KindCorrupt", k)
-	}
-}
-
-func TestStoreCommitSnapshotRecover(t *testing.T) {
-	tag := testTag(11)
-	dir := t.TempDir()
-	s, err := CreateStore(dir, tag)
-	if err != nil {
-		t.Fatalf("CreateStore: %v", err)
-	}
-	for i := 1; i <= 5; i++ {
-		seq, err := s.Commit([]byte(fmt.Sprintf("epoch-%d", i)))
-		if err != nil {
-			t.Fatalf("Commit %d: %v", i, err)
-		}
-		if seq != uint64(i) {
-			t.Fatalf("Commit %d assigned seq %d", i, seq)
-		}
-		if i == 3 {
-			if err := s.Snapshot([]byte("state-through-3")); err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
-		}
-	}
-	s.Close()
-
-	s2, rec, err := OpenStore(dir, tag)
-	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
-	}
-	defer s2.Close()
-	if string(rec.Snapshot) != "state-through-3" || rec.SnapshotSeq != 3 {
-		t.Fatalf("snapshot payload %q seq %d", rec.Snapshot, rec.SnapshotSeq)
-	}
-	if len(rec.Records) != 2 || rec.Records[0].Seq != 4 || rec.Records[1].Seq != 5 {
-		t.Fatalf("replay records %v, want seqs 4,5", rec.Records)
-	}
-	// Further commits continue the sequence.
-	if seq, err := s2.Commit([]byte("epoch-6")); err != nil || seq != 6 {
-		t.Fatalf("post-recovery Commit: seq %d err %v", seq, err)
-	}
-}
-
-func TestStoreSnapshotNewerThanJournal(t *testing.T) {
-	tag := testTag(12)
-	dir := t.TempDir()
-	s, err := CreateStore(dir, tag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit([]byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// A snapshot claiming sequence 9 that the journal never committed.
-	if err := WriteSnapshot(filepath.Join(dir, SnapshotFile), tag, 9, []byte("future")); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = OpenStore(dir, tag)
-	if err == nil {
-		t.Fatal("OpenStore accepted a snapshot ahead of the journal")
-	}
-	if k := kindOf(t, err); k != KindStale {
-		t.Errorf("kind %v, want KindStale", k)
-	}
-}
-
-func TestStoreEmptyDir(t *testing.T) {
+func TestJournalOpenMissing(t *testing.T) {
 	// Resuming from a directory with no journal is an error, not a silent
 	// fresh start — the caller asked to resume something.
-	_, _, err := OpenStore(t.TempDir(), testTag(13))
+	_, _, err := OpenJournal(filepath.Join(t.TempDir(), "j.wal"), testTag(13))
 	if err == nil {
-		t.Fatal("OpenStore succeeded on an empty directory")
+		t.Fatal("OpenJournal succeeded without a journal file")
 	}
 	if k := kindOf(t, err); k != KindIO {
 		t.Errorf("kind %v, want KindIO", k)
 	}
 }
 
-func TestStoreCreateDiscardsOldState(t *testing.T) {
+func TestJournalCreateDiscardsOldState(t *testing.T) {
 	tag := testTag(14)
-	dir := t.TempDir()
-	s, err := CreateStore(dir, tag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit([]byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot([]byte("old-snap")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	path, _ := buildJournal(t, t.TempDir(), tag, []byte("old"), []byte("older"))
 
-	s2, err := CreateStore(dir, tag)
+	j, err := CreateJournal(path, tag)
 	if err != nil {
-		t.Fatalf("CreateStore over existing dir: %v", err)
+		t.Fatalf("CreateJournal over an existing journal: %v", err)
 	}
-	s2.Close()
-	_, rec, err := OpenStore(dir, tag)
+	j.Close()
+	j, recs, err := OpenJournal(path, tag)
 	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
+		t.Fatalf("OpenJournal: %v", err)
 	}
-	if rec.Snapshot != nil || len(rec.Records) != 0 {
-		t.Fatalf("recreate left old state behind: %+v", rec)
+	defer j.Close()
+	if len(recs) != 0 || j.LastSeq() != 0 {
+		t.Fatalf("recreate left %d old records behind (LastSeq %d)", len(recs), j.LastSeq())
 	}
 }
 

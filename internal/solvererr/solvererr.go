@@ -46,9 +46,8 @@ const (
 	// Panic: an internal invariant panic was recovered at the controller
 	// boundary and converted into an error.
 	Panic
-	// Persist: the checkpoint/restore layer failed — a corrupt or torn
-	// journal, a snapshot from a different run configuration, or plain
-	// I/O. Recovery must stop loudly: resuming past a persistence defect
+	// Persist: the checkpoint/restore layer failed — a corrupt journal,
+	// one from a different run configuration, or plain I/O. Recovery must stop loudly: resuming past a persistence defect
 	// risks silently diverging from the uninterrupted run.
 	Persist
 )
