@@ -33,7 +33,8 @@ race:
 # sweep against the textbook simplex (600 seeded LPs with KKT
 # certificates, behind the slow tag), a 1k-node multi-zone fleet solve
 # with invariant checks (also behind the slow tag), short fuzz smokes on
-# the workload parser, the LU factorizer, the checkpoint journal decoder,
+# the workload parser, the LU factorizer, the per-component thermal model
+# (held bit for bit to one dense factorization), the checkpoint journal decoder,
 # the -faults level parser, the scheduler's dispatch index (held to the
 # candidate scan on decoded data centers and task streams), the
 # controller's resume boundary (damaged checkpoints must fail with an error,
@@ -42,7 +43,8 @@ race:
 # seeds are real ~30 KB journal records, too long for the quadratic input
 # minimizer, so minimization is off), the concave-envelope builder and the
 # knapsack LP (held to its greedy optimum), the simplex and fleet-scaling
-# performance gates at 1x into /tmp (the fleet family includes the
+# performance gates at 1x into /tmp (the fleet family runs 5 times and is
+# gated on its medians; it includes the
 # zone-warm-resolve 0-allocs gate), the benchmark harness's own tests (perfbench/ is a separate module, so the
 # root `go test ./...` never builds it; an API change that breaks the
 # benchmark fails here), a short instrumented degraded run whose exported
@@ -67,6 +69,7 @@ ci:
 	$(GO) test -tags slow -run TestFleetSmoke1k ./internal/zones
 	$(GO) test -run '^$$' -fuzz FuzzLoadTasks -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzFactorLU -fuzztime 10s ./internal/linalg
+	$(GO) test -run '^$$' -fuzz FuzzNewMatchesDense -fuzztime 10s ./internal/thermal
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzParseLevels -fuzztime 10s ./cmd/tapo
 	$(GO) test -run '^$$' -fuzz FuzzScheduleIndex -fuzztime 10s ./internal/sched
@@ -74,8 +77,8 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzSweepReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzConcaveEnvelope -fuzztime 10s ./internal/pwl
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackLP -fuzztime 10s ./internal/linprog
-	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json)
-	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),/tmp/tapo-ci-bench-fleet.json)
+	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json,1)
+	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),/tmp/tapo-ci-bench-fleet.json,5)
 	cd perfbench && $(GO) test -count=1 ./...
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
 		-faults 0:0,2:1 -metrics-out /tmp/tapo-ci-metrics.jsonl \
@@ -115,12 +118,15 @@ BENCHTIME ?= 3x
 FLEETBENCHTIME ?= 1x
 SIMPLEX_BENCH = 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-parallel|solver-warm-epoch|warm-resolve-allocs)'
 FLEET_BENCH = 'FleetStage1'
-# $(call bench-gate,regex,benchtime,file) runs one benchmark family into
-# file as JSON and gates it with cmd/benchcheck.
-bench-gate = $(GO) test -run '^$$' -bench $(1) -benchtime $(2) -json . > $(3) && $(GO) run ./cmd/benchcheck $(3)
+# $(call bench-gate,regex,benchtime,file,count) runs one benchmark family
+# count times into file as JSON and gates it with cmd/benchcheck, which
+# folds repeated rows into their median. `make ci` runs the fleet family 5
+# times: each 1x point is one short retained-pool solve, so host drift
+# alone can push a single sample's 10k/1k ns/node ratio past the bound.
+bench-gate = $(GO) test -run '^$$' -bench $(1) -benchtime $(2) -count $(4) -json . > $(3) && $(GO) run ./cmd/benchcheck $(3)
 bench-compare:
-	$(call bench-gate,$(SIMPLEX_BENCH),$(BENCHTIME),BENCH_simplex.json)
-	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),BENCH_fleet.json)
+	$(call bench-gate,$(SIMPLEX_BENCH),$(BENCHTIME),BENCH_simplex.json,1)
+	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),BENCH_fleet.json,1)
 
 # The paper's headline experiment at full scale (25 trials, 150 nodes,
 # 3 CRACs); takes ~10 minutes on one core.

@@ -168,6 +168,30 @@ func BenchmarkThermalModelPaperScale(b *testing.B) {
 	}
 }
 
+// BenchmarkThermalModelFleet builds the heat-flow model of an assembled
+// fleet of 100-node zones: 10 zones (1,020 units) and 20 zones (2,040),
+// one connected component of α per zone.
+func BenchmarkThermalModelFleet(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		zones int
+	}{{"1k", 10}, {"2k", 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			dc, err := getFleet(b, c.zones).Assemble()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := thermal.New(dc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDynamicScheduler streams 10 s of tasks (the tasks/op metric)
 // per op through the second-step scheduler: on the 20-node scenario, and
 // at paper scale (150 nodes, 3 CRACs) on the three-stage plan and on the

@@ -24,6 +24,11 @@
 // re-solve on retained cut pools, telemetry off, keeps the Stage-1
 // zero-allocation contract).
 //
+// Repeated rows of one benchmark (`go test -count N`) fold into one result:
+// ns/op and ns/node are gated on their median, and each folded benchmark's
+// median and range are printed. An allocs/op contract holds on every row,
+// so a folded benchmark keeps its largest allocs/op.
+//
 // Usage: benchcheck [-tolerance f] [-fleet-tolerance f] [file]
 // With no file, it reads stdin. The tolerances (default 1.05 and 1.25)
 // absorb scheduler noise on short -benchtime runs.
@@ -37,6 +42,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -49,12 +55,18 @@ var benchLine = regexp.MustCompile(
 		`(?:\s+([0-9.]+) ns/node)?` +
 		`(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
+// result is one benchmark's rows folded together: ns/op and ns/node are
+// medians over runs rows, allocs/op the largest row's.
 type result struct {
+	runs        int
 	nsPerOp     float64
 	nsPerNode   float64
 	hasNsNode   bool
 	allocsPerOp float64
 	hasAllocs   bool
+
+	// nsRange and nsNodeRange are the smallest and largest rows.
+	nsRange, nsNodeRange [2]float64
 }
 
 func main() {
@@ -94,6 +106,7 @@ func run() int {
 		return 2
 	}
 
+	printSpreads(os.Stdout, results)
 	failures, checked := check(results, *tolerance, *fleetTolerance)
 	if checked == 0 {
 		fmt.Fprintf(os.Stderr, "benchcheck: no gated benchmark family found in %s\n", name)
@@ -109,34 +122,49 @@ func run() int {
 	return 0
 }
 
-// parse accepts either raw `go test -bench` text or the `-json` event
-// stream. JSON events carry the benchmark name in the Test field; the
-// Output field may hold the full result row or just the measurement
-// columns (`"       1\t 191680596 ns/op\n"`), so when Output lacks the
-// Benchmark prefix the name is grafted back on from Test.
-func parse(in io.Reader) (map[string]result, error) {
-	results := make(map[string]result)
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if len(line) > 0 && line[0] == '{' {
-			var ev struct {
-				Action string
-				Test   string
-				Output string
-			}
-			if json.Unmarshal([]byte(line), &ev) == nil && ev.Action == "output" {
-				line = strings.TrimLeft(ev.Output, " \t")
-				if !strings.HasPrefix(line, "Benchmark") &&
-					strings.HasPrefix(ev.Test, "Benchmark") && strings.Contains(line, "ns/op") {
-					line = ev.Test + "\t" + line
-				}
-			}
+// printSpreads reports each benchmark folded from more than one row: its
+// median and range of ns/op, and of ns/node when it has that metric.
+func printSpreads(w io.Writer, results map[string]result) {
+	names := make([]string, 0, len(results))
+	for name, r := range results {
+		if r.runs > 1 {
+			names = append(names, name)
 		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		r := results[name]
+		fmt.Fprintf(w, "benchcheck: %s: median of %d runs %.0f ns/op (range %.0f–%.0f, spread %.1f%%)",
+			name, r.runs, r.nsPerOp, r.nsRange[0], r.nsRange[1], spread(r.nsPerOp, r.nsRange))
+		if r.hasNsNode {
+			fmt.Fprintf(w, ", %.0f ns/node (range %.0f–%.0f, spread %.1f%%)",
+				r.nsPerNode, r.nsNodeRange[0], r.nsNodeRange[1], spread(r.nsPerNode, r.nsNodeRange))
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// spread is a range's width as a percentage of its median.
+func spread(median float64, rng [2]float64) float64 {
+	if median == 0 {
+		return 0
+	}
+	return 100 * (rng[1] - rng[0]) / median
+}
+
+// parse accepts either raw `go test -bench` text or the `-json` event
+// stream. A JSON output event may hold only part of a result row: the
+// name (`"BenchmarkX-2   \t"`) and the measurement columns
+// (`"       1\t 191680596 ns/op\n"`) arrive as separate events, and with
+// -count > 1 the repeats carry no Test field. So each package's Output
+// fragments are joined until a newline ends the row; a row that still
+// lacks the Benchmark prefix takes its name from the event's Test field.
+func parse(in io.Reader) (map[string]result, error) {
+	rows := make(map[string][]result)
+	add := func(line string) {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
-			continue
+			return
 		}
 		var r result
 		r.nsPerOp, _ = strconv.ParseFloat(m[3], 64)
@@ -148,9 +176,89 @@ func parse(in io.Reader) (map[string]result, error) {
 			r.allocsPerOp, _ = strconv.ParseFloat(m[6], 64)
 			r.hasAllocs = true
 		}
-		results[trimProcs(m[1])] = r
+		name := trimProcs(m[1])
+		rows[name] = append(rows[name], r)
+	}
+	pending := make(map[string]string) // per package: output not yet ended by a newline
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		var ev struct {
+			Action  string
+			Package string
+			Test    string
+			Output  string
+		}
+		if len(line) == 0 || line[0] != '{' || json.Unmarshal([]byte(line), &ev) != nil {
+			add(line)
+			continue
+		}
+		if ev.Action != "output" {
+			continue
+		}
+		text := pending[ev.Package] + ev.Output
+		if !strings.HasSuffix(text, "\n") {
+			pending[ev.Package] = text
+			continue
+		}
+		delete(pending, ev.Package)
+		for _, row := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+			row = strings.TrimLeft(row, " \t")
+			if !strings.HasPrefix(row, "Benchmark") &&
+				strings.HasPrefix(ev.Test, "Benchmark") && strings.Contains(row, "ns/op") {
+				row = ev.Test + "\t" + row
+			}
+			add(row)
+		}
+	}
+	results := make(map[string]result, len(rows))
+	for name, rs := range rows {
+		results[name] = fold(rs)
 	}
 	return results, sc.Err()
+}
+
+// fold merges one benchmark's rows: the median and range of ns/op and of
+// ns/node (kept only when every row reports it), and the largest
+// allocs/op (kept only when every row reports it).
+func fold(rows []result) result {
+	out := result{runs: len(rows), hasNsNode: true, hasAllocs: true}
+	ns := make([]float64, 0, len(rows))
+	nsNode := make([]float64, 0, len(rows))
+	for _, r := range rows {
+		ns = append(ns, r.nsPerOp)
+		if r.hasNsNode {
+			nsNode = append(nsNode, r.nsPerNode)
+		} else {
+			out.hasNsNode = false
+		}
+		if r.hasAllocs {
+			out.allocsPerOp = max(out.allocsPerOp, r.allocsPerOp)
+		} else {
+			out.hasAllocs = false
+		}
+	}
+	out.nsPerOp, out.nsRange = median(ns)
+	if out.hasNsNode {
+		out.nsPerNode, out.nsNodeRange = median(nsNode)
+	}
+	if !out.hasAllocs {
+		out.allocsPerOp = 0
+	}
+	return out
+}
+
+// median returns the median of xs (the mean of the middle two for an even
+// count) and its smallest and largest values; it sorts xs.
+func median(xs []float64) (float64, [2]float64) {
+	slices.Sort(xs)
+	n := len(xs)
+	m := xs[n/2]
+	if n%2 == 0 {
+		m = (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return m, [2]float64{xs[0], xs[n-1]}
 }
 
 // trimProcs drops the trailing -NN GOMAXPROCS suffix from a benchmark name.

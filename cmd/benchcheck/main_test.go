@@ -188,3 +188,113 @@ func TestCheckFleetGates50kWhenPresent(t *testing.T) {
 		t.Fatalf("failures = %v, want one 50k scaling failure", f)
 	}
 }
+
+// fleetCount5 is the fleet family at -count 5: the fourth 10k row is an
+// outlier past the 1.25× scaling bound, the other four are not.
+const fleetCount5 = `goos: linux
+BenchmarkFleetStage1/1k-2 1 426725013 ns/op 420000 ns/node 17480 B/op 29 allocs/op
+BenchmarkFleetStage1/1k-2 1 436725013 ns/op 430000 ns/node 17480 B/op 29 allocs/op
+BenchmarkFleetStage1/1k-2 1 416725013 ns/op 410000 ns/node 17480 B/op 29 allocs/op
+BenchmarkFleetStage1/1k-2 1 446725013 ns/op 440000 ns/node 17480 B/op 29 allocs/op
+BenchmarkFleetStage1/1k-2 1 406725013 ns/op 400000 ns/node 17480 B/op 29 allocs/op
+BenchmarkFleetStage1/10k-2 1 4235171810 ns/op 423517 ns/node 166760 B/op 35 allocs/op
+BenchmarkFleetStage1/10k-2 1 4335171810 ns/op 433517 ns/node 166760 B/op 35 allocs/op
+BenchmarkFleetStage1/10k-2 1 4135171810 ns/op 413517 ns/node 166760 B/op 35 allocs/op
+BenchmarkFleetStage1/10k-2 1 6335171810 ns/op 633517 ns/node 166760 B/op 35 allocs/op
+BenchmarkFleetStage1/10k-2 1 4035171810 ns/op 403517 ns/node 166760 B/op 35 allocs/op
+BenchmarkFleetStage1/zone-warm-resolve-2 3 415719568 ns/op 0 B/op 0 allocs/op
+BenchmarkFleetStage1/zone-warm-resolve-2 3 425719568 ns/op 0 B/op 0 allocs/op
+BenchmarkFleetStage1/zone-warm-resolve-2 3 405719568 ns/op 0 B/op 0 allocs/op
+BenchmarkFleetStage1/zone-warm-resolve-2 3 435719568 ns/op 0 B/op 0 allocs/op
+BenchmarkFleetStage1/zone-warm-resolve-2 3 395719568 ns/op 0 B/op 0 allocs/op
+PASS
+`
+
+// TestFoldRepeatedRows: -count N rows of one benchmark fold into their
+// median, the gate reads the median (one outlier row does not fail it,
+// a median past the bound does), the spread is printed, and allocs/op
+// keeps its largest row.
+func TestFoldRepeatedRows(t *testing.T) {
+	results, err := parse(strings.NewReader(fleetCount5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3", len(results))
+	}
+	r := results["BenchmarkFleetStage1/10k"]
+	if r.runs != 5 || r.nsPerNode != 423517 || r.nsNodeRange != [2]float64{403517, 633517} || r.nsPerOp != 4235171810 {
+		t.Fatalf("10k folded to %+v; want 5 runs, median 423517 ns/node over 403517–633517", r)
+	}
+	if f, checked := check(results, 1.05, 1.25); len(f) != 0 || checked != 1 {
+		t.Fatalf("failures = %v checked = %d; the median is within the bound", f, checked)
+	}
+
+	var out strings.Builder
+	printSpreads(&out, results)
+	want := "benchcheck: BenchmarkFleetStage1/10k: median of 5 runs 4235171810 ns/op (range 4035171810–6335171810, spread 54.3%), 423517 ns/node (range 403517–633517, spread 54.3%)\n"
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("spread report:\n%s\nwant the line\n%s", out.String(), want)
+	}
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Fatalf("spread report has %d lines, want one per folded benchmark (3)", n)
+	}
+
+	// Three of five 10k rows past the bound move the median past it.
+	slow := strings.Replace(fleetCount5, "413517 ns/node", "613517 ns/node", 1)
+	slow = strings.Replace(slow, "423517 ns/node", "623517 ns/node", 1)
+	results, err = parse(strings.NewReader(slow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := check(results, 1.05, 1.25); len(f) != 1 || !strings.Contains(f[0], "scales worse") {
+		t.Fatalf("failures = %v, want one scaling failure on the median", f)
+	}
+
+	// One allocating row of five breaks the zero-allocation contract.
+	alloc := strings.Replace(fleetCount5, "425719568 ns/op 0 B/op 0 allocs/op", "425719568 ns/op 96 B/op 2 allocs/op", 1)
+	results, err = parse(strings.NewReader(alloc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := check(results, 1.05, 1.25); len(f) != 1 || !strings.Contains(f[0], "reports 2 allocs/op") {
+		t.Fatalf("failures = %v, want one allocs-contract failure", f)
+	}
+}
+
+// jsonCount2 is `go test -json -count 2` output: each result row arrives
+// as a name event and a measurement event, and the repeat's events carry
+// no Test field.
+const jsonCount2 = `{"Action":"output","Package":"thermaldc","Test":"BenchmarkFleetStage1/1k","Output":"BenchmarkFleetStage1/1k-2 \t"}
+{"Action":"output","Package":"thermaldc","Test":"BenchmarkFleetStage1/1k","Output":"       1\t   2056382 ns/op\t      2056 ns/node\t   20864 B/op\t      77 allocs/op\n"}
+{"Action":"output","Package":"thermaldc","Output":"BenchmarkFleetStage1/1k-2 \t"}
+{"Action":"output","Package":"thermaldc","Output":"       1\t   1963692 ns/op\t      1964 ns/node\t   20864 B/op\t      77 allocs/op\n"}
+{"Action":"run","Package":"thermaldc","Test":"BenchmarkFleetStage1/10k"}
+{"Action":"output","Package":"thermaldc","Test":"BenchmarkFleetStage1/10k","Output":"BenchmarkFleetStage1/10k-2 \t"}
+{"Action":"output","Package":"thermaldc","Test":"BenchmarkFleetStage1/10k","Output":"       1\t  22759169 ns/op\t      2276 ns/node\t  199024 B/op\t     616 allocs/op\n"}
+{"Action":"output","Package":"thermaldc","Output":"BenchmarkFleetStage1/10k-2 \t"}
+{"Action":"output","Package":"thermaldc","Output":"       1\t  16832890 ns/op\t      1683 ns/node\t  199024 B/op\t     616 allocs/op\n"}
+{"Action":"output","Package":"thermaldc","Output":"BenchmarkFleetStage1/zone-warm-resolve-2 \t       1\t   4721221 ns/op\t       0 B/op\t       0 allocs/op\n"}
+{"Action":"output","Package":"thermaldc","Output":"BenchmarkFleetStage1/zone-warm-resolve-2 \t       1\t   5574115 ns/op\t       0 B/op\t       0 allocs/op\n"}
+`
+
+// TestParseJSONRepeatedRows: every repeat of a -json -count run is parsed,
+// the ones without a Test field included.
+func TestParseJSONRepeatedRows(t *testing.T) {
+	results, err := parse(strings.NewReader(jsonCount2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		"BenchmarkFleetStage1/1k":                (2056382 + 1963692) / 2.0,
+		"BenchmarkFleetStage1/10k":               (22759169 + 16832890) / 2.0,
+		"BenchmarkFleetStage1/zone-warm-resolve": (4721221 + 5574115) / 2.0,
+	} {
+		if r := results[name]; r.runs != 2 || r.nsPerOp != want {
+			t.Errorf("%s folded to %+v; want 2 runs with median %.1f ns/op", name, r, want)
+		}
+	}
+	if f, checked := check(results, 1.05, 1.25); len(f) != 0 || checked != 1 {
+		t.Fatalf("failures = %v checked = %d, want a clean pass", f, checked)
+	}
+}

@@ -6,8 +6,11 @@ import (
 	"testing"
 
 	"thermaldc/internal/assign"
+	"thermaldc/internal/model"
+	"thermaldc/internal/scenario"
 	"thermaldc/internal/stats"
 	"thermaldc/internal/tempsearch"
+	"thermaldc/internal/thermal"
 )
 
 // monotone tracks a sequence of optima along a rising parameter (a cap in
@@ -137,5 +140,120 @@ func TestStage1OptimumMonotoneInRedline(t *testing.T) {
 	}
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("%d feasible and %d infeasible solves; the redline range must cross the feasibility edge", feasible, infeasible)
+	}
+}
+
+// relabelNodes returns dc with its nodes reordered so that new node j is
+// old node perm[j]: Nodes (types, racks and labels) and α's node rows and
+// columns move together, and the CRACs keep their indices.
+func relabelNodes(dc *model.DataCenter, perm []int) *model.DataCenter {
+	out := *dc
+	ncrac := dc.NCRAC()
+	old := func(t int) int {
+		if t < ncrac {
+			return t
+		}
+		return ncrac + perm[t-ncrac]
+	}
+	out.Nodes = make([]model.Node, len(dc.Nodes))
+	for j, p := range perm {
+		out.Nodes[j] = dc.Nodes[p]
+	}
+	out.Alpha = make([][]float64, len(dc.Alpha))
+	for i := range out.Alpha {
+		row := make([]float64, len(dc.Alpha))
+		for j := range row {
+			row[j] = dc.Alpha[old(i)][old(j)]
+		}
+		out.Alpha[i] = row
+	}
+	return &out
+}
+
+// TestStage1OptimumInvariantUnderRelabeling is a metamorphic property of
+// the paper's model: node indices are names, so relabeling the nodes of a
+// paper-scale floor (α's rows and columns and the node types permuted to
+// match) moves every inlet temperature to its node's new index and leaves
+// the Stage-1 optimum unchanged, at fixed CRAC outlets and after the
+// outlet search, up to the simplex's round-off.
+func TestStage1OptimumInvariantUnderRelabeling(t *testing.T) {
+	sc, err := scenario.Build(scenario.Default(0.3, 0.1, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := sc.DC
+	ncrac, ncn := dc.NCRAC(), dc.NCN()
+	rng := stats.NewRand(4)
+	perm := rng.Perm(ncn)
+	pdc := relabelNodes(dc, perm)
+	ptm, err := thermal.New(pdc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)) }
+
+	out := []float64{12, 15, 18}
+	pcn := make([]float64, ncn)
+	ppcn := make([]float64, ncn)
+	for j := range pcn {
+		pcn[j] = dc.NodeType(j).MinPower() + rng.Float64()
+	}
+	for j, p := range perm {
+		ppcn[j] = pcn[p]
+	}
+	tin := sc.Thermal.InletTemps(out, pcn)
+	ptin := ptm.InletTemps(out, ppcn)
+	for u := range ptin {
+		o := u
+		if u >= ncrac {
+			o = ncrac + perm[u-ncrac]
+		}
+		if !near(tin[o], ptin[u]) {
+			t.Fatalf("relabeled inlet %d = %.12g; unit %d's inlet before relabeling was %.12g", u, ptin[u], o, tin[o])
+		}
+	}
+
+	opts := assign.DefaultOptions()
+	ts, err := assign.NewThreeStageSolver(dc, sc.Thermal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := assign.NewThreeStageSolver(pdc, ptm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, err := ts.SearchOnly(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pbest, err := pts.SearchOnly(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !near(best.Value, pbest.Value) {
+		t.Fatalf("searched Stage-1 optimum %.12g at %v; relabeled %.12g at %v", best.Value, best.Out, pbest.Value, pbest.Out)
+	}
+
+	arrs := buildARRs(t, sc, opts.Psi)
+	s1 := assign.NewStage1Solver(dc, sc.Thermal, arrs)
+	ps1 := assign.NewStage1Solver(pdc, ptm, arrs)
+	feasible := 0
+	for _, o := range [][]float64{best.Out, {10, 10, 10}, {12.5, 15, 17.5}, {15, 15, 15}, {20, 17.5, 12.5}} {
+		res, err := s1.Solve(o)
+		pres, perr := ps1.Solve(o)
+		ok := err == nil && res.Feasible
+		if pok := perr == nil && pres.Feasible; ok != pok {
+			t.Fatalf("outlets %v: feasible %v (err %v), relabeled %v (err %v)", o, ok, err, pok, perr)
+		}
+		if !ok {
+			continue
+		}
+		feasible++
+		if !near(res.PredictedARR, pres.PredictedARR) {
+			t.Fatalf("outlets %v: Stage-1 optimum %.12g, relabeled %.12g", o, res.PredictedARR, pres.PredictedARR)
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no outlet vector was feasible")
 	}
 }

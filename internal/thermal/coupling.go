@@ -51,10 +51,10 @@ func Components(alpha [][]float64, eps float64) Coupling {
 			parent[rb] = ra
 		}
 	}
-	for i := 0; i < n; i++ {
-		row := alpha[i]
-		for j := i + 1; j < n; j++ {
-			if abs(row[j]) > eps || abs(alpha[j][i]) > eps {
+	// One row-major pass visits both α[i][j] and α[j][i] of every pair.
+	for i, row := range alpha {
+		for j, v := range row {
+			if j != i && abs(v) > eps {
 				union(i, j)
 			}
 		}
@@ -75,6 +75,10 @@ func Components(alpha [][]float64, eps float64) Coupling {
 	}
 	c.NumComponents = len(label)
 
+	// With eps ≤ 0 every nonzero entry joined its units, so MaxCross is 0.
+	if eps <= 0 {
+		return c
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if c.Component[i] != c.Component[j] {

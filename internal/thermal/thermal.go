@@ -20,6 +20,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"thermaldc/internal/linalg"
 	"thermaldc/internal/model"
@@ -29,9 +30,6 @@ import (
 // Model holds the precomputed affine thermal maps for one data center.
 type Model struct {
 	dc *model.DataCenter
-
-	// a is the heat-distribution matrix of Equation 5: Tin = a·Tout.
-	a *linalg.Matrix
 
 	// outFromCRAC (n×NCRAC) and outFromPower (n×NCN) give
 	// Tout = outFromCRAC·TcracOut + outFromPower·PCN.
@@ -58,33 +56,106 @@ type Model struct {
 // recirculation pattern is degenerate (air never reaching a CRAC would
 // make the fixed point singular — physically impossible in a data center
 // with positive exit coefficients).
+//
+// The fixed point is solved per connected component of α (Components with
+// eps 0): each component's units, gathered in ascending thermal order,
+// form one block of A and of M = I − S·A, and the block's maps are
+// scattered into the dense ones. The result is bit-identical to one dense
+// factorization of the whole floor. Partial pivoting never picks a row of
+// another block (that row holds an exact 0 in the pivot column and the
+// pivot test is strict), each block keeps its rows' relative order so ties
+// resolve the same way, and both the elimination and the products skip
+// every zero multiplier. A column of another block is a zero right-hand
+// side within the block, so a row's entries there are the block's solution
+// for zero: +0/pivot, which is −0 where the row's pivot is negative. Those
+// signed zeros drop out of every product, so tinFromCRAC and G hold +0
+// between blocks. A floor of one component, every paper-scale layout, is
+// one block in identity order and runs exactly the dense arithmetic.
 func New(dc *model.DataCenter) (*Model, error) {
-	n := dc.NumThermal()
-	ncrac := dc.NCRAC()
-	flows := dc.Flows()
+	n, ncrac, ncn := dc.NumThermal(), dc.NCRAC(), dc.NCN()
+	m := &Model{dc: dc, flows: dc.Flows()}
+	blocks := componentUnits(dc.Alpha)
+	if len(blocks) != 1 {
+		m.outFromCRAC = linalg.NewMatrix(n, ncrac)
+		m.outFromPower = linalg.NewMatrix(n, ncn)
+		m.tinFromCRAC = linalg.NewMatrix(n, ncrac)
+		m.g = linalg.NewMatrix(n, ncn)
+	}
+	for _, units := range blocks {
+		nc := sort.SearchInts(units, ncrac) // the block's CRACs come first
+		b, err := m.solveBlock(units, nc)
+		if err != nil {
+			return nil, err
+		}
+		if len(blocks) == 1 {
+			// One block in identity order: its maps are the model's.
+			m.outFromCRAC, m.outFromPower, m.tinFromCRAC, m.g = b.outFromCRAC, b.outFromPower, b.tinFromCRAC, b.g
+			break
+		}
+		crac := units[:nc]
+		node := make([]int, len(units)-nc)
+		for k, t := range units[nc:] {
+			node[k] = t - ncrac
+		}
+		scatter(m.outFromCRAC, b.outFromCRAC, units, crac, b.offBlock)
+		scatter(m.outFromPower, b.outFromPower, units, node, b.offBlock)
+		scatter(m.tinFromCRAC, b.tinFromCRAC, units, crac, nil)
+		scatter(m.g, b.g, units, node, nil)
+	}
+	m.gLo, m.gHi = rowBands(m.g)
+	return m, nil
+}
+
+// componentUnits groups the thermal units by connected component of α,
+// each group in ascending thermal order.
+func componentUnits(alpha [][]float64) [][]int {
+	c := Components(alpha, 0)
+	groups := make([][]int, c.NumComponents)
+	for t, id := range c.Component {
+		groups[id] = append(groups[id], t)
+	}
+	return groups
+}
+
+// blockMaps holds one block's maps, rows and columns in the block's
+// local order.
+type blockMaps struct {
+	outFromCRAC, outFromPower, tinFromCRAC, g *linalg.Matrix
+
+	// offBlock is the block's solution for a zero right-hand side: row r's
+	// outlet-map entry in every column of another block.
+	offBlock []float64
+}
+
+// solveBlock solves the heat-flow fixed point restricted to units (one
+// connected component of α, in ascending thermal order), whose first
+// ncrac units are CRACs.
+func (m *Model) solveBlock(units []int, ncrac int) (blockMaps, error) {
+	dc, flows := m.dc, m.flows
+	n := len(units)
 
 	// A[j][i] = α[i][j]·F_i / F_j  (row j: inlet of unit j).
 	a := linalg.NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		row := a.Row(j)
-		for i := 0; i < n; i++ {
-			row[i] = dc.Alpha[i][j] * flows[i] / flows[j]
+	for lj, j := range units {
+		row := a.Row(lj)
+		for li, i := range units {
+			row[li] = dc.Alpha[i][j] * flows[i] / flows[j]
 		}
 	}
 
 	// Fixed point: Tout = S·A·Tout + S·(c ∘ PCN)_ext + (I−S)·TcracOut_ext,
 	// where S selects node rows. Build M = I − S·A and factor it.
-	m := linalg.Identity(n)
+	mm := linalg.Identity(n)
 	for t := ncrac; t < n; t++ {
-		mrow := m.Row(t)
+		mrow := mm.Row(t)
 		arow := a.Row(t)
 		for i := 0; i < n; i++ {
 			mrow[i] -= arow[i]
 		}
 	}
-	lu, err := linalg.FactorLU(m)
+	lu, err := linalg.FactorLU(mm)
 	if err != nil {
-		return nil, fmt.Errorf("thermal: heat-flow fixed point is singular (air recirculation never reaches a CRAC): %w", err)
+		return blockMaps{}, fmt.Errorf("thermal: heat-flow fixed point is singular (air recirculation never reaches a CRAC): %w", err)
 	}
 
 	// Tout sensitivities: solve M·X = E for the CRAC-selector and
@@ -93,33 +164,47 @@ func New(dc *model.DataCenter) (*Model, error) {
 	for i := 0; i < ncrac; i++ {
 		eCRAC.Set(i, i, 1)
 	}
-	ePow := linalg.NewMatrix(n, dc.NCN())
-	for j := 0; j < dc.NCN(); j++ {
+	ePow := linalg.NewMatrix(n, n-ncrac)
+	for j := 0; j < n-ncrac; j++ {
 		t := ncrac + j
-		ePow.Set(t, j, 1/(power.RhoCp*flows[t]))
+		ePow.Set(t, j, 1/(power.RhoCp*flows[units[t]]))
 	}
 	outFromCRAC, err := lu.SolveMatrix(eCRAC)
 	if err != nil {
-		return nil, fmt.Errorf("thermal: solving CRAC sensitivity: %w", err)
+		return blockMaps{}, fmt.Errorf("thermal: solving CRAC sensitivity: %w", err)
 	}
 	outFromPower, err := lu.SolveMatrix(ePow)
 	if err != nil {
-		return nil, fmt.Errorf("thermal: solving power sensitivity: %w", err)
+		return blockMaps{}, fmt.Errorf("thermal: solving power sensitivity: %w", err)
 	}
-
-	g := a.Mul(outFromPower)
-	gLo, gHi := rowBands(g)
-	return &Model{
-		dc:           dc,
-		a:            a,
+	offBlock := make([]float64, n)
+	if err := lu.SolveInto(offBlock, make([]float64, n)); err != nil {
+		return blockMaps{}, fmt.Errorf("thermal: solving the off-block rows: %w", err)
+	}
+	return blockMaps{
 		outFromCRAC:  outFromCRAC,
 		outFromPower: outFromPower,
 		tinFromCRAC:  a.Mul(outFromCRAC),
-		g:            g,
-		gLo:          gLo,
-		gHi:          gHi,
-		flows:        flows,
+		g:            a.Mul(outFromPower),
+		offBlock:     offBlock,
 	}, nil
+}
+
+// scatter writes the block matrix src into dst at global rows rows[r] and
+// columns cols[c]. With a non-nil fill, row r's other columns hold fill[r]
+// (dst starts at +0, so only a −0 needs writing).
+func scatter(dst, src *linalg.Matrix, rows, cols []int, fill []float64) {
+	for r, gr := range rows {
+		drow := dst.Row(gr)
+		if fill != nil && math.Signbit(fill[r]) {
+			for c := range drow {
+				drow[c] = fill[r]
+			}
+		}
+		for c, v := range src.Row(r) {
+			drow[cols[c]] = v
+		}
+	}
 }
 
 // rowBands returns, for each row of m, the first nonzero column and one
@@ -167,9 +252,6 @@ func (m *Model) mulGInto(pcn, dst []float64) []float64 {
 	}
 	return dst
 }
-
-// A returns the heat-distribution matrix of Equation 5 (read-only).
-func (m *Model) A() *linalg.Matrix { return m.a }
 
 // PowerSensitivity returns G with Tin = TinBase(cracOut) + G·PCN. Row t is
 // a thermal unit in thermal-index order; column j is compute node j. All

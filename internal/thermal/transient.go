@@ -58,9 +58,21 @@ func (tr *Transient) OutletTemps() []float64 {
 	return append([]float64(nil), tr.tout...)
 }
 
-// InletTemps returns the current inlet temperatures Tin = A·Tout.
+// InletTemps returns the current inlet temperatures Tin = A·Tout
+// (Equation 5). Each entry A[j][i] = α[i][j]·F_i/F_j is formed from α as
+// New forms it and summed in the same order as a dense A·Tout product, so
+// no copy of A is kept.
 func (tr *Transient) InletTemps() []float64 {
-	return tr.m.a.MulVec(tr.tout)
+	alpha, flows := tr.m.dc.Alpha, tr.m.flows
+	tin := make([]float64, len(tr.tout))
+	for j := range tin {
+		s := 0.0
+		for i, t := range tr.tout {
+			s += alpha[i][j] * flows[i] / flows[j] * t
+		}
+		tin[j] = s
+	}
+	return tin
 }
 
 // RedlineSlack returns the minimum redline slack at the current state.
