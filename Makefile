@@ -43,8 +43,8 @@ race:
 # seeds are real ~30 KB journal records, too long for the quadratic input
 # minimizer, so minimization is off), the concave-envelope builder and the
 # knapsack LP (held to its greedy optimum), the simplex and fleet-scaling
-# performance gates at 1x into /tmp (the fleet family runs 5 times and is
-# gated on its medians; it includes the
+# performance gates at 1x into /tmp (each family runs 5 times and is
+# gated on its medians; the fleet family includes the
 # zone-warm-resolve 0-allocs gate), the benchmark harness's own tests (perfbench/ is a separate module, so the
 # root `go test ./...` never builds it; an API change that breaks the
 # benchmark fails here), a short instrumented degraded run whose exported
@@ -77,7 +77,7 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzSweepReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzConcaveEnvelope -fuzztime 10s ./internal/pwl
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackLP -fuzztime 10s ./internal/linprog
-	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json,1)
+	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json,5)
 	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),/tmp/tapo-ci-bench-fleet.json,5)
 	cd perfbench && $(GO) test -count=1 ./...
 	$(GO) run ./cmd/tapo degraded -trials 1 -nodes 10 -cracs 2 -horizon 30 \
@@ -120,9 +120,10 @@ SIMPLEX_BENCH = 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-par
 FLEET_BENCH = 'FleetStage1'
 # $(call bench-gate,regex,benchtime,file,count) runs one benchmark family
 # count times into file as JSON and gates it with cmd/benchcheck, which
-# folds repeated rows into their median. `make ci` runs the fleet family 5
-# times: each 1x point is one short retained-pool solve, so host drift
-# alone can push a single sample's 10k/1k ns/node ratio past the bound.
+# folds repeated rows into their median. `make ci` runs both families 5
+# times: each 1x point is one short solve, so host drift alone can push a
+# single sample past a bound (the fleet family's 10k/1k ns/node ratio, the
+# simplex family's flat-vs-legacy ratio).
 bench-gate = $(GO) test -run '^$$' -bench $(1) -benchtime $(2) -count $(4) -json . > $(3) && $(GO) run ./cmd/benchcheck $(3)
 bench-compare:
 	$(call bench-gate,$(SIMPLEX_BENCH),$(BENCHTIME),BENCH_simplex.json,1)

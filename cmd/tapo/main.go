@@ -18,10 +18,11 @@
 //	              [-trace-out FILE]
 //	tapo trace    [lint] FILE...
 //
-// Global flags (before the command): -log-level/-log-json tune the
-// structured logger, -cpuprofile/-memprofile write pprof profiles. Per-run
-// telemetry comes from `degraded`: -metrics-out (a per-epoch JSONL series,
-// checked by cmd/tscheck) and -trace-out (a Chrome trace).
+// Global flags (before the command): -cpuprofile/-memprofile write pprof
+// profiles. Progress, "wrote FILE" and signal notices go to stderr as
+// plain lines. Per-run telemetry comes from `degraded`: -metrics-out (a
+// per-epoch JSONL series, checked by cmd/tscheck) and -trace-out (a Chrome
+// trace).
 //
 // SIGINT/SIGTERM cancel the run at the next epoch or trial boundary and
 // exit 130; a second signal forces immediate exit. With `degraded
@@ -56,12 +57,10 @@ import (
 )
 
 // Global flags — given before the command (tapo -cpuprofile cpu.out fig6 …)
-// so every subcommand can be profiled and tuned the same way.
+// so every subcommand can be profiled the same way.
 var (
 	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	logLevel   = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
-	logJSON    = flag.Bool("log-json", false, "emit logs as JSON lines instead of plain text")
 )
 
 // writeCSV writes one experiment result to path via the given writer
@@ -74,7 +73,7 @@ func writeCSV(path string, write func(w io.Writer) error) error {
 	if err := persist.WriteFileAtomic(path, write); err != nil {
 		return err
 	}
-	telemetry.Default().Info("wrote " + path)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
 }
 
@@ -90,12 +89,6 @@ func run() int {
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
 
-	lvl, lvlErr := telemetry.ParseLevel(*logLevel)
-	if lvlErr != nil {
-		fmt.Fprintf(os.Stderr, "tapo: %v\n", lvlErr)
-		return 2
-	}
-	telemetry.SetDefault(telemetry.NewLogger(os.Stderr, lvl, *logJSON))
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -109,7 +102,7 @@ func run() int {
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			telemetry.Default().Info("wrote " + *cpuProfile)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", *cpuProfile)
 		}()
 	}
 	if *memProfile != "" {
@@ -125,7 +118,7 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "tapo: %v\n", err)
 				return
 			}
-			telemetry.Default().Info("wrote " + *memProfile)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", *memProfile)
 		}()
 	}
 
@@ -197,10 +190,10 @@ func signalContext() (context.Context, func()) {
 		if !ok {
 			return
 		}
-		telemetry.Default().Warn("received " + s.String() + "; finishing the current step (signal again to force quit)")
+		fmt.Fprintf(os.Stderr, "received %s; finishing the current step (signal again to force quit)\n", s)
 		cancel()
 		if _, ok := <-sigc; ok {
-			telemetry.Default().Error("second signal; exiting immediately")
+			fmt.Fprintln(os.Stderr, "second signal; exiting immediately")
 			os.Exit(130)
 		}
 	}()
@@ -236,8 +229,6 @@ commands:
 global flags (before the command):
   -cpuprofile FILE     write a CPU profile (inspect with go tool pprof)
   -memprofile FILE     write a heap profile on exit
-  -log-level LEVEL     log verbosity: debug | info (default) | warn | error
-  -log-json            emit logs as JSON lines instead of plain text
 
 SIGINT/SIGTERM stop the run at the next epoch/trial boundary (exit 130);
 a second signal exits immediately. "degraded -checkpoint DIR" makes every
@@ -278,7 +269,7 @@ func runFig6(ctx context.Context, args []string) error {
 	cfg.SimHorizon = *simHorizon
 	cfg.SimPaperPolicy = *simPaper
 	cfg.Options.Search.Parallelism = *searchPar
-	progress := func(line string) { telemetry.Default().Info(line) }
+	progress := func(line string) { fmt.Fprintln(os.Stderr, line) }
 	if *quiet {
 		progress = nil
 	}
@@ -569,7 +560,7 @@ func runDegraded(ctx context.Context, args []string) error {
 		n := *crashAfter
 		cfg.CommitHook = func(commits int) {
 			if commits == n {
-				telemetry.Default().Error("crash-after: simulating a crash", "commit", commits)
+				fmt.Fprintf(os.Stderr, "crash-after: simulating a crash commit=%d\n", commits)
 				os.Exit(7)
 			}
 		}
@@ -600,7 +591,7 @@ func runDegraded(ctx context.Context, args []string) error {
 		if err := mf.Commit(); err != nil {
 			return err
 		}
-		telemetry.Default().Info("wrote " + *metricsOut)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
 	}
 	if *traceOut != "" {
 		// Same atomic discipline as -metrics-out: the trace lands under its
@@ -616,7 +607,7 @@ func runDegraded(ctx context.Context, args []string) error {
 		if err := tf.Commit(); err != nil {
 			return err
 		}
-		telemetry.Default().Info("wrote " + *traceOut)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *traceOut)
 	}
 	return nil
 }

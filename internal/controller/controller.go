@@ -74,15 +74,9 @@ type Config struct {
 	// Tol is the verification tolerance (default 1e-6).
 	Tol float64
 	// SolveTimeout bounds the wall time of one epoch's whole trip down the
-	// degradation ladder (warm, cold, and retry rungs share the budget).
-	// Zero means no deadline.
+	// degradation ladder (the warm and cold rungs share the budget). Zero
+	// means no deadline.
 	SolveTimeout time.Duration
-	// SolveRetries is how many extra cold rebuild-and-solve attempts the
-	// retry rung makes before the ladder falls to the previous plan.
-	SolveRetries int
-	// RetryBackoff is the pause before the first retry attempt; it doubles
-	// per attempt and is cut short by the SolveTimeout deadline.
-	RetryBackoff time.Duration
 	// Recorder, when non-nil, publishes the run's telemetry:
 	// epoch/rung/stage/LP spans on its tracer (if tracing is enabled) and
 	// one EpochSample row per interval, stamped with the recorder's run
@@ -105,18 +99,15 @@ type Config struct {
 	Resume *Checkpoint
 }
 
-// DefaultConfig returns a closed-loop configuration: no solve deadline
-// (each epoch solve runs to completion, as in the paper) and one cold
-// retry should a solve ever fail.
+// DefaultConfig returns a closed-loop configuration with no solve
+// deadline: each epoch solve runs to completion, as in the paper.
 func DefaultConfig(horizon, epoch float64) Config {
 	return Config{
-		Horizon:      horizon,
-		Epoch:        epoch,
-		Mode:         Reoptimize,
-		Assign:       assign.DefaultOptions(),
-		Tol:          1e-6,
-		SolveRetries: 1,
-		RetryBackoff: 25 * time.Millisecond,
+		Horizon: horizon,
+		Epoch:   epoch,
+		Mode:    Reoptimize,
+		Assign:  assign.DefaultOptions(),
+		Tol:     1e-6,
 	}
 }
 
@@ -131,8 +122,6 @@ const (
 	// RungCold: the warm solve failed; a freshly built solver — new LP
 	// skeleton, new tableau — succeeded.
 	RungCold
-	// RungRetry: a backed-off cold retry succeeded within the time budget.
-	RungRetry
 	// RungPrevPlan: all solves failed; the previous successfully solved
 	// plan still verifies against the current planner model and stays in
 	// force.
@@ -150,8 +139,6 @@ func (r Rung) String() string {
 		return "warm"
 	case RungCold:
 		return "cold"
-	case RungRetry:
-		return "retry"
 	case RungPrevPlan:
 		return "prev-plan"
 	case RungAllOff:
@@ -185,8 +172,6 @@ type EpochReport struct {
 	// Rung is the degradation-ladder step that produced the plan (only
 	// meaningful when Resolved).
 	Rung Rung
-	// Retries counts backed-off retry attempts spent on this solve.
-	Retries int
 	// SolveWall is the wall time of the whole ladder trip.
 	SolveWall time.Duration
 	// ErrKind classifies the last solve failure (Unknown when the warm
@@ -209,9 +194,8 @@ type ResultState struct {
 	// activations (rungs at RungPrevPlan or below).
 	Resolves, Fallbacks int
 	// RungCounts tallies re-solving epochs by the ladder rung that produced
-	// their plan; Retries totals backed-off retry attempts across the run.
+	// their plan.
 	RungCounts [NumRungs]int
-	Retries    int
 	// Violations sums planner-view Verify findings across all plans.
 	Violations int
 	// MaxPower, MaxPowerExcess and MaxInletExcess fold the per-epoch
@@ -233,7 +217,6 @@ func newResultState() ResultState {
 func (rs *ResultState) fold(rep *EpochReport) {
 	if rep.Resolved {
 		rs.RungCounts[rep.Rung]++
-		rs.Retries += rep.Retries
 		if rep.Fallback {
 			rs.Fallbacks++
 		}
@@ -409,7 +392,6 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			}
 			rep.Resolved = true
 			rep.Rung = lad.rung
-			rep.Retries = lad.retries
 			rep.SolveWall = lad.wall
 			rep.ErrKind = solvererr.Classify(lad.lastErr)
 			// Every solve attempt failed: the safe rungs took over.
@@ -504,7 +486,6 @@ func newScheduler(dc *model.DataCenter, plan *assign.ThreeStageResult, start flo
 type ladderOutcome struct {
 	plan    *assign.ThreeStageResult
 	rung    Rung
-	retries int
 	wall    time.Duration
 	lastErr error
 	// solver is non-nil when a cold rebuild replaced the warm solver; the
@@ -515,12 +496,13 @@ type ladderOutcome struct {
 // runLadder walks the degradation ladder for one epoch boundary:
 //
 //	warm incremental solve → cold solve on a fresh skeleton →
-//	backed-off cold retries within the time budget →
 //	previous verified plan (re-verified on the current model) → all off.
 //
-// Infeasibility and deadline expiry short-circuit the solve rungs: an
+// The cold rung is the one rebuild: it recovers from a warm skeleton a
+// panic left broken, and a second deterministic rebuild-and-solve could
+// only fail the same way. Infeasibility and deadline expiry skip it: an
 // infeasible model fails identically however often it is re-solved, and
-// an expired budget leaves no time to retry in. Every solve attempt is
+// an expired budget leaves no time to rebuild in. Every solve attempt is
 // guarded against panics, so a model-invariant violation degrades the
 // epoch instead of killing the run.
 func runLadder(parent context.Context, cfg Config, solver *assign.ThreeStageSolver, rebuild func() (*assign.ThreeStageSolver, error), plannerDC *model.DataCenter, plannerTM *thermal.Model, lastGood *assign.ThreeStageResult, prevOut []float64) ladderOutcome {
@@ -536,20 +518,6 @@ func runLadder(parent context.Context, cfg Config, solver *assign.ThreeStageSolv
 		out.plan, out.rung, out.wall = plan, rung, time.Since(start)
 		return out
 	}
-	// solvable reports whether another solve attempt could change the
-	// outcome: not after the budget expired, and not for an infeasible
-	// model (deterministic — a rebuild solves the same LP).
-	solvable := func() bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		switch solvererr.Classify(out.lastErr) {
-		case solvererr.Infeasible, solvererr.Timeout:
-			return false
-		}
-		return true
-	}
-
 	// attempt wraps one solve rung with a SpanRung trace record (labelled
 	// by the rung being attempted) on the recorder's tracer, if any.
 	tr := cfg.Recorder.Tracer()
@@ -560,51 +528,24 @@ func runLadder(parent context.Context, cfg Config, solver *assign.ThreeStageSolv
 		return plan, err
 	}
 
-	if plan, err := attempt(RungWarm, solver); err == nil {
+	plan, err := attempt(RungWarm, solver)
+	if err == nil {
 		return done(plan, RungWarm)
-	} else {
-		out.lastErr = err
 	}
+	out.lastErr = err
 
-	if solvable() {
-		if fresh, err := rebuild(); err != nil {
-			out.lastErr = err
-		} else {
-			out.solver = fresh
-			if plan, err := attempt(RungCold, fresh); err == nil {
-				return done(plan, RungCold)
-			} else {
-				out.lastErr = err
-			}
-		}
-	}
-
-	backoff := cfg.RetryBackoff
-	for i := 0; i < cfg.SolveRetries && solvable(); i++ {
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-			case <-t.C:
-			}
-			backoff *= 2
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		out.retries++
+	// The cold rung runs only when a rebuild could change the outcome: not
+	// after the budget expired, and not for an infeasible model
+	// (deterministic — a rebuild solves the same LP).
+	if k := solvererr.Classify(err); ctx.Err() == nil && k != solvererr.Infeasible && k != solvererr.Timeout {
 		fresh, err := rebuild()
-		if err != nil {
-			out.lastErr = err
-			continue
+		if err == nil {
+			out.solver = fresh
+			if plan, err = attempt(RungCold, fresh); err == nil {
+				return done(plan, RungCold)
+			}
 		}
-		out.solver = fresh
-		if plan, err := attempt(RungRetry, fresh); err == nil {
-			return done(plan, RungRetry)
-		} else {
-			out.lastErr = err
-		}
+		out.lastErr = err
 	}
 
 	if lastGood != nil && planVerifies(plannerDC, plannerTM, lastGood, cfg.Tol) {
@@ -691,10 +632,9 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 		}})
 	}
 	out, err := sim.RunOpts(base, plan.PStates, plan.Stage3.TC, tasks, cfg.Horizon, sim.Options{
-		Hooks:     hooks,
-		Plant:     p,
-		Lost:      lost,
-		Telemetry: cfg.Recorder,
+		Hooks: hooks,
+		Plant: p,
+		Lost:  lost,
 	})
 	if err != nil {
 		return nil, err

@@ -52,8 +52,8 @@ func ladderFixture(t *testing.T) (cfg Config, solver *assign.ThreeStageSolver, r
 func TestLadderWarmRung(t *testing.T) {
 	cfg, solver, rebuild, sc, tm := ladderFixture(t)
 	out := runLadder(context.Background(), cfg, solver, rebuild, sc.DC, tm, nil, nil)
-	if out.rung != RungWarm || out.retries != 0 || out.lastErr != nil {
-		t.Fatalf("rung=%v retries=%d err=%v, want warm/0/nil", out.rung, out.retries, out.lastErr)
+	if out.rung != RungWarm || out.lastErr != nil || out.solver != nil {
+		t.Fatalf("rung=%v err=%v rebuilt=%v, want warm/nil/false", out.rung, out.lastErr, out.solver != nil)
 	}
 	if out.plan == nil || !out.plan.Stage1.Feasible {
 		t.Fatal("warm rung returned no feasible plan")
@@ -81,39 +81,19 @@ func TestLadderColdRungAfterPanic(t *testing.T) {
 	}
 }
 
-// TestLadderRetryRung: the first rebuild also hands back a panicking
-// solver, so only the backed-off retry succeeds.
-func TestLadderRetryRung(t *testing.T) {
-	cfg, _, goodRebuild, sc, tm := ladderFixture(t)
-	cfg.RetryBackoff = time.Millisecond
-	calls := 0
-	rebuild := func() (*assign.ThreeStageSolver, error) {
-		calls++
-		if calls == 1 {
-			return new(assign.ThreeStageSolver), nil
-		}
-		return goodRebuild()
-	}
-	out := runLadder(context.Background(), cfg, new(assign.ThreeStageSolver), rebuild, sc.DC, tm, nil, nil)
-	if out.rung != RungRetry || out.retries != 1 {
-		t.Fatalf("rung=%v retries=%d (err %v), want retry/1", out.rung, out.retries, out.lastErr)
-	}
-	if out.plan == nil || !out.plan.Stage1.Feasible {
-		t.Fatal("retry rung returned no feasible plan")
-	}
-}
-
 // TestLadderPrevPlanRung: every solve attempt fails, but the previous
 // verified plan still passes Verify on the unchanged model and stays in
-// force.
+// force. A panic is neither infeasibility nor a timeout, so the cold rung
+// rebuilds exactly once before the ladder falls to the previous plan.
 func TestLadderPrevPlanRung(t *testing.T) {
 	cfg, solver, _, sc, tm := ladderFixture(t)
-	cfg.RetryBackoff = 0
 	lastGood, err := guardedSolve(context.Background(), solver)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rebuilds := 0
 	badRebuild := func() (*assign.ThreeStageSolver, error) {
+		rebuilds++
 		return nil, errors.New("skeleton build exploded")
 	}
 	out := runLadder(context.Background(), cfg, new(assign.ThreeStageSolver), badRebuild, sc.DC, tm, lastGood, nil)
@@ -123,13 +103,15 @@ func TestLadderPrevPlanRung(t *testing.T) {
 	if out.plan != lastGood {
 		t.Fatal("prev-plan rung did not reuse the last verified plan")
 	}
+	if rebuilds != 1 {
+		t.Fatalf("ladder ran %d rebuilds after a panic, want exactly 1 (the cold rung)", rebuilds)
+	}
 }
 
 // TestLadderAllOffRung: no solve succeeds and there is no previous plan —
 // the ladder bottoms out at the all-off safe plan.
 func TestLadderAllOffRung(t *testing.T) {
 	cfg, _, _, sc, tm := ladderFixture(t)
-	cfg.RetryBackoff = 0
 	badRebuild := func() (*assign.ThreeStageSolver, error) {
 		return nil, errors.New("skeleton build exploded")
 	}
@@ -146,8 +128,8 @@ func TestLadderAllOffRung(t *testing.T) {
 }
 
 // TestLadderTimeoutSkipsSolveRungs: an expired budget must not burn time
-// on cold rebuilds or retries — the ladder drops straight to the safe
-// rungs with a Timeout classification.
+// on a cold rebuild — the ladder drops straight to the safe rungs with a
+// Timeout classification.
 func TestLadderTimeoutSkipsSolveRungs(t *testing.T) {
 	cfg, solver, _, sc, tm := ladderFixture(t)
 	cfg.SolveTimeout = time.Nanosecond
@@ -164,7 +146,7 @@ func TestLadderTimeoutSkipsSolveRungs(t *testing.T) {
 		t.Fatalf("lastErr kind = %v (%v), want timeout", solvererr.Classify(out.lastErr), out.lastErr)
 	}
 	if rebuilds != 0 {
-		t.Fatalf("cold/retry rungs ran %d rebuilds after the deadline expired", rebuilds)
+		t.Fatalf("cold rung ran %d rebuilds after the deadline expired", rebuilds)
 	}
 }
 
@@ -172,7 +154,6 @@ func TestLadderTimeoutSkipsSolveRungs(t *testing.T) {
 // model, so the ladder must not waste its budget re-solving the same LP.
 func TestLadderInfeasibleShortCircuits(t *testing.T) {
 	cfg, solver, _, sc, tm := ladderFixture(t)
-	cfg.RetryBackoff = 0
 	// A cap below the fleet's base power leaves no feasible assignment.
 	old := sc.DC.Pconst
 	sc.DC.Pconst = 1e-12
@@ -208,8 +189,10 @@ func TestGuardedSolveClassifiesPanic(t *testing.T) {
 
 func TestRungStrings(t *testing.T) {
 	want := map[Rung]string{
-		RungWarm: "warm", RungCold: "cold", RungRetry: "retry",
-		RungPrevPlan: "prev-plan", RungAllOff: "all-off",
+		RungWarm: "warm", RungCold: "cold", RungPrevPlan: "prev-plan", RungAllOff: "all-off",
+	}
+	if len(want) != NumRungs {
+		t.Fatalf("%d rung names for %d rungs", len(want), NumRungs)
 	}
 	for r, s := range want {
 		if r.String() != s {

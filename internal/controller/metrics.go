@@ -37,7 +37,6 @@ func epochSample(run, epoch int, rep *EpochReport, p *truthPlant) *telemetry.Epo
 		Dropped:                rep.Dropped,
 		Lost:                   rep.Lost,
 		Violations:             rep.Violations,
-		Retries:                rep.Retries,
 		SolveWallS:             rep.SolveWall.Seconds(),
 		PowerKW:                power,
 		PowerHeadroomKW:        cap - power,

@@ -77,7 +77,7 @@ func BurstinessSweepContext(ctx context.Context, cfg SweepConfig, horizon float6
 				}
 			}
 			for _, policy := range []sched.Policy{sched.PaperPolicy{}, sched.SoftRatioPolicy{}} {
-				out, err := sim.RunPolicy(sc.DC, ts.PStates, ts.Stage3.TC, tasks, horizon, policy)
+				out, err := sim.RunOpts(sc.DC, ts.PStates, ts.Stage3.TC, tasks, horizon, sim.Options{Policy: policy})
 				if err != nil {
 					return nil, err
 				}

@@ -104,11 +104,9 @@ type DegradedRow struct {
 	OpenPowerExcess, OpenInletExcess     float64
 	ClosedPowerExcess, ClosedInletExcess float64
 	// Resolves and Fallbacks total the closed loop's re-solves and
-	// safe-plan activations across the trials; Retries totals backed-off
-	// solve retries and RungCounts tallies epochs per degradation-ladder
-	// rung (warm, cold, retry, prev-plan, all-off).
+	// safe-plan activations across the trials; RungCounts tallies epochs
+	// per degradation-ladder rung (warm, cold, prev-plan, all-off).
 	Resolves, Fallbacks int
-	Retries             int
 	RungCounts          [controller.NumRungs]int
 	// LP sums the closed loop's simplex counters (solves, pivots, workspace
 	// bytes allocated) across the trials.
@@ -170,17 +168,12 @@ func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedRes
 				return nil, err
 			}
 
-			cfg.Recorder.Logger().Debug("degraded trial done",
-				"node_failures", lvl.NodeFailures, "crac_degradations", lvl.CracDegradations,
-				"trial", trial, "closed_reward_rate", closedSum.RewardRate, "open_reward_rate", openSum.RewardRate)
-
 			row.ClosedReward += closedSum.RewardRate
 			row.OpenReward += openSum.RewardRate
 			row.ClosedLost += float64(closedSum.Lost)
 			row.OpenLost += float64(openSum.Lost)
 			row.Resolves += closedSum.Resolves
 			row.Fallbacks += closedSum.Fallbacks
-			row.Retries += closedSum.Retries
 			row.LP.Add(closedSum.LP)
 			for i, c := range closedSum.RungCounts {
 				row.RungCounts[i] += c
@@ -264,20 +257,20 @@ func (r *DegradedResult) Render() string {
 	fmt.Fprintf(&b, "Degraded operation: open-loop vs re-optimizing (%d nodes, %d CRACs, %d trials, horizon %.0f s, epoch %.0f s)\n",
 		r.Config.NNodes, r.Config.NCracs, r.Config.Trials, r.Config.Horizon, r.Config.Epoch)
 	fmt.Fprintf(&b, "excess columns: worst kW above the power cap / worst °C above a redline (<= 0 means the constraint held)\n")
-	fmt.Fprintf(&b, "ladder column: closed-loop epochs per degradation rung warm/cold/retry/prev/off (see controller.Rung)\n")
+	fmt.Fprintf(&b, "ladder column: closed-loop epochs per degradation rung warm/cold/prev/off (see controller.Rung)\n")
 	fmt.Fprintf(&b, "lp columns: closed-loop simplex solves / pivots / workspace KiB allocated (0 KiB = fully warm tableaus)\n\n")
-	fmt.Fprintf(&b, "%6s %6s | %11s %9s %7s %7s | %11s %9s %7s %7s | %8s | %-15s %7s | %8s %9s %7s\n",
+	fmt.Fprintf(&b, "%6s %6s | %11s %9s %7s %7s | %11s %9s %7s %7s | %8s | %14s | %8s %9s %7s\n",
 		"nodes", "cracs",
 		"open rew/s", "open lost", "pow+kW", "inl+°C",
-		"cl rew/s", "cl lost", "pow+kW", "inl+°C", "gain%", "ladder w/c/r/p/o", "retries",
+		"cl rew/s", "cl lost", "pow+kW", "inl+°C", "gain%", "ladder w/c/p/o",
 		"lp slv", "lp piv", "lp KiB")
 	for _, row := range r.Rows {
 		rc := row.RungCounts
-		fmt.Fprintf(&b, "%6d %6d | %11.1f %9.1f %7.2f %7.2f | %11.1f %9.1f %7.2f %7.2f | %+8.1f | %3d/%d/%d/%d/%d %10d | %8d %9d %7.0f\n",
+		fmt.Fprintf(&b, "%6d %6d | %11.1f %9.1f %7.2f %7.2f | %11.1f %9.1f %7.2f %7.2f | %+8.1f | %14s | %8d %9d %7.0f\n",
 			row.Level.NodeFailures, row.Level.CracDegradations,
 			row.OpenReward, row.OpenLost, row.OpenPowerExcess, row.OpenInletExcess,
 			row.ClosedReward, row.ClosedLost, row.ClosedPowerExcess, row.ClosedInletExcess,
-			row.GainPct, rc[0], rc[1], rc[2], rc[3], rc[4], row.Retries,
+			row.GainPct, fmt.Sprintf("%d/%d/%d/%d", rc[0], rc[1], rc[2], rc[3]),
 			row.LP.Solves, row.LP.Pivots, float64(row.LP.AllocBytes)/1024)
 	}
 	return b.String()

@@ -44,13 +44,13 @@ type runKey struct {
 
 // runSummary is a finished run reduced to the row-accumulation inputs.
 type runSummary struct {
-	RewardRate                   float64
-	Lost                         int
-	Resolves, Fallbacks, Retries int
-	RungCounts                   [controller.NumRungs]int
-	LP                           linprog.Stats
-	MaxPowerExcess               float64
-	MaxInletExcess               float64
+	RewardRate          float64
+	Lost                int
+	Resolves, Fallbacks int
+	RungCounts          [controller.NumRungs]int
+	LP                  linprog.Stats
+	MaxPowerExcess      float64
+	MaxInletExcess      float64
 }
 
 func summarize(r *controller.Result) runSummary {
@@ -59,7 +59,6 @@ func summarize(r *controller.Result) runSummary {
 		Lost:           r.Lost,
 		Resolves:       r.Resolves,
 		Fallbacks:      r.Fallbacks,
-		Retries:        r.Retries,
 		RungCounts:     r.RungCounts,
 		LP:             r.LP,
 		MaxPowerExcess: r.MaxPowerExcess,
@@ -85,16 +84,24 @@ type journalRecord struct {
 	RunDone *runDoneRecord
 }
 
+// runTagVersion versions the journal's record layout and meaning; bump it
+// whenever either changes. v4 renumbered the ladder rungs (the retry rung
+// is gone), so a v3 journal's Rung and RungCounts would be misread.
+const runTagVersion = 4
+
 // runTag hashes every configuration field that influences results, so a
 // checkpoint directory can never be resumed under different parameters
 // (persist.KindMismatch instead of a silently diverging run). Telemetry
 // hooks are excluded: they never change results.
-func (cfg DegradedConfig) runTag() persist.Tag {
+func (cfg DegradedConfig) runTag() persist.Tag { return cfg.runTagAt(runTagVersion) }
+
+// runTagAt is runTag under journal layout version v.
+func (cfg DegradedConfig) runTagAt(v int) persist.Tag {
 	opts := cfg.Options
 	opts.Recorder = nil
 	opts.Search.Trace = nil
 	h := sha256.New()
-	fmt.Fprintf(h, "degraded|v3|%d|%d|%v|%v|%d|%v|%v|%d|%+v|%+v|%v",
+	fmt.Fprintf(h, "degraded|v%d|%d|%d|%v|%v|%d|%v|%v|%d|%+v|%+v|%v", v,
 		cfg.NCracs, cfg.NNodes, cfg.StaticShare, cfg.Vprop, cfg.Seed,
 		cfg.Horizon, cfg.Epoch, cfg.Trials, cfg.Levels, opts, cfg.SolveTimeout)
 	var tag persist.Tag

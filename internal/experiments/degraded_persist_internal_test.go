@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -85,6 +86,36 @@ func TestResumeRejectsBadEpochRecords(t *testing.T) {
 				t.Fatalf("resume over the record returned %v, want KindCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestResumeRejectsV3Journal: the v4 layout renumbered the ladder rungs,
+// so a checkpoint directory journaled under the v3 run tag must be
+// refused as persist.KindMismatch instead of having its rungs misread.
+func TestResumeRejectsV3Journal(t *testing.T) {
+	cfg := replayConfig(t)
+	if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, err := persist.CreateJournal(filepath.Join(cfg.CheckpointDir, journalFile), cfg.runTagAt(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(1, encodeRecord(t, &journalRecord{Epoch: &epochRecord{
+		Delta: &controller.EpochDelta{Report: controller.EpochReport{Resolved: true, Rung: 2}}}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resume = true
+	_, err = DegradedSweep(cfg)
+	var pe *persist.Error
+	if !errors.As(err, &pe) || pe.Kind != persist.KindMismatch {
+		t.Fatalf("resume over a v3 journal returned %v, want KindMismatch", err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"thermaldc/internal/model"
 	"thermaldc/internal/scenario"
 	"thermaldc/internal/sched"
+	"thermaldc/internal/sim"
 	"thermaldc/internal/stats"
 	"thermaldc/internal/thermal"
 	"thermaldc/internal/workload"
@@ -148,12 +149,12 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 	if err != nil {
 		return nil, err
 	}
-	reward, dropped, err := replay(sc.DC, static.PStates, static.Stage3.TC, tasks, 0, nil)
+	staticOut, err := sim.Run(sc.DC, static.PStates, static.Stage3.TC, tasks, cfg.Horizon)
 	if err != nil {
 		return nil, err
 	}
-	res.StaticReward = reward / cfg.Horizon
-	res.StaticDropped = dropped
+	res.StaticReward = staticOut.TotalReward / cfg.Horizon
+	res.StaticDropped = staticOut.Dropped
 
 	// Adaptive run: re-solve the first step each epoch with that epoch's
 	// mean rates; core busy state persists across epochs. A transient
@@ -203,12 +204,23 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 				epochTasks = append(epochTasks, t)
 			}
 		}
-		reward, dropped, err := replay(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC, epochTasks, start, freeAt)
+		// A fresh scheduler per epoch, its ATC clock started at the epoch
+		// so ratios reflect the current epoch only.
+		s, err := sched.New(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC)
 		if err != nil {
 			return nil, err
 		}
-		totalReward += reward
-		totalDropped += dropped
+		s.SetStartTime(start)
+		out, err := sim.RunOpts(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC, epochTasks, end, sim.Options{
+			Start:     start,
+			Scheduler: s,
+			FreeAt:    freeAt,
+		})
+		if err != nil {
+			return nil, err
+		}
+		totalReward += out.TotalReward
+		totalDropped += out.Dropped
 	}
 	// Restore the scenario's rates.
 	for i := range sc.DC.TaskTypes {
@@ -218,30 +230,6 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 	res.AdaptiveDropped = totalDropped
 	res.GainPct = 100 * (res.AdaptiveReward - res.StaticReward) / res.StaticReward
 	return res, nil
-}
-
-// replay streams tasks through a fresh scheduler; freeAt (when non-nil)
-// carries core busy state across calls. The scheduler's ATC clock starts
-// at epochStart so ratios reflect the current epoch only.
-func replay(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workload.Task, epochStart float64, freeAt []float64) (reward float64, dropped int, err error) {
-	s, err := sched.New(dc, pstates, tc)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.SetStartTime(epochStart) // ATC rates measured within this epoch
-	if freeAt == nil {
-		freeAt = make([]float64, dc.NumCores())
-	}
-	for _, task := range tasks {
-		core, completion, ok := s.ScheduleWith(sched.PaperPolicy{}, task, task.Arrival, freeAt)
-		if !ok {
-			dropped++
-			continue
-		}
-		freeAt[core] = completion
-		reward += dc.TaskTypes[task.Type].Reward
-	}
-	return reward, dropped, nil
 }
 
 // Render prints the comparison.

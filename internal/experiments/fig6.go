@@ -10,10 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"thermaldc/internal/assign"
 	"thermaldc/internal/scenario"
@@ -37,8 +34,6 @@ type Fig6Config struct {
 	Psis []float64
 	// Options for the assignment techniques (search window, strategy).
 	Options assign.Options
-	// Parallelism caps concurrent trials (0 = GOMAXPROCS).
-	Parallelism int
 	// Groups are the parameter combinations; nil = the paper's three.
 	Groups []Fig6Group
 	// SimHorizon, when positive, additionally runs the second-step
@@ -149,70 +144,24 @@ func Figure6Context(ctx context.Context, cfg Fig6Config, progress func(string)) 
 	if progress == nil {
 		progress = func(string) {}
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	type job struct{ group, trial int }
-	type outcome struct {
-		job
-		res Fig6Trial
-		err error
-	}
-	jobs := make(chan job)
-	outcomes := make(chan outcome)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if err := ctx.Err(); err != nil {
-					outcomes <- outcome{job: j, err: err}
-					continue
-				}
-				tr, err := runFig6Trial(cfg, groups[j.group], cfg.BaseSeed+int64(1000*j.group+j.trial))
-				outcomes <- outcome{job: j, res: tr, err: err}
-			}
-		}()
-	}
-	go func() {
-		for g := range groups {
-			for t := 0; t < cfg.Trials; t++ {
-				jobs <- job{g, t}
-			}
+	done, total := 0, len(groups)*cfg.Trials
+	perGroup, err := forEachCell(ctx, len(groups), cfg.Trials, func(g, t int) (Fig6Trial, error) {
+		tr, err := runFig6Trial(cfg, groups[g], cfg.BaseSeed+int64(1000*g+t))
+		if err != nil {
+			return Fig6Trial{}, fmt.Errorf("group %s trial %d: %w", groups[g].Label(), t, err)
 		}
-		close(jobs)
-	}()
-	go func() {
-		wg.Wait()
-		close(outcomes)
-	}()
-
-	perGroup := make([][]Fig6Trial, len(groups))
-	var firstErr error
-	done := 0
-	total := len(groups) * cfg.Trials
-	for oc := range outcomes {
+		return tr, nil
+	}, func(g, _ int, tr Fig6Trial) {
 		done++
-		if oc.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("group %s trial %d: %w", groups[oc.group].Label(), oc.trial, oc.err)
-			}
-			continue
-		}
-		perGroup[oc.group] = append(perGroup[oc.group], oc.res)
 		progress(fmt.Sprintf("[%d/%d] %s seed %d: baseline %.1f, best %+.2f%%",
-			done, total, groups[oc.group].Label(), oc.res.Seed, oc.res.BaselineReward, oc.res.BestImprovement))
-	}
-	if firstErr != nil {
-		return nil, firstErr
+			done, total, groups[g].Label(), tr.Seed, tr.BaselineReward, tr.BestImprovement))
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	result := &Fig6Result{Config: cfg}
 	for g, trials := range perGroup {
-		sort.Slice(trials, func(a, b int) bool { return trials[a].Seed < trials[b].Seed })
 		gr := Fig6GroupResult{Group: groups[g], Trials: trials}
 		for p := range cfg.Psis {
 			vals := make([]float64, len(trials))
@@ -291,11 +240,11 @@ func runFig6Trial(cfg Fig6Config, group Fig6Group, seed int64) (Fig6Trial, error
 			policy = sched.PaperPolicy{}
 		}
 		blPS, blTC := bl.Assignment(sc.DC)
-		blSim, err := sim.RunPolicy(sc.DC, blPS, blTC, tasks, cfg.SimHorizon, policy)
+		blSim, err := sim.RunOpts(sc.DC, blPS, blTC, tasks, cfg.SimHorizon, sim.Options{Policy: policy})
 		if err != nil {
 			return Fig6Trial{}, err
 		}
-		tsSim, err := sim.RunPolicy(sc.DC, ts.PStates, ts.Stage3.TC, tasks, cfg.SimHorizon, policy)
+		tsSim, err := sim.RunOpts(sc.DC, ts.PStates, ts.Stage3.TC, tasks, cfg.SimHorizon, sim.Options{Policy: policy})
 		if err != nil {
 			return Fig6Trial{}, err
 		}

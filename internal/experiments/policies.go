@@ -73,7 +73,7 @@ func PolicyAblationContext(ctx context.Context, cfg SweepConfig, horizon float64
 		predicted = append(predicted, ts.RewardRate())
 		tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(seed+700000))
 		for p, policy := range mkPolicies(seed) {
-			out, err := sim.RunPolicy(sc.DC, ts.PStates, ts.Stage3.TC, tasks, horizon, policy)
+			out, err := sim.RunOpts(sc.DC, ts.PStates, ts.Stage3.TC, tasks, horizon, sim.Options{Policy: policy})
 			if err != nil {
 				return nil, fmt.Errorf("policy %s: %w", policy.Name(), err)
 			}

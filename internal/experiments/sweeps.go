@@ -26,8 +26,6 @@ type SweepConfig struct {
 	StaticShare, Vprop float64
 	// Options for both techniques (ψ applies to the three-stage side).
 	Options assign.Options
-	// Parallelism caps concurrent trials (0 = GOMAXPROCS).
-	Parallelism int
 	// Values are the swept x-coordinates.
 	Values []float64
 }
@@ -68,77 +66,94 @@ type SweepResult struct {
 // rates.
 type trialEval func(x float64, seed int64) (baseline, threeStage float64, err error)
 
-// runSweep evaluates all (value, trial) cells on a worker pool. Canceling
-// ctx abandons unstarted cells and returns the context's error.
-func runSweep(ctx context.Context, kind, xlabel string, cfg SweepConfig, eval trialEval) (*SweepResult, error) {
-	if cfg.Trials <= 0 || len(cfg.Values) == 0 {
-		return nil, fmt.Errorf("experiments: sweep needs positive Trials and at least one value")
+// forEachCell evaluates eval on every cell of a points × trials grid on a
+// worker pool sized to GOMAXPROCS and returns the results stored by cell,
+// out[p][t] = eval(p, t), so whatever the caller folds from them does not
+// depend on which worker finished first. onDone, when non-nil, runs on the
+// calling goroutine once per successful cell, in completion order (progress
+// lines). The error returned is the first failing cell's in (point, trial)
+// order; canceling ctx fails every cell not yet started with ctx's error.
+func forEachCell[T any](ctx context.Context, points, trials int, eval func(p, t int) (T, error), onDone func(p, t int, v T)) ([][]T, error) {
+	out := make([][]T, points)
+	errs := make([][]error, points)
+	for p := range out {
+		out[p] = make([]T, trials)
+		errs[p] = make([]error, trials)
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type cell struct {
-		point, trial int
-		bl, ts       float64
-		err          error
-	}
-	jobs := make(chan [2]int)
-	results := make(chan cell)
+	type cell struct{ p, t int }
+	jobs := make(chan cell)
+	finished := make(chan cell)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for c := range jobs {
 				if err := ctx.Err(); err != nil {
-					results <- cell{point: j[0], trial: j[1], err: err}
-					continue
+					errs[c.p][c.t] = err
+				} else {
+					out[c.p][c.t], errs[c.p][c.t] = eval(c.p, c.t)
 				}
-				seed := cfg.BaseSeed + int64(1000*j[0]+j[1])
-				bl, ts, err := eval(cfg.Values[j[0]], seed)
-				results <- cell{point: j[0], trial: j[1], bl: bl, ts: ts, err: err}
+				finished <- c
 			}
 		}()
 	}
 	go func() {
-		for p := range cfg.Values {
-			for t := 0; t < cfg.Trials; t++ {
-				jobs <- [2]int{p, t}
+		for p := 0; p < points; p++ {
+			for t := 0; t < trials; t++ {
+				jobs <- cell{p, t}
 			}
 		}
 		close(jobs)
-	}()
-	go func() {
 		wg.Wait()
-		close(results)
+		close(finished)
 	}()
-
-	bl := make([][]float64, len(cfg.Values))
-	ts := make([][]float64, len(cfg.Values))
-	imp := make([][]float64, len(cfg.Values))
-	var firstErr error
-	for c := range results {
-		if c.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s=%g trial %d: %w", xlabel, cfg.Values[c.point], c.trial, c.err)
-			}
-			continue
+	for c := range finished {
+		if errs[c.p][c.t] == nil && onDone != nil {
+			onDone(c.p, c.t, out[c.p][c.t])
 		}
-		bl[c.point] = append(bl[c.point], c.bl)
-		ts[c.point] = append(ts[c.point], c.ts)
-		imp[c.point] = append(imp[c.point], 100*(c.ts-c.bl)/c.bl)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	for _, row := range errs {
+		for _, err := range row {
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
+// runSweep evaluates all (value, trial) cells on a worker pool and
+// summarizes each point over its trials in trial order. Canceling ctx
+// abandons unstarted cells and returns the context's error.
+func runSweep(ctx context.Context, kind, xlabel string, cfg SweepConfig, eval trialEval) (*SweepResult, error) {
+	if cfg.Trials <= 0 || len(cfg.Values) == 0 {
+		return nil, fmt.Errorf("experiments: sweep needs positive Trials and at least one value")
+	}
+	cells, err := forEachCell(ctx, len(cfg.Values), cfg.Trials, func(p, t int) ([2]float64, error) {
+		bl, ts, err := eval(cfg.Values[p], cfg.BaseSeed+int64(1000*p+t))
+		if err != nil {
+			return [2]float64{}, fmt.Errorf("%s=%g trial %d: %w", xlabel, cfg.Values[p], t, err)
+		}
+		return [2]float64{bl, ts}, nil
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
 	out := &SweepResult{Kind: kind, XLabel: xlabel, Config: cfg}
 	for p, x := range cfg.Values {
+		bl := make([]float64, cfg.Trials)
+		ts := make([]float64, cfg.Trials)
+		imp := make([]float64, cfg.Trials)
+		for t, c := range cells[p] {
+			bl[t], ts[t] = c[0], c[1]
+			imp[t] = 100 * (c[1] - c[0]) / c[0]
+		}
 		out.Points = append(out.Points, SweepPoint{
 			X:           x,
-			Baseline:    stats.Summarize(bl[p]),
-			ThreeStage:  stats.Summarize(ts[p]),
-			Improvement: stats.Summarize(imp[p]),
+			Baseline:    stats.Summarize(bl),
+			ThreeStage:  stats.Summarize(ts),
+			Improvement: stats.Summarize(imp),
 		})
 	}
 	return out, nil

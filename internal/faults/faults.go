@@ -32,12 +32,10 @@ package faults
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"sort"
 
 	"thermaldc/internal/model"
-	"thermaldc/internal/telemetry"
 )
 
 // Kind enumerates the fault classes.
@@ -218,15 +216,6 @@ func NewState(ncrac, nnodes int) *State {
 // which is what forces a thermal-model and LP-skeleton rebuild; a pure
 // power-cap step returns false because Pconst is read per solve.
 func (st *State) Apply(e Event) (structural bool) {
-	structural = st.apply(e)
-	if log := telemetry.Default(); log.Enabled(slog.LevelDebug) {
-		log.Debug("fault applied", "t", e.Time, "kind", e.Kind.String(),
-			"unit", e.Unit, "magnitude", e.Magnitude, "structural", structural)
-	}
-	return structural
-}
-
-func (st *State) apply(e Event) (structural bool) {
 	switch e.Kind {
 	case CRACDegrade:
 		if e.Magnitude < st.CracFlowFactor[e.Unit] {

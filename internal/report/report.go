@@ -13,18 +13,13 @@ import (
 
 	"thermaldc/internal/experiments"
 	"thermaldc/internal/sim"
-	"thermaldc/internal/telemetry"
 )
 
 // WriteJSON writes v as indented JSON.
 func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return err
-	}
-	telemetry.Default().Debug("report: wrote JSON document")
-	return nil
+	return enc.Encode(v)
 }
 
 func f(v float64) string { return strconv.FormatFloat(v, 'g', 10, 64) }
@@ -68,7 +63,6 @@ func Fig6CSV(w io.Writer, res *experiments.Fig6Result) error {
 		}
 	}
 	cw.Flush()
-	telemetry.Default().Debug("report: wrote fig6 CSV", "groups", len(res.Groups))
 	return cw.Error()
 }
 

@@ -7,12 +7,10 @@ package sim
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 
 	"thermaldc/internal/model"
 	"thermaldc/internal/sched"
-	"thermaldc/internal/telemetry"
 	"thermaldc/internal/workload"
 )
 
@@ -107,21 +105,12 @@ type Options struct {
 	// voids the task's reward (a fault destroys it) while the core stays
 	// occupied. The fault layer supplies the node-failure timeline here.
 	Lost func(core int, start, completion float64) bool
-	// Telemetry, when non-nil, supplies the run's logger (debug-level run
-	// logging).
-	Telemetry *telemetry.Recorder
 }
 
 // Run simulates the task stream against the first-step assignment
 // (pstates + TC) with the paper's scheduling policy.
 func Run(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workload.Task, horizon float64) (*Result, error) {
 	return RunOpts(dc, pstates, tc, tasks, horizon, Options{})
-}
-
-// RunPolicy simulates the task stream under an alternative second-step
-// scheduling policy (for the policy ablation experiment).
-func RunPolicy(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workload.Task, horizon float64, policy sched.Policy) (*Result, error) {
-	return RunOpts(dc, pstates, tc, tasks, horizon, Options{Policy: policy})
 }
 
 // RunOpts is the fully configurable entry point.
@@ -154,10 +143,6 @@ func RunOpts(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []worklo
 		if err != nil {
 			return nil, err
 		}
-	}
-	if log := opts.Telemetry.Logger(); log.Enabled(slog.LevelDebug) {
-		log.Debug("sim: run starting", "t_start", opts.Start, "t_end", horizon,
-			"tasks", len(tasks), "hooks", len(opts.Hooks))
 	}
 	ncores := dc.NumCores()
 	freeAt := opts.FreeAt

@@ -38,9 +38,8 @@ type EpochSample struct {
 	// Violations counts planner-view assign.Verify findings against the
 	// plan in force (0 for every shipped schedule).
 	Violations int `json:"violations"`
-	// Retries counts backed-off solve retries; SolveWallS is the ladder
-	// trip's wall time; ErrKind classifies the last solve failure.
-	Retries    int     `json:"retries"`
+	// SolveWallS is the ladder trip's wall time; ErrKind classifies the
+	// last solve failure.
 	SolveWallS float64 `json:"solve_wall_s"`
 	ErrKind    string  `json:"err_kind,omitempty"`
 	// PowerKW is the truth plant's total draw at the interval's plan;
@@ -86,7 +85,6 @@ func SampleSchema() map[string]FieldType {
 		"dropped":                    FieldNumber,
 		"lost":                       FieldNumber,
 		"violations":                 FieldNumber,
-		"retries":                    FieldNumber,
 		"solve_wall_s":               FieldNumber,
 		"err_kind":                   FieldString,
 		"power_kw":                   FieldNumber,
@@ -105,7 +103,7 @@ func SampleSchema() map[string]FieldType {
 func SampleRequired() []string {
 	return []string{
 		"run", "epoch", "t_start_s", "t_end_s", "resolved", "reward_rate",
-		"completed", "dropped", "lost", "violations", "retries",
+		"completed", "dropped", "lost", "violations",
 		"solve_wall_s", "power_kw", "power_headroom_kw", "inlet_headroom_c",
 		"lp_solves", "lp_pivots", "lp_alloc_bytes",
 	}
@@ -145,7 +143,7 @@ func (s *EpochSample) Validate() error {
 	}{
 		{"epoch", int64(s.Epoch)}, {"completed", int64(s.Completed)},
 		{"dropped", int64(s.Dropped)}, {"lost", int64(s.Lost)},
-		{"violations", int64(s.Violations)}, {"retries", int64(s.Retries)},
+		{"violations", int64(s.Violations)},
 		{"lp_solves", s.LPSolves}, {"lp_pivots", s.LPPivots},
 		{"lp_alloc_bytes", s.LPAllocBytes},
 	} {

@@ -100,7 +100,7 @@ func TestSchemaMatchesStruct(t *testing.T) {
 
 	full := sample()
 	full.ErrKind = "timeout"
-	full.Violations, full.Retries = 1, 2
+	full.Violations = 1
 	raw, err := json.Marshal(&full)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // three-stage solvers, the simplex core, and the truth plant all report
 // through.
 //
-// It has three parts, bundled by Recorder:
+// It has two parts, bundled by Recorder:
 //
 //   - a span Tracer for the solve pipeline (controller epoch → ladder
 //     rung → three-stage stage → tempsearch candidate → linprog solve)
@@ -15,10 +15,6 @@
 //     rows — inlet-temperature headroom, power headroom against Pconst,
 //     reward rate, drop/loss counts, LP work counters, ladder rung —
 //     validated by cmd/tscheck against SampleSchema.
-//   - a leveled structured Logger over log/slog whose default plain
-//     handler prints bare messages, byte-identical to the fmt.Fprintf
-//     lines it replaced; -log-json switches the same call sites to
-//     machine-readable output.
 //
 // The Recorder also owns the run number (NextRun) that separates the
 // controller runs of a sweep: series rows and span pids both read it
@@ -40,15 +36,12 @@ type Recorder struct {
 	// Series receives one EpochSample per controller epoch (nil = no
 	// time-series export).
 	Series *JSONLWriter
-	// Log overrides the package default logger for this run (nil = use
-	// Default()).
-	Log *Logger
 
 	run atomic.Int32
 }
 
-// NewRecorder returns a Recorder with tracing, series export, and logging
-// left disabled; callers switch components on by setting its fields.
+// NewRecorder returns a Recorder with tracing and series export left
+// disabled; callers switch components on by setting its fields.
 func NewRecorder() *Recorder {
 	return &Recorder{}
 }
@@ -89,12 +82,4 @@ func (r *Recorder) SeriesSink() *JSONLWriter {
 		return nil
 	}
 	return r.Series
-}
-
-// Logger returns the run's logger, falling back to the package default.
-func (r *Recorder) Logger() *Logger {
-	if r == nil || r.Log == nil {
-		return Default()
-	}
-	return r.Log
 }

@@ -5,19 +5,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"thermaldc/internal/telemetry"
 )
 
 // SaveTasks writes a task stream as JSON, so generated (or traced)
 // workloads can be replayed across runs and tools.
 func SaveTasks(w io.Writer, tasks []Task) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(tasks); err != nil {
-		return err
-	}
-	telemetry.Default().Debug("workload: saved tasks", "tasks", len(tasks))
-	return nil
+	return json.NewEncoder(w).Encode(tasks)
 }
 
 // LoadTasks reads a task stream written by SaveTasks, re-sorts it by
@@ -46,6 +39,5 @@ func LoadTasks(r io.Reader) ([]Task, error) {
 		}
 	}
 	sort.SliceStable(tasks, func(a, b int) bool { return tasks[a].Arrival < tasks[b].Arrival })
-	telemetry.Default().Debug("workload: loaded tasks", "tasks", len(tasks))
 	return tasks, nil
 }
