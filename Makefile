@@ -33,7 +33,8 @@ race:
 # sweep against the textbook simplex (600 seeded LPs with KKT
 # certificates, behind the slow tag), a 1k-node multi-zone fleet solve
 # with invariant checks (also behind the slow tag), short fuzz smokes on
-# the workload parser, the LU factorizer, the per-component thermal model
+# the workload parser, the LU factorizer (SolveMatrix held bit for bit to
+# full per-column solves), the per-component thermal model
 # (held bit for bit to one dense factorization), the checkpoint journal decoder,
 # the -faults level parser, the scheduler's dispatch index (held to the
 # candidate scan on decoded data centers and task streams), the
@@ -42,10 +43,13 @@ race:
 # arbitrary payloads must recover or fail as corrupt, never panic; its
 # seeds are real ~30 KB journal records, too long for the quadratic input
 # minimizer, so minimization is off), the concave-envelope builder and the
-# knapsack LP (held to its greedy optimum), the simplex and fleet-scaling
+# knapsack LP (held to its greedy optimum) and the small-DC first-step
+# pipeline (every plan passes assign.Verify or the solve fails with a typed
+# solvererr, never a panic), the simplex and fleet-scaling
 # performance gates at 1x into /tmp (each family runs 5 times and is
 # gated on its medians; the fleet family includes the
-# zone-warm-resolve 0-allocs gate), the benchmark harness's own tests (perfbench/ is a separate module, so the
+# zone-warm-resolve 0-allocs gate and the 10k Stage-3 readback's
+# 16 B/core cap), the benchmark harness's own tests (perfbench/ is a separate module, so the
 # root `go test ./...` never builds it; an API change that breaks the
 # benchmark fails here), a short instrumented degraded run whose exported
 # time series must pass cmd/tscheck's schema validation and whose Chrome trace must pass
@@ -77,6 +81,7 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzSweepReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/experiments
 	$(GO) test -run '^$$' -fuzz FuzzConcaveEnvelope -fuzztime 10s ./internal/pwl
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackLP -fuzztime 10s ./internal/linprog
+	$(GO) test -run '^$$' -fuzz FuzzPipelineSmallDC -fuzztime 10s ./internal/assign
 	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json,5)
 	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),/tmp/tapo-ci-bench-fleet.json,5)
 	cd perfbench && $(GO) test -count=1 ./...
@@ -110,14 +115,15 @@ bench:
 # allocation subbenchmarks, then fails if the warm scratch path allocates
 # or the flat solver regresses below the legacy rebuild path. The fleet pass
 # records the 1k/10k-node zone-decomposed solves and fails if ns/node
-# grows super-linearly with fleet size. bench-compare records the tracked
+# grows super-linearly with fleet size, and records the 1k/10k Stage-3
+# readback and fails if the 10k point allocates more than 16 B/core. bench-compare records the tracked
 # baselines BENCH_simplex.json and BENCH_fleet.json at the default 3x, which
 # smooths scheduler noise; `make ci` runs the same gates at 1x into /tmp,
 # leaving the baselines alone.
 BENCHTIME ?= 3x
 FLEETBENCHTIME ?= 1x
 SIMPLEX_BENCH = 'ThreeStagePaperScale/(legacy-rebuild|solver-serial$$|solver-parallel|solver-warm-epoch|warm-resolve-allocs)'
-FLEET_BENCH = 'FleetStage1'
+FLEET_BENCH = 'FleetStage1|FleetReadback'
 # $(call bench-gate,regex,benchtime,file,count) runs one benchmark family
 # count times into file as JSON and gates it with cmd/benchcheck, which
 # folds repeated rows into their median. `make ci` runs both families 5

@@ -11,7 +11,9 @@
 // unless TAPO_BENCH_50K is set.
 //
 // BenchmarkFleetReadback times the Stage-3 plan readback at the 1k and 10k
-// sizes and reports ns/core; no gate reads it. BenchmarkFleetVerify times
+// sizes and reports ns/core and B/core, the bytes each solve allocates per
+// core; cmd/benchcheck caps the 10k point's B/core, which a per-core TC
+// matrix (8 bytes per task type per core) cannot meet. BenchmarkFleetVerify times
 // assign.Verify on a 1k-node cap step's plan (ns/core, allocs/op); it has
 // no 10k point, whose dense assembled α would be ~800 MB.
 package thermaldc_test
@@ -19,6 +21,7 @@ package thermaldc_test
 import (
 	"context"
 	"os"
+	"runtime"
 	"testing"
 
 	"thermaldc/internal/assign"
@@ -127,10 +130,11 @@ func BenchmarkFleetStage1(b *testing.B) {
 
 // BenchmarkFleetReadback is one warm Stage-3 solve per iteration on the
 // 1k- and 10k-node fleets: grouping the cores by (node type, P-state),
-// the patched group LP, and the per-core readback into TC. The data center
-// holds the fleet's nodes only: Stage 3 reads no thermal data, and a dense
-// assembled α would be ~800 MB at 10k nodes. ns/core stays flat when every
-// per-core loop is linear in the core count.
+// the patched group LP, and the readback by group (each group's rates and
+// every core's group index). The data center holds the fleet's nodes only:
+// Stage 3 reads no thermal data, and a dense assembled α would be ~800 MB
+// at 10k nodes. ns/core stays flat when every per-core loop is linear in
+// the core count; B/core is the heap allocated per solve and core.
 func BenchmarkFleetReadback(b *testing.B) {
 	for _, sz := range []struct {
 		name  string
@@ -155,6 +159,8 @@ func BenchmarkFleetReadback(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Solve(pstates); err != nil {
@@ -162,7 +168,10 @@ func BenchmarkFleetReadback(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pstates)), "ns/core")
+			runtime.ReadMemStats(&m1)
+			perCore := float64(b.N) * float64(len(pstates))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perCore, "ns/core")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/perCore, "B/core")
 		})
 	}
 }

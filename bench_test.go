@@ -205,7 +205,7 @@ func BenchmarkDynamicScheduler(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSimulate(b, sc.DC, res.PStates, res.Stage3.TC, horizon)
+		benchSimulate(b, sc.DC, res.PStates, res.Stage3.Dense(), horizon)
 	})
 	b.Run("paper-scale/three-stage", func(b *testing.B) {
 		sc := getPaperScenario(b)
@@ -216,7 +216,7 @@ func BenchmarkDynamicScheduler(b *testing.B) {
 			}
 			benchPaperThreeStage = res
 		}
-		benchSimulate(b, sc.DC, benchPaperThreeStage.PStates, benchPaperThreeStage.Stage3.TC, horizon)
+		benchSimulate(b, sc.DC, benchPaperThreeStage.PStates, benchPaperThreeStage.Stage3.Dense(), horizon)
 	})
 	b.Run("paper-scale/baseline", func(b *testing.B) {
 		sc := getPaperScenario(b)

@@ -22,12 +22,16 @@
 // 50k point (TAPO_BENCH_50K) is held to the same bar when present, and
 // zone-warm-resolve must report exactly 0 allocs/op (the warm zone
 // re-solve on retained cut pools, telemetry off, keeps the Stage-1
-// zero-allocation contract).
+// zero-allocation contract). The family also holds
+// BenchmarkFleetReadback/10k, whose B/core — heap allocated per warm
+// Stage-3 solve and core — must stay at or below 16: a plan stored by core
+// group needs a 4-byte group index per core, while a dense TC matrix takes
+// 8 bytes per task type per core (64 at 8 task types).
 //
 // Repeated rows of one benchmark (`go test -count N`) fold into one result:
 // ns/op and ns/node are gated on their median, and each folded benchmark's
-// median and range are printed. An allocs/op contract holds on every row,
-// so a folded benchmark keeps its largest allocs/op.
+// median and range are printed. An allocs/op or B/core contract holds on
+// every row, so a folded benchmark keeps its largest value of each.
 //
 // Usage: benchcheck [-tolerance f] [-fleet-tolerance f] [file]
 // With no file, it reads stdin. The tolerances (default 1.05 and 1.25)
@@ -47,23 +51,23 @@ import (
 	"strings"
 )
 
-// benchLine matches a benchmark result row: the ns/op column, the optional
-// custom ns/node metric, and the optional -benchmem tail. The -NN
+// benchLine matches a benchmark result row: the ns/op column, then the
+// "value unit" pairs of any custom metrics and the -benchmem tail. The -NN
 // GOMAXPROCS suffix is folded into the name.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op` +
-		`(?:\s+([0-9.]+) ns/node)?` +
-		`(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+	`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op((?:\s+[0-9.]+ \S+)*)`)
 
 // result is one benchmark's rows folded together: ns/op and ns/node are
-// medians over runs rows, allocs/op the largest row's.
+// medians over runs rows, allocs/op and B/core the largest row's.
 type result struct {
-	runs        int
-	nsPerOp     float64
-	nsPerNode   float64
-	hasNsNode   bool
-	allocsPerOp float64
-	hasAllocs   bool
+	runs         int
+	nsPerOp      float64
+	nsPerNode    float64
+	hasNsNode    bool
+	allocsPerOp  float64
+	hasAllocs    bool
+	bytesPerCore float64
+	hasBytesCore bool
 
 	// nsRange and nsNodeRange are the smallest and largest rows.
 	nsRange, nsNodeRange [2]float64
@@ -123,7 +127,8 @@ func run() int {
 }
 
 // printSpreads reports each benchmark folded from more than one row: its
-// median and range of ns/op, and of ns/node when it has that metric.
+// median and range of ns/op, and of ns/node when it has that metric, and
+// its largest B/core when it has that one.
 func printSpreads(w io.Writer, results map[string]result) {
 	names := make([]string, 0, len(results))
 	for name, r := range results {
@@ -139,6 +144,9 @@ func printSpreads(w io.Writer, results map[string]result) {
 		if r.hasNsNode {
 			fmt.Fprintf(w, ", %.0f ns/node (range %.0f–%.0f, spread %.1f%%)",
 				r.nsPerNode, r.nsNodeRange[0], r.nsNodeRange[1], spread(r.nsPerNode, r.nsNodeRange))
+		}
+		if r.hasBytesCore {
+			fmt.Fprintf(w, ", largest %.2f B/core", r.bytesPerCore)
 		}
 		fmt.Fprintln(w)
 	}
@@ -168,13 +176,20 @@ func parse(in io.Reader) (map[string]result, error) {
 		}
 		var r result
 		r.nsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			r.nsPerNode, _ = strconv.ParseFloat(m[4], 64)
-			r.hasNsNode = true
-		}
-		if m[6] != "" {
-			r.allocsPerOp, _ = strconv.ParseFloat(m[6], 64)
-			r.hasAllocs = true
+		tail := strings.Fields(m[4])
+		for i := 0; i+1 < len(tail); i += 2 {
+			v, err := strconv.ParseFloat(tail[i], 64)
+			if err != nil {
+				continue
+			}
+			switch tail[i+1] {
+			case "ns/node":
+				r.nsPerNode, r.hasNsNode = v, true
+			case "allocs/op":
+				r.allocsPerOp, r.hasAllocs = v, true
+			case "B/core":
+				r.bytesPerCore, r.hasBytesCore = v, true
+			}
 		}
 		name := trimProcs(m[1])
 		rows[name] = append(rows[name], r)
@@ -221,9 +236,9 @@ func parse(in io.Reader) (map[string]result, error) {
 
 // fold merges one benchmark's rows: the median and range of ns/op and of
 // ns/node (kept only when every row reports it), and the largest
-// allocs/op (kept only when every row reports it).
+// allocs/op and B/core (each kept only when every row reports it).
 func fold(rows []result) result {
-	out := result{runs: len(rows), hasNsNode: true, hasAllocs: true}
+	out := result{runs: len(rows), hasNsNode: true, hasAllocs: true, hasBytesCore: true}
 	ns := make([]float64, 0, len(rows))
 	nsNode := make([]float64, 0, len(rows))
 	for _, r := range rows {
@@ -238,6 +253,11 @@ func fold(rows []result) result {
 		} else {
 			out.hasAllocs = false
 		}
+		if r.hasBytesCore {
+			out.bytesPerCore = max(out.bytesPerCore, r.bytesPerCore)
+		} else {
+			out.hasBytesCore = false
+		}
 	}
 	out.nsPerOp, out.nsRange = median(ns)
 	if out.hasNsNode {
@@ -245,6 +265,9 @@ func fold(rows []result) result {
 	}
 	if !out.hasAllocs {
 		out.allocsPerOp = 0
+	}
+	if !out.hasBytesCore {
+		out.bytesPerCore = 0
 	}
 	return out
 }
@@ -281,8 +304,13 @@ func check(results map[string]result, tolerance, fleetTolerance float64) (failur
 }
 
 const (
-	simplexPrefix = "BenchmarkThreeStagePaperScale/"
-	fleetPrefix   = "BenchmarkFleetStage1/"
+	simplexPrefix  = "BenchmarkThreeStagePaperScale/"
+	fleetPrefix    = "BenchmarkFleetStage1/"
+	readbackPrefix = "BenchmarkFleetReadback/"
+
+	// maxReadbackBytesPerCore caps FleetReadback/10k's B/core: a 4-byte
+	// group index per core plus the solve's per-group and LP scratch.
+	maxReadbackBytesPerCore = 16
 )
 
 // present reports whether any result name belongs to the family.
@@ -340,14 +368,28 @@ func checkSimplex(results map[string]result, tolerance float64) []string {
 // run included it. The zone-warm-resolve point is mandatory too and must
 // report exactly 0 allocs/op: the warm zone re-solve on retained cut
 // pools keeps the Stage-1 zero-allocation contract with telemetry off.
+// So is the 10k Stage-3 readback, whose B/core must stay at or below
+// maxReadbackBytesPerCore: the plan is stored by core group, not per core.
 func checkFleet(results map[string]result, tolerance float64) []string {
 	const (
 		small    = fleetPrefix + "1k"
 		large    = fleetPrefix + "10k"
 		huge     = fleetPrefix + "50k"
 		warmZone = fleetPrefix + "zone-warm-resolve"
+		readback = readbackPrefix + "10k"
 	)
 	var failures []string
+	rb, okRB := results[readback]
+	switch {
+	case !okRB:
+		failures = append(failures, readback+" missing from benchmark output")
+	case !rb.hasBytesCore:
+		failures = append(failures, readback+" has no B/core metric")
+	case rb.bytesPerCore > maxReadbackBytesPerCore:
+		failures = append(failures, fmt.Sprintf(
+			"%s allocates %g B/core, want at most %d (the Stage-3 plan is no longer stored by core group)",
+			readback, rb.bytesPerCore, maxReadbackBytesPerCore))
+	}
 	w, okW := results[warmZone]
 	switch {
 	case !okW:

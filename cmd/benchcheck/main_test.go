@@ -24,6 +24,7 @@ const fleetOK = `goos: linux
 BenchmarkFleetStage1/1k-4         	       2	 426725013 ns/op	    426725 ns/node	   17480 B/op	      29 allocs/op
 BenchmarkFleetStage1/10k-4        	       2	4235171810 ns/op	    423517 ns/node	  166760 B/op	      35 allocs/op
 BenchmarkFleetStage1/zone-warm-resolve-4 	       3	 415719568 ns/op	       0 B/op	       0 allocs/op
+BenchmarkFleetReadback/10k-4        	       5	   1596884 ns/op	         4.023 B/core	         4.990 ns/core	 1287360 B/op	       7 allocs/op
 PASS
 `
 
@@ -207,6 +208,7 @@ BenchmarkFleetStage1/zone-warm-resolve-2 3 425719568 ns/op 0 B/op 0 allocs/op
 BenchmarkFleetStage1/zone-warm-resolve-2 3 405719568 ns/op 0 B/op 0 allocs/op
 BenchmarkFleetStage1/zone-warm-resolve-2 3 435719568 ns/op 0 B/op 0 allocs/op
 BenchmarkFleetStage1/zone-warm-resolve-2 3 395719568 ns/op 0 B/op 0 allocs/op
+BenchmarkFleetReadback/10k-2 1 1596884 ns/op 4.023 B/core 4.990 ns/core 1287360 B/op 7 allocs/op
 PASS
 `
 
@@ -219,8 +221,8 @@ func TestFoldRepeatedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(results))
+	if len(results) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4", len(results))
 	}
 	r := results["BenchmarkFleetStage1/10k"]
 	if r.runs != 5 || r.nsPerNode != 423517 || r.nsNodeRange != [2]float64{403517, 633517} || r.nsPerOp != 4235171810 {
@@ -276,6 +278,8 @@ const jsonCount2 = `{"Action":"output","Package":"thermaldc","Test":"BenchmarkFl
 {"Action":"output","Package":"thermaldc","Output":"       1\t  16832890 ns/op\t      1683 ns/node\t  199024 B/op\t     616 allocs/op\n"}
 {"Action":"output","Package":"thermaldc","Output":"BenchmarkFleetStage1/zone-warm-resolve-2 \t       1\t   4721221 ns/op\t       0 B/op\t       0 allocs/op\n"}
 {"Action":"output","Package":"thermaldc","Output":"BenchmarkFleetStage1/zone-warm-resolve-2 \t       1\t   5574115 ns/op\t       0 B/op\t       0 allocs/op\n"}
+{"Action":"output","Package":"thermaldc","Test":"BenchmarkFleetReadback/10k","Output":"BenchmarkFleetReadback/10k-2 \t"}
+{"Action":"output","Package":"thermaldc","Test":"BenchmarkFleetReadback/10k","Output":"       1\t   1596884 ns/op\t         4.023 B/core\t         4.990 ns/core\t 1287360 B/op\t       7 allocs/op\n"}
 `
 
 // TestParseJSONRepeatedRows: every repeat of a -json -count run is parsed,
@@ -296,5 +300,39 @@ func TestParseJSONRepeatedRows(t *testing.T) {
 	}
 	if f, checked := check(results, 1.05, 1.25); len(f) != 0 || checked != 1 {
 		t.Fatalf("failures = %v checked = %d, want a clean pass", f, checked)
+	}
+}
+
+// TestCheckFleetReadbackBytesPerCore: the fleet family needs the 10k
+// Stage-3 readback with a B/core metric at or below the cap, read from
+// the row whatever custom metrics sit beside it, and a folded benchmark
+// keeps its largest row's B/core.
+func TestCheckFleetReadbackBytesPerCore(t *testing.T) {
+	results, err := parse(strings.NewReader(fleetOK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := results["BenchmarkFleetReadback/10k"]
+	if !rb.hasBytesCore || rb.bytesPerCore != 4.023 || !rb.hasAllocs || rb.allocsPerOp != 7 {
+		t.Fatalf("readback parsed to %+v, want 4.023 B/core and 7 allocs/op", rb)
+	}
+
+	const row = "BenchmarkFleetReadback/10k-4        	       5	   1596884 ns/op	         4.023 B/core	         4.990 ns/core	 1287360 B/op	       7 allocs/op\n"
+	for _, tc := range []struct{ name, row, want string }{
+		// A per-core TC matrix: 8 bytes per task type and core.
+		{"dense", "BenchmarkFleetReadback/10k-4 5 13047338 ns/op 72.01 B/core 40.77 ns/core 23045024 B/op 7 allocs/op\n", "allocates 72.01 B/core"},
+		{"missing", "", "BenchmarkFleetReadback/10k missing"},
+		{"no metric", "BenchmarkFleetReadback/10k-4 5 1596884 ns/op 4.990 ns/core\n", "has no B/core metric"},
+		// Folding keeps the largest row: one of two rows over the cap fails.
+		{"folded", row + "BenchmarkFleetReadback/10k-4 5 1596884 ns/op 16.5 B/core\n", "allocates 16.5 B/core"},
+	} {
+		results, err := parse(strings.NewReader(strings.Replace(fleetOK, row, tc.row, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := check(results, 1.05, 1.25)
+		if len(f) != 1 || !strings.Contains(f[0], tc.want) {
+			t.Errorf("%s: failures = %v, want one containing %q", tc.name, f, tc.want)
+		}
 	}
 }

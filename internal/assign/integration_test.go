@@ -203,8 +203,8 @@ func TestThreeStageEndToEnd(t *testing.T) {
 		t.Errorf("redline violated by %g °C after Stage 2", -slack)
 	}
 	// Core utilizations within [0, 1].
-	for k, u := range res.Stage3.CoreUtilization {
-		if u < -1e-9 || u > 1+1e-6 {
+	for k := range res.PStates {
+		if u := res.Stage3.Util(k); u < -1e-9 || u > 1+1e-6 {
 			t.Errorf("core %d utilization %g", k, u)
 		}
 	}

@@ -9,11 +9,19 @@ import (
 	"thermaldc/internal/model"
 )
 
+// OneShotStage3 is Stage3OneShot's plan in the per-core form: the dense TC
+// matrix and every core's utilization.
+type OneShotStage3 struct {
+	TC              [][]float64
+	RewardRate      float64
+	CoreUtilization []float64
+}
+
 // Stage3OneShot is the Stage-3 LP built from scratch and solved on a fresh
-// workspace, with map-keyed grouping and readback, as the one-shot
-// Stage3Context did before Stage3Solver became the only Stage-3 LP: the
-// reference Stage3Solver must match bit for bit.
-func Stage3OneShot(ctx context.Context, dc *model.DataCenter, pstates []int) (*Stage3Result, error) {
+// workspace, with map-keyed grouping and a per-core readback, as the
+// one-shot Stage3Context did before Stage3Solver became the only Stage-3
+// LP: the reference Stage3Solver's grouped result must match bit for bit.
+func Stage3OneShot(ctx context.Context, dc *model.DataCenter, pstates []int) (*OneShotStage3, error) {
 	if len(pstates) != dc.NumCores() {
 		return nil, fmt.Errorf("assign: got %d P-states for %d cores", len(pstates), dc.NumCores())
 	}
@@ -91,7 +99,7 @@ func Stage3OneShot(ctx context.Context, dc *model.DataCenter, pstates []int) (*S
 
 	// Disaggregate group rates evenly over member cores.
 	ncores := dc.NumCores()
-	res := &Stage3Result{
+	res := &OneShotStage3{
 		TC:              make([][]float64, t),
 		RewardRate:      sol.Objective,
 		CoreUtilization: make([]float64, ncores),

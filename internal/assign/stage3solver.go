@@ -3,23 +3,95 @@ package assign
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
 	"thermaldc/internal/telemetry"
 )
 
-// Stage3Result holds the desired execution rates found by the Stage-3 LP.
+// Stage3Result holds the desired execution rates found by the Stage-3 LP:
+// the paper's TC matrix. A result holds it in one of two forms. The solver
+// returns it by core group (cores of one node type at one P-state, which
+// have identical ECS and so identical rates): CoreGroup maps each core to
+// its group and GroupRate holds one row of per-core rates per group. A
+// plan built elsewhere (a Baseline assignment) can hold the dense TC
+// instead. Rate, Dense and Verify read whichever form is set (Util needs
+// the groups); when both are set (the controller stores Dense as TC on the
+// plans it adopts) they agree.
 type Stage3Result struct {
 	// TC[i][k] is the desired execution rate of task type i on global core
-	// k (tasks per second) — the paper's TC matrix.
+	// k (tasks per second), or nil when the result holds only groups.
 	TC [][]float64
 	// RewardRate is the LP objective Σ_i r_i Σ_k TC(i, k): the steady-state
 	// reward per second of the assignment.
 	RewardRate float64
-	// CoreUtilization[k] = Σ_i TC(i,k)/ECS(i, CT_k, PS_k) ∈ [0, 1].
-	CoreUtilization []float64
+
+	// Tasks is the number of task types T, the stride of GroupRate.
+	Tasks int
+	// CoreGroup[k] is core k's group, −1 for a core that executes nothing
+	// (an off core). Nil when the result holds only TC.
+	CoreGroup []int32
+	// GroupRate[g*Tasks+i] is the rate of task type i on each core of
+	// group g.
+	GroupRate []float64
+	// GroupUtil[g] = Σ_i GroupRate[g*Tasks+i]/ECS(i, type, P-state) ∈ [0, 1]
+	// is the utilization of each core of group g.
+	GroupUtil []float64
+}
+
+// grouped reports whether the result holds its plan by group.
+func (r *Stage3Result) grouped() bool { return r.CoreGroup != nil }
+
+// Rate returns TC(i, k), the desired rate of task type i on core k.
+func (r *Stage3Result) Rate(i, k int) float64 {
+	if !r.grouped() {
+		return r.TC[i][k]
+	}
+	g := r.CoreGroup[k]
+	if g < 0 {
+		return 0
+	}
+	return r.GroupRate[int(g)*r.Tasks+i]
+}
+
+// Util returns core k's utilization Σ_i TC(i,k)/ECS(i, CT_k, PS_k). Only
+// the grouped form carries utilizations; a result holding TC alone
+// reports NaN.
+func (r *Stage3Result) Util(k int) float64 {
+	if !r.grouped() {
+		return math.NaN()
+	}
+	g := r.CoreGroup[k]
+	if g < 0 {
+		return 0
+	}
+	return r.GroupUtil[g]
+}
+
+// Dense returns the plan as the T × cores TC matrix the second-step
+// scheduler and simulator take. It returns TC itself when set; otherwise
+// it builds a new matrix, each member core receiving its group's rates.
+// It is the only place a grouped plan becomes per-core.
+func (r *Stage3Result) Dense() [][]float64 {
+	if r.TC != nil {
+		return r.TC
+	}
+	t, ncores := r.Tasks, len(r.CoreGroup)
+	flat := make([]float64, t*ncores)
+	tc := make([][]float64, t)
+	for i := range tc {
+		tc[i] = flat[i*ncores : (i+1)*ncores : (i+1)*ncores]
+	}
+	for k, g := range r.CoreGroup {
+		if g < 0 {
+			continue
+		}
+		for i, rate := range r.GroupRate[int(g)*t : (int(g)+1)*t] {
+			tc[i][k] = rate
+		}
+	}
+	return tc
 }
 
 // s3Key identifies a Stage-3 core group: cores of the same node type at the
@@ -35,8 +107,8 @@ type s3Group struct {
 // Stage3Solver solves the Equation-7 LP with P-states fixed (the remaining
 // decision is the TC matrix). Because ECS depends only on (task type,
 // node type, P-state), cores are grouped by that pair; the group LP is
-// exactly equivalent to the per-core LP and its solution is split evenly
-// across the group's cores afterwards.
+// exactly equivalent to the per-core LP, and its solution is returned by
+// group: each core of a group takes an even share of the group's rate.
 //
 // Constraints (paper Section V.B.1 with PS fixed):
 //  1. Per core (group): Σ_i TC(i,k)/ECS ≤ 1 (×count per group).
@@ -74,11 +146,6 @@ type Stage3Solver struct {
 	groupRow []int     // group index -> LP row (-1 when no terms)
 	taskRow  []int     // task index -> LP row (-1 when no terms)
 	rebuilds int
-
-	// Readback scratch: rate[gi*T+i] is the per-core rate of task i in
-	// group gi (0 without a variable), util[gi] a member core's utilization.
-	rate []float64
-	util []float64
 }
 
 // NewStage3Solver prepares a reusable Stage-3 solver for dc.
@@ -257,15 +324,21 @@ func (s *Stage3Solver) patch() {
 	}
 }
 
-// disaggregate splits each group's rate evenly over its member cores. A
-// group's per-core rates and utilization are computed once, tasks in
-// ascending order and utilization summed from 0 — the operations a
-// per-core loop would run for each member — then copied to the members.
+// disaggregate reads the plan back by group: each group's per-core rates
+// (its LP value over its core count, tasks in ascending order) and a
+// member core's utilization (summed from 0 over ascending tasks) — the
+// operations a per-core loop would run for each member — plus each core's
+// group index.
 func (s *Stage3Solver) disaggregate(pstates []int, sol *linprog.Solution) *Stage3Result {
 	dc := s.dc
 	t, ng := dc.T(), len(s.groups)
-	s.rate = slices.Grow(s.rate[:0], t*ng)[:t*ng]
-	s.util = slices.Grow(s.util[:0], ng)[:ng]
+	res := &Stage3Result{
+		RewardRate: sol.Objective,
+		Tasks:      t,
+		CoreGroup:  make([]int32, dc.NumCores()),
+		GroupRate:  make([]float64, t*ng),
+		GroupUtil:  make([]float64, ng),
+	}
 	for gi, g := range s.groups {
 		util := 0.0
 		for i := 0; i < t; i++ {
@@ -274,34 +347,16 @@ func (s *Stage3Solver) disaggregate(pstates []int, sol *linprog.Solution) *Stage
 				rate = sol.Value(id) / float64(g.count)
 				util += rate / dc.ECS[i][g.key.nodeType][g.key.pstate]
 			}
-			s.rate[gi*t+i] = rate
+			res.GroupRate[gi*t+i] = rate
 		}
-		s.util[gi] = util
-	}
-
-	ncores := dc.NumCores()
-	res := &Stage3Result{
-		TC:              make([][]float64, t),
-		RewardRate:      sol.Objective,
-		CoreUtilization: make([]float64, ncores),
-	}
-	tc := make([]float64, t*ncores)
-	for i := range res.TC {
-		res.TC[i] = tc[i*ncores : (i+1)*ncores : (i+1)*ncores]
+		res.GroupUtil[gi] = util
 	}
 	lo := 0
 	for j := range dc.Nodes {
 		typ := dc.Nodes[j].Type
 		base, n := s.cellBase[typ], dc.NodeTypes[typ].NumCores
 		for k := lo; k < lo+n; k++ {
-			gi := s.cellGroup[base+pstates[k]]
-			if gi < 0 {
-				continue // off core
-			}
-			for i, rate := range s.rate[gi*t : (gi+1)*t] {
-				res.TC[i][k] = rate
-			}
-			res.CoreUtilization[k] = s.util[gi]
+			res.CoreGroup[k] = int32(s.cellGroup[base+pstates[k]])
 		}
 		lo += n
 	}

@@ -171,11 +171,11 @@ func TestStage3SingleCoreKnownOptimum(t *testing.T) {
 		t.Errorf("reward rate = %g, want 2.4", res.RewardRate)
 	}
 	for k := 0; k < 2; k++ {
-		if math.Abs(res.TC[0][k]-1.2) > 1e-9 {
-			t.Errorf("TC[0][%d] = %g, want 1.2", k, res.TC[0][k])
+		if math.Abs(res.Rate(0, k)-1.2) > 1e-9 {
+			t.Errorf("Rate(0, %d) = %g, want 1.2", k, res.Rate(0, k))
 		}
-		if math.Abs(res.CoreUtilization[k]-1) > 1e-9 {
-			t.Errorf("utilization[%d] = %g, want 1", k, res.CoreUtilization[k])
+		if math.Abs(res.Util(k)-1) > 1e-9 {
+			t.Errorf("Util(%d) = %g, want 1", k, res.Util(k))
 		}
 	}
 }
@@ -235,8 +235,8 @@ func TestStage3MixedPStatesGrouping(t *testing.T) {
 	if math.Abs(res.RewardRate-2.1) > 1e-9 {
 		t.Errorf("reward rate = %g, want 2.1", res.RewardRate)
 	}
-	if math.Abs(res.TC[0][0]-1.2) > 1e-9 || math.Abs(res.TC[0][1]-0.9) > 1e-9 {
-		t.Errorf("TC = %v", res.TC[0])
+	if math.Abs(res.Rate(0, 0)-1.2) > 1e-9 || math.Abs(res.Rate(0, 1)-0.9) > 1e-9 {
+		t.Errorf("TC = %v", res.Dense()[0])
 	}
 }
 
@@ -248,9 +248,9 @@ func TestStage3RewardMatchesTC(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0.0
-	for i := range res.TC {
-		for k := range res.TC[i] {
-			sum += dc.TaskTypes[i].Reward * res.TC[i][k]
+	for i, row := range res.Dense() {
+		for _, tc := range row {
+			sum += dc.TaskTypes[i].Reward * tc
 		}
 	}
 	if math.Abs(sum-res.RewardRate) > 1e-9 {

@@ -30,9 +30,19 @@ func (v Violation) String() string {
 // drift between the optimizer and the model. An empty slice means the
 // assignment is valid within tol.
 //
-// Constraints 1–3 are read in one pass over the plan in storage order:
-// node by node, each task's TC row over the node's cores. That pass only
-// flags a node; a flagged node's violations come from the per-core check
+// Constraints 1–3 are read in one pass over the plan in storage order,
+// node by node. A dense plan is read task by task, each task's TC row over
+// the node's cores. A grouped plan is read by runs of adjacent cores that
+// share a group and a P-state: such cores have the same rates and the
+// same checks, so one rateOnCore pass over the group's row (GroupRate)
+// serves the run, while each rate still enters its arrival sum once per
+// core. Either way every arrival sum (constraint 3) takes its cores in
+// ascending order and every utilization (constraint 1) its tasks in
+// ascending order. The grouped pass leaves out zero rates, which add
+// nothing: an arrival sum starts at +0 and under round-to-nearest never
+// becomes −0, so adding ±0 to it is the identity. Both forms of one plan
+// therefore give the same sums bit for bit. The pass only flags a node; a
+// flagged node's violations come from the per-core check
 // (coreViolations), so they read exactly as a core-by-core scan reports
 // them, in the same order.
 func Verify(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol float64) []Violation {
@@ -47,12 +57,17 @@ func Verify(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol 
 		maxCores = max(maxCores, dc.NodeTypes[typ].NumCores)
 	}
 	util := make([]float64, maxCores)
-	// arrival[i] sums TC[i][k] over every core k in ascending order
-	// (constraint 3), one node's slice at a time.
+	// arrival[i] sums TC(i, k) over every core k in ascending order
+	// (constraint 3), one node's cores at a time.
 	arrival := make([]float64, len(dc.TaskTypes))
-	tc := res.Stage3.TC
+	limits := make([]float64, len(dc.TaskTypes))
+	for i, tt := range dc.TaskTypes {
+		limits[i] = tt.RelDeadline + tol
+	}
+	s3 := res.Stage3
+	t := s3.Tasks
 
-	// One pass per node: P-state validity, then each task's TC slice for
+	// One pass per node: P-state validity, then the node's rates for
 	// per-core utilization (constraint 1), deadlines (2) and the arrival
 	// sums (3).
 	validPStates := true
@@ -71,30 +86,49 @@ func Verify(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol 
 		}
 		u := util[:nt.NumCores]
 		clear(u)
-		for i := range dc.TaskTypes {
-			ecsRow := dc.ECS[i][typ]
-			limit := dc.TaskTypes[i].RelDeadline + tol
-			sum := arrival[i]
-			for c, x := range tc[i][lo:hi] {
-				sum += x
-				if x <= 0 {
-					continue
+		if s3.grouped() {
+			groups := s3.CoreGroup[lo:hi]
+			for c := 0; c < len(groups); {
+				// Cores c..e-1 share a group and a P-state: one check and
+				// one utilization serve them all.
+				g, ps := groups[c], pstates[c]
+				e := c + 1
+				for e < len(groups) && groups[e] == g && pstates[e] == ps {
+					e++
 				}
-				ps := pstates[c]
-				if ps < 0 || ps > off {
-					continue
+				if g >= 0 { // an off core runs nothing
+					uc := 0.0
+					for i, x := range s3.GroupRate[int(g)*t : (int(g)+1)*t] {
+						if x == 0 {
+							continue
+						}
+						sum := arrival[i]
+						for range e - c {
+							sum += x
+						}
+						arrival[i] = sum
+						if !(x < 0) && rateOnCore(x, ps, off, dc.ECS[i][typ], limits[i], &uc) {
+							flagged = true
+						}
+					}
+					for k := c; k < e; k++ {
+						u[k] = uc
+					}
 				}
-				ecs := ecsRow[ps]
-				if ecs <= ecsEpsilon {
-					flagged = true
-					continue
-				}
-				if 1/ecs > limit {
-					flagged = true
-				}
-				u[c] += x / ecs
+				c = e
 			}
-			arrival[i] = sum
+		} else {
+			for i := range dc.TaskTypes {
+				ecsRow := dc.ECS[i][typ]
+				sum := arrival[i]
+				for c, x := range s3.TC[i][lo:hi] {
+					sum += x
+					if !(x <= 0) && rateOnCore(x, pstates[c], off, ecsRow, limits[i], &u[c]) {
+						flagged = true
+					}
+				}
+				arrival[i] = sum
+			}
 		}
 		for _, v := range u {
 			if v > 1+tol {
@@ -141,6 +175,22 @@ func Verify(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol 
 	return out
 }
 
+// rateOnCore adds a rate x that is not ≤ 0 (a NaN included) of one task
+// on a core at P-state ps to the core's utilization *u, and reports
+// whether it breaks a deadline or runs on a zero ECS. A P-state outside
+// [0, off] adds nothing: its core is flagged by the P-state check.
+func rateOnCore(x float64, ps, off int, ecsRow []float64, limit float64, u *float64) bool {
+	if ps < 0 || ps > off {
+		return false
+	}
+	ecs := ecsRow[ps]
+	if ecs <= ecsEpsilon {
+		return true
+	}
+	*u += x / ecs
+	return 1/ecs > limit
+}
+
 // coreViolations appends the P-state, deadline and utilization violations
 // (constraints 1–2) of node j's cores [lo, hi) to out, core by core.
 func coreViolations(dc *model.DataCenter, res *ThreeStageResult, j, lo, hi int, tol float64, out []Violation) []Violation {
@@ -154,7 +204,7 @@ func coreViolations(dc *model.DataCenter, res *ThreeStageResult, j, lo, hi int, 
 		}
 		util := 0.0
 		for i := range dc.TaskTypes {
-			tc := res.Stage3.TC[i][k]
+			tc := res.Stage3.Rate(i, k)
 			if tc <= 0 {
 				continue
 			}

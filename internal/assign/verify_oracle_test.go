@@ -10,10 +10,10 @@ import (
 // VerifyOracle exposes verifyOracle to the external tests.
 var VerifyOracle = verifyOracle
 
-// verifyOracle is Verify as a core-by-core scan: for each core, every
-// task's TC entry (a strided read down TC's columns), then a second pass
-// over the whole matrix for the arrival sums, and the dense G·PCN product
-// for the inlets. Verify's node-blocked pass and banded product must
+// verifyOracle is Verify as a core-by-core scan of the dense plan
+// (Stage3Result.Dense): for each core, every task's TC entry (a strided
+// read down TC's columns), then a second pass over the whole matrix for
+// the arrival sums, and the dense G·PCN product for the inlets. Verify's node-blocked pass and banded product must
 // return exactly its violations, Amount bits included.
 func verifyOracle(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult, tol float64) []Violation {
 	var out []Violation
@@ -21,6 +21,8 @@ func verifyOracle(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult
 	if len(res.PStates) != ncores {
 		return []Violation{{Constraint: "pstate-range", Detail: "wrong P-state slice length", Amount: float64(len(res.PStates) - ncores)}}
 	}
+
+	tcs := res.Stage3.Dense()
 
 	// P-state validity and per-core utilization (constraint 1) and
 	// deadline screening (constraint 2).
@@ -39,7 +41,7 @@ func verifyOracle(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult
 			}
 			util := 0.0
 			for i := range dc.TaskTypes {
-				tc := res.Stage3.TC[i][k]
+				tc := tcs[i][k]
 				if tc <= 0 {
 					continue
 				}
@@ -65,7 +67,7 @@ func verifyOracle(dc *model.DataCenter, tm *thermal.Model, res *ThreeStageResult
 	for i, tt := range dc.TaskTypes {
 		sum := 0.0
 		for k := 0; k < ncores; k++ {
-			sum += res.Stage3.TC[i][k]
+			sum += tcs[i][k]
 		}
 		if sum > tt.ArrivalRate+tol*(1+tt.ArrivalRate) {
 			out = append(out, Violation{"arrival", fmt.Sprintf("task %d: rate %g > λ %g", i, sum, tt.ArrivalRate), sum - tt.ArrivalRate})

@@ -45,7 +45,7 @@ func TestVerifyDetectsTampering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		return clonePlan(r) // dense, so single entries can be edited
 	}
 
 	r := tamper()
@@ -170,17 +170,17 @@ func sameViolations(t *testing.T, name string, dc *model.DataCenter, tm *thermal
 	return got
 }
 
-// clonePlan deep-copies the parts of a plan Verify reads.
+// clonePlan deep-copies the parts of a plan Verify reads, with Stage 3 as
+// a dense TC copy (Stage3Result.Dense).
 func clonePlan(r *assign.ThreeStageResult) *assign.ThreeStageResult {
 	c := *r
 	c.PStates = append([]int(nil), r.PStates...)
 	s1 := *r.Stage1
 	s1.CracOut = append([]float64(nil), r.Stage1.CracOut...)
 	c.Stage1 = &s1
-	s3 := *r.Stage3
-	s3.TC = make([][]float64, len(r.Stage3.TC))
-	for i, row := range r.Stage3.TC {
-		s3.TC[i] = append([]float64(nil), row...)
+	s3 := assign.Stage3Result{RewardRate: r.Stage3.RewardRate}
+	for _, row := range r.Stage3.Dense() {
+		s3.TC = append(s3.TC, append([]float64(nil), row...))
 	}
 	c.Stage3 = &s3
 	return &c

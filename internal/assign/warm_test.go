@@ -191,7 +191,9 @@ func TestStage3SolverMatchesOneShot(t *testing.T) {
 }
 
 // checkStage3MatchesOneShot solves every vector on one Stage3Solver and
-// on the one-shot oracle and requires bit-identical results.
+// on the one-shot oracle and requires bit-identical results: the grouped
+// result's Rate, Util and Dense against the oracle's per-core TC and
+// utilizations.
 func checkStage3MatchesOneShot(t *testing.T, dc *model.DataCenter, vectors [][]int) *assign.Stage3Solver {
 	t.Helper()
 	warm := assign.NewStage3Solver(dc)
@@ -207,16 +209,23 @@ func checkStage3MatchesOneShot(t *testing.T, dc *model.DataCenter, vectors [][]i
 		if !bitsEq(got.RewardRate, want.RewardRate) {
 			t.Fatalf("vector %d: reward %v vs %v", vi, got.RewardRate, want.RewardRate)
 		}
+		dense := got.Dense()
 		for i := range want.TC {
 			for k := range want.TC[i] {
-				if !bitsEq(got.TC[i][k], want.TC[i][k]) {
-					t.Fatalf("vector %d: TC[%d][%d] = %v, want %v", vi, i, k, got.TC[i][k], want.TC[i][k])
+				if !bitsEq(got.Rate(i, k), want.TC[i][k]) {
+					t.Fatalf("vector %d: Rate(%d, %d) = %v, want %v", vi, i, k, got.Rate(i, k), want.TC[i][k])
+				}
+				if !bitsEq(dense[i][k], want.TC[i][k]) {
+					t.Fatalf("vector %d: Dense()[%d][%d] = %v, want %v", vi, i, k, dense[i][k], want.TC[i][k])
 				}
 			}
 		}
+		if len(dense) != len(want.TC) {
+			t.Fatalf("vector %d: Dense() has %d rows, want %d", vi, len(dense), len(want.TC))
+		}
 		for k := range want.CoreUtilization {
-			if !bitsEq(got.CoreUtilization[k], want.CoreUtilization[k]) {
-				t.Fatalf("vector %d: util[%d] = %v, want %v", vi, k, got.CoreUtilization[k], want.CoreUtilization[k])
+			if !bitsEq(got.Util(k), want.CoreUtilization[k]) {
+				t.Fatalf("vector %d: Util(%d) = %v, want %v", vi, k, got.Util(k), want.CoreUtilization[k])
 			}
 		}
 	}

@@ -387,6 +387,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 			}
 			lad := runLadder(ctx, cfg, solver, rebuild, plannerDC, plannerTM, lastGood, prevOut)
 			plan = lad.plan
+			adopt(plan)
 			if lad.solver != nil {
 				solver = lad.solver
 			}
@@ -469,6 +470,13 @@ func newPlanner(base *model.DataCenter, st *faults.State, opts assign.Options) (
 		return nil, nil, nil, err
 	}
 	return dc, tm, solver, nil
+}
+
+// adopt stores the dense TC on a plan the loop puts in force: the
+// scheduler and simulator take the per-core matrix, and the checkpoint
+// journals it with the plan.
+func adopt(plan *assign.ThreeStageResult) {
+	plan.Stage3.TC = plan.Stage3.Dense()
 }
 
 // newScheduler builds the second-step scheduler of plan with its ATC
@@ -606,6 +614,7 @@ func runOpenLoop(ctx context.Context, base *model.DataCenter, schedule faults.Sc
 	if err != nil {
 		return nil, err
 	}
+	adopt(plan)
 	rep := EpochReport{
 		End:        cfg.Horizon,
 		Resolved:   true,
@@ -743,9 +752,9 @@ func fallbackPlan(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Con
 		}
 	}
 
-	tc := make([][]float64, dc.T())
-	for i := range tc {
-		tc[i] = make([]float64, dc.NumCores())
+	off := make([]int32, dc.NumCores())
+	for k := range off {
+		off[k] = -1 // no core executes anything
 	}
 	return &assign.ThreeStageResult{
 		Stage1: &assign.Stage1Result{
@@ -755,7 +764,7 @@ func fallbackPlan(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Con
 			Feasible:      safe,
 		},
 		PStates: pstates,
-		Stage3:  &assign.Stage3Result{TC: tc, CoreUtilization: make([]float64, dc.NumCores())},
+		Stage3:  &assign.Stage3Result{Tasks: dc.T(), CoreGroup: off},
 	}
 }
 

@@ -60,7 +60,7 @@ func BurstinessSweepContext(ctx context.Context, cfg SweepConfig, horizon float6
 		if err != nil {
 			return nil, err
 		}
-		pred := ts.RewardRate()
+		pred, tc := ts.RewardRate(), ts.Stage3.Dense()
 		for b, burst := range cfg.Values {
 			var tasks []workload.Task
 			rng := stats.NewRand(seed + int64(b)*131 + 600000)
@@ -77,7 +77,7 @@ func BurstinessSweepContext(ctx context.Context, cfg SweepConfig, horizon float6
 				}
 			}
 			for _, policy := range []sched.Policy{sched.PaperPolicy{}, sched.SoftRatioPolicy{}} {
-				out, err := sim.RunOpts(sc.DC, ts.PStates, ts.Stage3.TC, tasks, horizon, sim.Options{Policy: policy})
+				out, err := sim.RunOpts(sc.DC, ts.PStates, tc, tasks, horizon, sim.Options{Policy: policy})
 				if err != nil {
 					return nil, err
 				}

@@ -86,8 +86,10 @@ type journalRecord struct {
 
 // runTagVersion versions the journal's record layout and meaning; bump it
 // whenever either changes. v4 renumbered the ladder rungs (the retry rung
-// is gone), so a v3 journal's Rung and RungCounts would be misread.
-const runTagVersion = 4
+// is gone), so a v3 journal's Rung and RungCounts would be misread. v5
+// journals each plan's Stage 3 by core group beside its dense TC, in
+// place of the per-core utilizations.
+const runTagVersion = 5
 
 // runTag hashes every configuration field that influences results, so a
 // checkpoint directory can never be resumed under different parameters

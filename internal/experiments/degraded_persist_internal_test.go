@@ -89,33 +89,36 @@ func TestResumeRejectsBadEpochRecords(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsV3Journal: the v4 layout renumbered the ladder rungs,
-// so a checkpoint directory journaled under the v3 run tag must be
-// refused as persist.KindMismatch instead of having its rungs misread.
+// TestResumeRejectsV3Journal: the v4 layout renumbered the ladder rungs
+// and v5 journals Stage 3 by core group, so a checkpoint directory
+// journaled under an older run tag must be refused as
+// persist.KindMismatch instead of having its records misread.
 func TestResumeRejectsV3Journal(t *testing.T) {
-	cfg := replayConfig(t)
-	if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	j, err := persist.CreateJournal(filepath.Join(cfg.CheckpointDir, journalFile), cfg.runTagAt(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(1, encodeRecord(t, &journalRecord{Epoch: &epochRecord{
-		Delta: &controller.EpochDelta{Report: controller.EpochReport{Resolved: true, Rung: 2}}}})); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Resume = true
-	_, err = DegradedSweep(cfg)
-	var pe *persist.Error
-	if !errors.As(err, &pe) || pe.Kind != persist.KindMismatch {
-		t.Fatalf("resume over a v3 journal returned %v, want KindMismatch", err)
+	for v := 3; v < runTagVersion; v++ {
+		cfg := replayConfig(t)
+		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		j, err := persist.CreateJournal(filepath.Join(cfg.CheckpointDir, journalFile), cfg.runTagAt(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(1, encodeRecord(t, &journalRecord{Epoch: &epochRecord{
+			Delta: &controller.EpochDelta{Report: controller.EpochReport{Resolved: true, Rung: 2}}}})); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Resume = true
+		_, err = DegradedSweep(cfg)
+		var pe *persist.Error
+		if !errors.As(err, &pe) || pe.Kind != persist.KindMismatch {
+			t.Fatalf("resume over a v%d journal returned %v, want KindMismatch", v, err)
+		}
 	}
 }
 

@@ -149,7 +149,7 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 	if err != nil {
 		return nil, err
 	}
-	staticOut, err := sim.Run(sc.DC, static.PStates, static.Stage3.TC, tasks, cfg.Horizon)
+	staticOut, err := sim.Run(sc.DC, static.PStates, static.Stage3.Dense(), tasks, cfg.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -206,12 +206,13 @@ func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*Dynami
 		}
 		// A fresh scheduler per epoch, its ATC clock started at the epoch
 		// so ratios reflect the current epoch only.
-		s, err := sched.New(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC)
+		tc := epochAssign.Stage3.Dense()
+		s, err := sched.New(sc.DC, epochAssign.PStates, tc)
 		if err != nil {
 			return nil, err
 		}
 		s.SetStartTime(start)
-		out, err := sim.RunOpts(sc.DC, epochAssign.PStates, epochAssign.Stage3.TC, epochTasks, end, sim.Options{
+		out, err := sim.RunOpts(sc.DC, epochAssign.PStates, tc, epochTasks, end, sim.Options{
 			Start:     start,
 			Scheduler: s,
 			FreeAt:    freeAt,

@@ -244,7 +244,7 @@ func runFig6Trial(cfg Fig6Config, group Fig6Group, seed int64) (Fig6Trial, error
 		if err != nil {
 			return Fig6Trial{}, err
 		}
-		tsSim, err := sim.RunOpts(sc.DC, ts.PStates, ts.Stage3.TC, tasks, cfg.SimHorizon, sim.Options{Policy: policy})
+		tsSim, err := sim.RunOpts(sc.DC, ts.PStates, ts.Stage3.Dense(), tasks, cfg.SimHorizon, sim.Options{Policy: policy})
 		if err != nil {
 			return Fig6Trial{}, err
 		}

@@ -393,7 +393,7 @@ func SchedulerValidationContext(ctx context.Context, cfg SweepConfig, horizon fl
 			return nil, err
 		}
 		tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(seed+500000))
-		out, err := sim.Run(sc.DC, ts.PStates, ts.Stage3.TC, tasks, horizon)
+		out, err := sim.Run(sc.DC, ts.PStates, ts.Stage3.Dense(), tasks, horizon)
 		if err != nil {
 			return nil, err
 		}

@@ -49,7 +49,8 @@ func gaussSolve(a *Matrix, b []float64) ([]float64, bool) {
 // FuzzFactorLU differentials FactorLU+Solve against the independent
 // Gaussian elimination above on fuzzer-shaped matrices: the two must agree
 // on singularity, and when both solve, each solution must satisfy the
-// system to a conditioning-scaled residual tolerance.
+// system to a conditioning-scaled residual tolerance. SolveMatrix must
+// equal SolveInto column by column bit for bit.
 func FuzzFactorLU(f *testing.F) {
 	f.Add(uint8(3), int64(1), []byte{})
 	f.Add(uint8(1), int64(42), []byte{0x00})
@@ -117,6 +118,38 @@ func FuzzFactorLU(f *testing.F) {
 		for i := range b {
 			if d := math.Abs(got[i] - b[i]); d > tol || math.IsNaN(d) {
 				t.Fatalf("residual %g at row %d exceeds %g\nA=%v\nb=%v\nx=%v", d, i, tol, a.Data, b, x)
+			}
+		}
+
+		// SolveMatrix skips each column's leading +0 entries; it must equal
+		// a full SolveInto per column bit for bit. Column c is b with its
+		// first c entries zeroed (every other one as −0) plus the identity.
+		rhs := NewMatrix(n, 2*n)
+		for c := 0; c < n; c++ {
+			for r := c; r < n; r++ {
+				rhs.Set(r, c, b[r])
+			}
+			for r := 0; r < c; r += 2 {
+				rhs.Set(r, c, math.Copysign(0, -1))
+			}
+			rhs.Set(c, n+c, 1)
+		}
+		xs, err := fac.SolveMatrix(rhs)
+		if err != nil {
+			t.Fatalf("SolveMatrix after successful FactorLU: %v", err)
+		}
+		col, want := make([]float64, n), make([]float64, n)
+		for c := 0; c < rhs.Cols; c++ {
+			for r := range col {
+				col[r] = rhs.At(r, c)
+			}
+			if err := fac.SolveInto(want, col); err != nil {
+				t.Fatalf("SolveInto after successful FactorLU: %v", err)
+			}
+			for r, w := range want {
+				if g := xs.At(r, c); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("SolveMatrix column %d row %d = %v, SolveInto %v\nA=%v\nB=%v", c, r, g, w, a.Data, rhs.Data)
+				}
 			}
 		}
 	})

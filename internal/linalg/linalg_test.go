@@ -220,6 +220,78 @@ func TestSolveMatrixProperty(t *testing.T) {
 	}
 }
 
+// solveColumns is SolveMatrix as one full SolveInto per column.
+func solveColumns(t *testing.T, f *LU, b *Matrix) *Matrix {
+	t.Helper()
+	out := NewMatrix(b.Rows, b.Cols)
+	col, x := make([]float64, b.Rows), make([]float64, b.Rows)
+	for c := 0; c < b.Cols; c++ {
+		for r := range col {
+			col[r] = b.At(r, c)
+		}
+		if err := f.SolveInto(x, col); err != nil {
+			t.Fatal(err)
+		}
+		for r, v := range x {
+			out.Set(r, c, v)
+		}
+	}
+	return out
+}
+
+// assertBitsEqual fails unless got and want hold the same float64 bits,
+// signed zeros included.
+func assertBitsEqual(t *testing.T, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("entry (%d, %d) = %v, want %v", i/want.Cols, i%want.Cols, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestSolveMatrixSkipMatchesSolveInto holds SolveMatrix's leading-zero
+// skip to full per-column substitutions bit for bit on right-hand sides
+// with long zero prefixes, −0 entries and negative multipliers in L.
+func TestSolveMatrixSkipMatchesSolveInto(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(12) + 2
+		a := NewMatrix(n, n)
+		for i := range a.Data {
+			a.Data[i] = rng.NormFloat64()
+		}
+		f, err := FactorLU(a)
+		if err != nil {
+			continue
+		}
+		b := NewMatrix(n, 2*n)
+		for c := 0; c < b.Cols; c++ {
+			for r := rng.Intn(n); r < n; r++ {
+				switch rng.Intn(4) {
+				case 0:
+					b.Set(r, c, negZero)
+				case 1:
+					// stays +0
+				default:
+					b.Set(r, c, rng.NormFloat64())
+				}
+			}
+		}
+		got, err := f.SolveMatrix(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitsEqual(t, got, solveColumns(t, f, b))
+		inv, err := f.Inverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitsEqual(t, inv, solveColumns(t, f, Identity(n)))
+	}
+}
+
 func TestSolveLengthMismatch(t *testing.T) {
 	a := Identity(3)
 	f, err := FactorLU(a)

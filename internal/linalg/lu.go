@@ -108,15 +108,30 @@ func (f *LU) SolveInto(dst, b []float64) error {
 	for i := 0; i < f.n; i++ {
 		dst[i] = b[f.piv[i]]
 	}
-	for i := 0; i < f.n; i++ {
+	f.forward(dst, 0)
+	return f.backward(dst)
+}
+
+// forward substitutes L (unit diagonal) into the permuted right-hand side
+// dst in place. Terms j < lo are left out of every row's sum: callers pass
+// lo > 0 only when dst[0:lo] are all exactly +0 (see SolveMatrix).
+func (f *LU) forward(dst []float64, lo int) {
+	for i := lo; i < f.n; i++ {
 		row := f.lu.Row(i)
 		s := dst[i]
-		for j := 0; j < i; j++ {
+		j := lo
+		if s == 0 && math.Signbit(s) {
+			j = 0 // −0 − (−0) is +0: keep every term
+		}
+		for ; j < i; j++ {
 			s -= row[j] * dst[j]
 		}
 		dst[i] = s
 	}
-	// Back-substitute U.
+}
+
+// backward substitutes U into dst in place.
+func (f *LU) backward(dst []float64) error {
 	for i := f.n - 1; i >= 0; i-- {
 		row := f.lu.Row(i)
 		s := dst[i]
@@ -186,18 +201,30 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 }
 
 // SolveMatrix solves A·X = B column by column and returns X.
+//
+// Each column's forward substitution starts at its first entry (after the
+// row permutation) that is not exactly +0. A skipped term subtracts
+// row[j]·(+0), ±0 for a finite L, before any other term of its row: from
+// +0 that leaves +0, and from any other starting value but −0 it leaves
+// the value, so a row that starts at −0 keeps every term. X therefore
+// equals SolveInto column by column bit for bit, and an identity or
+// selector column skips the work above its one nonzero.
 func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
 	if b.Rows != f.n {
 		return nil, fmt.Errorf("linalg: SolveMatrix shape mismatch: %d rows want %d", b.Rows, f.n)
 	}
 	out := NewMatrix(f.n, b.Cols)
-	col := make([]float64, f.n)
 	x := make([]float64, f.n)
 	for c := 0; c < b.Cols; c++ {
+		lo := f.n
 		for r := 0; r < f.n; r++ {
-			col[r] = b.At(r, c)
+			x[r] = b.At(f.piv[r], c)
+			if lo == f.n && (x[r] != 0 || math.Signbit(x[r])) {
+				lo = r
+			}
 		}
-		if err := f.SolveInto(x, col); err != nil {
+		f.forward(x, lo)
+		if err := f.backward(x); err != nil {
 			return nil, err
 		}
 		for r := 0; r < f.n; r++ {

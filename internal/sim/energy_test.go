@@ -17,7 +17,7 @@ func TestEnergyMatchesBudgetUnderPaperModel(t *testing.T) {
 	sc, res := buildAssigned(t, 6)
 	const horizon = 20.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(9))
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestEnergyTaskPowerFactorsReduceBusyEnergy(t *testing.T) {
 	sc, res := buildAssigned(t, 7)
 	const horizon = 20.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(9))
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEnergyIdleFractionScalesIdle(t *testing.T) {
 	sc, res := buildAssigned(t, 8)
 	const horizon = 20.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(9))
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,19 +31,19 @@ func buildAssigned(t testing.TB, seed int64) (*scenario.Scenario, *assign.ThreeS
 
 func TestRunRejectsBadHorizon(t *testing.T) {
 	sc, res := buildAssigned(t, 1)
-	if _, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, nil, 0); err == nil {
+	if _, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), nil, 0); err == nil {
 		t.Fatal("horizon 0 accepted")
 	}
 	// A zero-length window (Start == horizon) would make every rate field
 	// 0/0 = NaN; it must be rejected the same way.
-	if _, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, nil, 5, sim.Options{Start: 5}); err == nil {
+	if _, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), nil, 5, sim.Options{Start: 5}); err == nil {
 		t.Fatal("zero-length window accepted")
 	}
-	if _, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, nil, 5, sim.Options{Start: 6}); err == nil {
+	if _, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), nil, 5, sim.Options{Start: 6}); err == nil {
 		t.Fatal("negative-length window accepted")
 	}
 	// And no surviving code path may emit NaN rates on a legal run.
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, nil, 10)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRunHooksFireInOrderWithTelemetry(t *testing.T) {
 		// A hook after the last arrival still fires via the end-of-run flush.
 		{Time: horizon, Fire: func(now float64) { fired = append(fired, now) }},
 	}
-	out, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon, sim.Options{
+	out, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon, sim.Options{
 		Hooks: hooks,
 		Plant: fakePlant{power: func(t float64) float64 { return level }},
 	})
@@ -97,7 +97,7 @@ func TestRunHooksFireInOrderWithTelemetry(t *testing.T) {
 	}
 	// Unsorted hooks are rejected.
 	bad := []sim.Hook{{Time: 9}, {Time: 3}}
-	if _, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, nil, horizon, sim.Options{Hooks: bad}); err == nil {
+	if _, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), nil, horizon, sim.Options{Hooks: bad}); err == nil {
 		t.Fatal("unsorted hooks accepted")
 	}
 }
@@ -106,13 +106,13 @@ func TestRunLostTasksEarnNoReward(t *testing.T) {
 	sc, res := buildAssigned(t, 7)
 	const horizon = 20.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(17))
-	base, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	base, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every task completing after t = 10 is lost.
 	var lostRecords int
-	out, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon, sim.Options{
+	out, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon, sim.Options{
 		Lost: func(core int, start, completion float64) bool { return completion > 10 },
 		Recorder: func(r sim.TaskRecord) {
 			if r.Lost {
@@ -145,12 +145,12 @@ func TestRunCarriedStateMatchesSingleRun(t *testing.T) {
 	sc, res := buildAssigned(t, 8)
 	const horizon, split = 30.0, 13.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(23))
-	whole, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	whole, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := sched.New(sc.DC, res.PStates, res.Stage3.TC)
+	s, err := sched.New(sc.DC, res.PStates, res.Stage3.Dense())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +163,13 @@ func TestRunCarriedStateMatchesSingleRun(t *testing.T) {
 			second = append(second, task)
 		}
 	}
-	a, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, first, split, sim.Options{
+	a, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), first, split, sim.Options{
 		Scheduler: s, FreeAt: freeAt,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, second, horizon, sim.Options{
+	b, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), second, horizon, sim.Options{
 		Start: split, Scheduler: s, FreeAt: freeAt,
 	})
 	if err != nil {
@@ -190,14 +190,14 @@ func TestRunCarriedStateMatchesSingleRun(t *testing.T) {
 func TestRunRejectsBadTaskType(t *testing.T) {
 	sc, res := buildAssigned(t, 9)
 	bad := []workload.Task{{ID: 1, Type: sc.DC.T(), Arrival: 1, Deadline: 5}}
-	if _, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, bad, 10); err == nil {
+	if _, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), bad, 10); err == nil {
 		t.Fatal("out-of-range task type accepted")
 	}
 }
 
 func TestRunEmptyStream(t *testing.T) {
 	sc, res := buildAssigned(t, 1)
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, nil, 10)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRunTracksStage3Prediction(t *testing.T) {
 	sc, res := buildAssigned(t, 2)
 	const horizon = 60.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(99))
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRunAccountingConsistency(t *testing.T) {
 	sc, res := buildAssigned(t, 3)
 	const horizon = 30.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(5))
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +273,11 @@ func TestRunAccountingConsistency(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	sc, res := buildAssigned(t, 4)
 	tasks := workload.GenerateTasks(sc.DC, 20, stats.NewRand(7))
-	a, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, 20)
+	a, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, 20)
+	b, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestOversubscriptionCausesDrops(t *testing.T) {
 	}
 	const horizon = 20.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(11))
-	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon)
+	out, err := sim.Run(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestTraceRecorder(t *testing.T) {
 	const horizon = 15.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(3))
 	var records []sim.TaskRecord
-	out, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon, sim.Options{
+	out, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon, sim.Options{
 		Recorder: func(r sim.TaskRecord) { records = append(records, r) },
 	})
 	if err != nil {
@@ -353,7 +353,7 @@ func TestTraceNonOverlappingPerCore(t *testing.T) {
 	const horizon = 15.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(5))
 	lastEnd := make(map[int]float64)
-	_, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.TC, tasks, horizon, sim.Options{
+	_, err := sim.RunOpts(sc.DC, res.PStates, res.Stage3.Dense(), tasks, horizon, sim.Options{
 		Recorder: func(r sim.TaskRecord) {
 			if r.Dropped {
 				return
@@ -405,7 +405,7 @@ func TestPaperScaleIndexMatchesScan(t *testing.T) {
 			pstates []int
 			tc      [][]float64
 		}{
-			{"three-stage", ts.PStates, ts.Stage3.TC},
+			{"three-stage", ts.PStates, ts.Stage3.Dense()},
 			{"baseline", blPStates, blTC},
 		}
 		for _, plan := range plans {

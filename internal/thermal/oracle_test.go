@@ -11,7 +11,8 @@ import (
 
 // newDenseOracle is New as one dense factorization of the whole floor:
 // A on n×n, M = I − S·A factored by one LU, and the dense n×NCRAC and
-// n×NCN right-hand sides solved column by column. New factors each
+// n×NCN right-hand sides solved column by column with full substitutions
+// (solveColumns). New factors each
 // connected component of α on its own and must return exactly these maps,
 // bit for bit, and the same error on a singular floor.
 func newDenseOracle(dc *model.DataCenter) (*Model, error) {
@@ -47,11 +48,11 @@ func newDenseOracle(dc *model.DataCenter) (*Model, error) {
 		t := ncrac + j
 		ePow.Set(t, j, 1/(power.RhoCp*flows[t]))
 	}
-	outFromCRAC, err := lu.SolveMatrix(eCRAC)
+	outFromCRAC, err := solveColumns(lu, eCRAC)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: solving CRAC sensitivity: %w", err)
 	}
-	outFromPower, err := lu.SolveMatrix(ePow)
+	outFromPower, err := solveColumns(lu, ePow)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: solving power sensitivity: %w", err)
 	}
@@ -67,6 +68,25 @@ func newDenseOracle(dc *model.DataCenter) (*Model, error) {
 		gHi:          gHi,
 		flows:        flows,
 	}, nil
+}
+
+// solveColumns solves lu·X = b with a full SolveInto per column, so the
+// oracle does not share SolveMatrix's leading-zero skip with New.
+func solveColumns(lu *linalg.LU, b *linalg.Matrix) (*linalg.Matrix, error) {
+	out := linalg.NewMatrix(b.Rows, b.Cols)
+	col, x := make([]float64, b.Rows), make([]float64, b.Rows)
+	for c := 0; c < b.Cols; c++ {
+		for r := range col {
+			col[r] = b.At(r, c)
+		}
+		if err := lu.SolveInto(x, col); err != nil {
+			return nil, err
+		}
+		for r, v := range x {
+			out.Set(r, c, v)
+		}
+	}
+	return out, nil
 }
 
 // MatchDenseOracle exposes matchDenseOracle to the external tests.

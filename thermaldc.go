@@ -90,7 +90,9 @@ type (
 	BaselineResult = assign.BaselineResult
 	// Stage1Result is the relaxed power assignment of Stage 1.
 	Stage1Result = assign.Stage1Result
-	// Stage3Result holds the desired execution-rate matrix.
+	// Stage3Result holds the desired execution rates TC(i, k) by core
+	// group: Rate(i, k) and Util(k) read them, and Dense() returns the
+	// per-core TC matrix Simulate and SimulateOpts hand the scheduler.
 	Stage3Result = assign.Stage3Result
 	// SimResult is the second-step simulation outcome.
 	SimResult = sim.Result
@@ -173,7 +175,7 @@ func GenerateTasks(dc *DataCenter, horizon float64, seed int64) []Task {
 // Simulate runs the second-step dynamic scheduler on a first-step
 // assignment and a task stream.
 func Simulate(dc *DataCenter, res *ThreeStageResult, tasks []Task, horizon float64) (*SimResult, error) {
-	return sim.Run(dc, res.PStates, res.Stage3.TC, tasks, horizon)
+	return sim.Run(dc, res.PStates, res.Stage3.Dense(), tasks, horizon)
 }
 
 // TableINodeTypes returns the two paper server models with the given
@@ -208,7 +210,7 @@ func SoftRatioPolicy() SchedPolicy { return sched.SoftRatioPolicy{} }
 // SimulateOpts is Simulate with a custom scheduling policy and/or a
 // per-task trace recorder.
 func SimulateOpts(dc *DataCenter, res *ThreeStageResult, tasks []Task, horizon float64, opts SimOptions) (*SimResult, error) {
-	return sim.RunOpts(dc, res.PStates, res.Stage3.TC, tasks, horizon, opts)
+	return sim.RunOpts(dc, res.PStates, res.Stage3.Dense(), tasks, horizon, opts)
 }
 
 // Energy computes the compute-energy ledger for a finished run, including
