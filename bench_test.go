@@ -5,6 +5,7 @@
 package thermaldc_test
 
 import (
+	"runtime"
 	"testing"
 
 	"thermaldc/internal/assign"
@@ -13,6 +14,7 @@ import (
 	"thermaldc/internal/model"
 	"thermaldc/internal/pwl"
 	"thermaldc/internal/scenario"
+	"thermaldc/internal/sched"
 	"thermaldc/internal/sim"
 	"thermaldc/internal/stats"
 	"thermaldc/internal/telemetry"
@@ -209,14 +211,8 @@ func BenchmarkDynamicScheduler(b *testing.B) {
 	})
 	b.Run("paper-scale/three-stage", func(b *testing.B) {
 		sc := getPaperScenario(b)
-		if benchPaperThreeStage == nil {
-			res, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchPaperThreeStage = res
-		}
-		benchSimulate(b, sc.DC, benchPaperThreeStage.PStates, benchPaperThreeStage.Stage3.Dense(), horizon)
+		res := getPaperThreeStage(b)
+		benchSimulate(b, sc.DC, res.PStates, res.Stage3.Dense(), horizon)
 	})
 	b.Run("paper-scale/baseline", func(b *testing.B) {
 		sc := getPaperScenario(b)
@@ -238,6 +234,52 @@ var (
 	benchPaperThreeStage *assign.ThreeStageResult
 	benchPaperBaseline   *assign.BaselineResult
 )
+
+// getPaperThreeStage returns the paper-scale three-stage plan, the plan a
+// closed loop adopts on that floor when nothing has failed.
+func getPaperThreeStage(b *testing.B) *assign.ThreeStageResult {
+	b.Helper()
+	if benchPaperThreeStage == nil {
+		sc := getPaperScenario(b)
+		res, err := assign.ThreeStage(sc.DC, sc.Thermal, assign.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchPaperThreeStage = res
+	}
+	return benchPaperThreeStage
+}
+
+// schedSink keeps BenchmarkSchedulerNew's builds from being optimized away.
+var schedSink *sched.Scheduler
+
+// BenchmarkSchedulerNew builds the second-step scheduler of the
+// paper-scale three-stage plan (150 nodes, 4,800 cores) from its Stage-3
+// core groups, once per op: what the closed loop does on every plan it
+// adopts. B/core is the heap allocated per build and core; tasks is the
+// task-type count T. A build holds one int32 ATC count per (task type,
+// core), 4T bytes per core; the rest of the plan stays per group.
+func BenchmarkSchedulerNew(b *testing.B) {
+	b.Run("paper", func(b *testing.B) {
+		dc := getPaperScenario(b).DC
+		plan := getPaperThreeStage(b)
+		s3 := plan.Stage3
+		b.ReportAllocs()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if schedSink, err = sched.New(dc, plan.PStates, s3.CoreGroup, s3.Tasks, s3.GroupRate); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/(float64(b.N)*float64(dc.NumCores())), "B/core")
+		b.ReportMetric(float64(dc.T()), "tasks")
+	})
+}
 
 // benchSimulate times sim.Run over a fixed 10 s task stream per op.
 func benchSimulate(b *testing.B, dc *model.DataCenter, pstates []int, tc [][]float64, horizon float64) {
@@ -269,7 +311,8 @@ func BenchmarkSearchStrategies(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.SearchEvals), "LPsolves/op")
+				b.ReportMetric(float64(res.SearchEvals), "candidates/op")
+				b.ReportMetric(float64(res.SearchSolved), "LPsolves/op")
 			}
 		})
 	}

@@ -28,6 +28,13 @@
 // group needs a 4-byte group index per core, while a dense TC matrix takes
 // 8 bytes per task type per core (64 at 8 task types).
 //
+// Scheduler family (BenchmarkSchedulerNew/...): the paper point's B/core —
+// heap allocated per second-step scheduler build and core, on the
+// paper-scale plan with 8 task types — must stay at or below 64. The
+// scheduler keeps its plan by core group, so a build holds the int32 ATC
+// counts (4 bytes per task type and core) and little else; a per-core
+// table of execution times or rates would add 8 bytes per task type.
+//
 // Repeated rows of one benchmark (`go test -count N`) fold into one result:
 // ns/op and ns/node are gated on their median, and each folded benchmark's
 // median and range are printed. An allocs/op or B/core contract holds on
@@ -300,6 +307,10 @@ func check(results map[string]result, tolerance, fleetTolerance float64) (failur
 		checked++
 		failures = append(failures, checkFleet(results, fleetTolerance)...)
 	}
+	if present(results, schedPrefix) {
+		checked++
+		failures = append(failures, checkSched(results)...)
+	}
 	return failures, checked
 }
 
@@ -311,6 +322,11 @@ const (
 	// maxReadbackBytesPerCore caps FleetReadback/10k's B/core: a 4-byte
 	// group index per core plus the solve's per-group and LP scratch.
 	maxReadbackBytesPerCore = 16
+
+	schedPrefix = "BenchmarkSchedulerNew/"
+	// maxSchedBytesPerCore caps SchedulerNew/paper's B/core: 8 task types'
+	// int32 ATC counts (32 bytes) plus the per-type lists of core runs.
+	maxSchedBytesPerCore = 64
 )
 
 // present reports whether any result name belongs to the family.
@@ -425,4 +441,23 @@ func checkFleet(results map[string]result, tolerance float64) []string {
 		}
 	}
 	return failures
+}
+
+// checkSched gates the scheduler build: SchedulerNew/paper is mandatory
+// once the family appears, and its B/core must stay at or below
+// maxSchedBytesPerCore, so the scheduler keeps its plan by core group.
+func checkSched(results map[string]result) []string {
+	const paper = schedPrefix + "paper"
+	r, ok := results[paper]
+	switch {
+	case !ok:
+		return []string{paper + " missing from benchmark output"}
+	case !r.hasBytesCore:
+		return []string{paper + " has no B/core metric"}
+	case r.bytesPerCore > maxSchedBytesPerCore:
+		return []string{fmt.Sprintf(
+			"%s allocates %g B/core, want at most %d (the scheduler no longer keeps its plan by core group)",
+			paper, r.bytesPerCore, maxSchedBytesPerCore)}
+	}
+	return nil
 }

@@ -336,3 +336,37 @@ func TestCheckFleetReadbackBytesPerCore(t *testing.T) {
 		}
 	}
 }
+
+const schedOK = `goos: linux
+BenchmarkSchedulerNew/paper-2         	      20	    155720 ns/op	        36.46 B/core	         8.000 tasks	  174992 B/op	       8 allocs/op
+PASS
+`
+
+// TestCheckSchedulerBytesPerCore: the scheduler family needs the paper
+// build with a B/core metric at or below the cap, and counts as a family
+// of its own.
+func TestCheckSchedulerBytesPerCore(t *testing.T) {
+	results, err := parse(strings.NewReader(schedOK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, checked := check(results, 1.05, 1.25); len(f) != 0 || checked != 1 {
+		t.Fatalf("failures = %v checked = %d, want a clean pass of one family", f, checked)
+	}
+	const row = "BenchmarkSchedulerNew/paper-2         	      20	    155720 ns/op	        36.46 B/core	         8.000 tasks	  174992 B/op	       8 allocs/op\n"
+	for _, tc := range []struct{ name, row, want string }{
+		// Dense T × cores tables, as the scheduler built them per plan.
+		{"dense", "BenchmarkSchedulerNew/paper-2 20 1184262 ns/op 310.2 B/core 8.000 tasks 1489040 B/op 47 allocs/op\n", "allocates 310.2 B/core"},
+		{"missing", "BenchmarkSchedulerNew/other-2 20 155720 ns/op 36.46 B/core\n", "BenchmarkSchedulerNew/paper missing"},
+		{"no metric", "BenchmarkSchedulerNew/paper-2 20 155720 ns/op 8.000 tasks\n", "has no B/core metric"},
+	} {
+		results, err := parse(strings.NewReader(strings.Replace(schedOK, row, tc.row, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := check(results, 1.05, 1.25)
+		if len(f) != 1 || !strings.Contains(f[0], tc.want) {
+			t.Errorf("%s: failures = %v, want one containing %q", tc.name, f, tc.want)
+		}
+	}
+}

@@ -148,6 +148,43 @@ func (ck *Checkpoint) validate(base *model.DataCenter, nEvents, nTasks, nInterva
 	return nil
 }
 
+// restoreTC rebuilds the dense TC of every plan in the checkpoint that
+// lacks one. A journal stores each plan by core group only, and a resumed
+// run's Result must hold the same plans as an uninterrupted run's, on
+// which adopt has set TC. A plan whose groups do not fit base is an error.
+func (ck *Checkpoint) restoreTC(base *model.DataCenter) error {
+	plans := []*assign.ThreeStageResult{ck.Plan, ck.LastGood}
+	for i := range ck.Res.Epochs {
+		plans = append(plans, ck.Res.Epochs[i].Plan)
+	}
+	for _, p := range plans {
+		if p == nil || p.Stage3 == nil || p.Stage3.TC != nil {
+			continue
+		}
+		if err := groupsFit(p.Stage3, base); err != nil {
+			return fmt.Errorf("controller: resume checkpoint plan: %w", err)
+		}
+		adopt(p)
+	}
+	return nil
+}
+
+// groupsFit reports a Stage-3 plan whose core groups cannot be read on
+// base: the wrong core or task-type count, or a group index with no rates.
+func groupsFit(s3 *assign.Stage3Result, base *model.DataCenter) error {
+	t := base.T()
+	if s3.Tasks != t || len(s3.CoreGroup) != base.NumCores() || t == 0 || len(s3.GroupRate)%t != 0 {
+		return fmt.Errorf("%d task types, %d core groups and %d group rates, model has %d task types and %d cores",
+			s3.Tasks, len(s3.CoreGroup), len(s3.GroupRate), t, base.NumCores())
+	}
+	for k, g := range s3.CoreGroup {
+		if g < -1 || int(g) >= len(s3.GroupRate)/t {
+			return fmt.Errorf("core %d is in group %d of %d", k, g, len(s3.GroupRate)/t)
+		}
+	}
+	return nil
+}
+
 // planFits reports a plan the loop cannot carry on base: missing stages
 // or P-states and CRAC outlets sized for a different data center.
 func planFits(plan *assign.ThreeStageResult, base *model.DataCenter) error {

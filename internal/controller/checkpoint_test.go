@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"thermaldc/internal/assign"
 	"thermaldc/internal/controller"
 	"thermaldc/internal/stats"
 	"thermaldc/internal/workload"
@@ -53,7 +54,8 @@ func foldAll(t testing.TB, ck *controller.Checkpoint, deltas []*controller.Epoch
 // epoch k, a run killed after epoch k and resumed from its checkpoint
 // finishes with a Result identical — bit for bit, wall clock excepted —
 // to the uninterrupted run. Checkpoints take a gob round trip on the way,
-// like the on-disk journal's.
+// like the on-disk journal's, and each is resumed twice: as folded, and
+// with every plan's dense TC dropped, as the sweep's journal stores it.
 func TestResumeMatrixBitIdentical(t *testing.T) {
 	sc := buildScenario(t, 1, 10)
 	const horizon = 40.0
@@ -81,21 +83,41 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 	for k := 1; k <= len(deltas); k++ {
 		k := k
 		t.Run(fmt.Sprintf("kill-after-epoch-%d", k), func(t *testing.T) {
-			ck := foldAll(t, controller.NewCheckpoint(), deltas[:k])
-			rcfg := cfg
-			rcfg.Checkpoint = nil
-			rcfg.Resume = gobRoundTrip(t, ck)
-			// Fresh inputs, as a resuming process would regenerate them.
-			rtasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
-			res, err := controller.Run(sc.DC, schedule, rtasks, rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			normalizeWall(res)
-			if !reflect.DeepEqual(golden, res) {
-				t.Errorf("resumed result diverges from the uninterrupted run:\ngolden: %+v\nresumed: %+v", golden, res)
+			for _, grouped := range []bool{false, true} {
+				ck := gobRoundTrip(t, foldAll(t, controller.NewCheckpoint(), deltas[:k]))
+				if grouped {
+					dropTC(ck)
+				}
+				rcfg := cfg
+				rcfg.Checkpoint = nil
+				rcfg.Resume = ck
+				// Fresh inputs, as a resuming process would regenerate them.
+				rtasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
+				res, err := controller.Run(sc.DC, schedule, rtasks, rcfg)
+				if err != nil {
+					t.Fatalf("grouped=%v: %v", grouped, err)
+				}
+				normalizeWall(res)
+				if !reflect.DeepEqual(golden, res) {
+					t.Errorf("grouped=%v: resumed result diverges from the uninterrupted run:\ngolden: %+v\nresumed: %+v",
+						grouped, golden, res)
+				}
 			}
 		})
+	}
+}
+
+// dropTC clears the dense TC of every plan in ck, leaving each plan's
+// Stage 3 by core group only.
+func dropTC(ck *controller.Checkpoint) {
+	plans := []*assign.ThreeStageResult{ck.Plan, ck.LastGood}
+	for i := range ck.Res.Epochs {
+		plans = append(plans, ck.Res.Epochs[i].Plan)
+	}
+	for _, p := range plans {
+		if p != nil && p.Stage3 != nil {
+			p.Stage3.TC = nil
+		}
 	}
 }
 

@@ -95,7 +95,9 @@ type Config struct {
 	// boundary and the remaining intervals compute bit-identically to an
 	// uninterrupted run (wall-clock fields excepted). The configuration
 	// and inputs must match the checkpointed run's; mismatches the
-	// controller can detect fail loudly. Closed loop only.
+	// controller can detect fail loudly. The resume rebuilds the dense TC
+	// of checkpoint plans that hold only their core groups, as a journal
+	// stores them. Closed loop only.
 	Resume *Checkpoint
 }
 
@@ -321,6 +323,9 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		if err := ck.validate(base, len(schedule.Events), len(tasks), len(bounds)-1); err != nil {
 			return nil, err
 		}
+		if err := ck.restoreTC(base); err != nil {
+			return nil, err
+		}
 		ls = ck.LoopState.clone()
 		res.ResultState = ck.Res
 		res.Epochs = append([]EpochReport(nil), ck.Res.Epochs...)
@@ -423,7 +428,7 @@ func runClosedLoop(ctx context.Context, base *model.DataCenter, schedule faults.
 		for ls.TaskIdx < len(tasks) && tasks[ls.TaskIdx].Arrival < b {
 			ls.TaskIdx++
 		}
-		out, err := sim.RunOpts(plannerDC, plan.PStates, plan.Stage3.TC, tasks[lo:ls.TaskIdx], b, sim.Options{
+		out, err := sim.RunOpts(plannerDC, plan.PStates, nil, tasks[lo:ls.TaskIdx], b, sim.Options{
 			Start:     a,
 			Scheduler: s,
 			FreeAt:    ls.FreeAt,
@@ -472,17 +477,19 @@ func newPlanner(base *model.DataCenter, st *faults.State, opts assign.Options) (
 	return dc, tm, solver, nil
 }
 
-// adopt stores the dense TC on a plan the loop puts in force: the
-// scheduler and simulator take the per-core matrix, and the checkpoint
-// journals it with the plan.
+// adopt stores the dense TC on a plan the loop puts in force, for
+// readers of Result.Epochs that take the per-core matrix (perfbench
+// replays the first epoch's plan through sim.Run). The scheduler and the
+// journal use the plan's groups.
 func adopt(plan *assign.ThreeStageResult) {
 	plan.Stage3.TC = plan.Stage3.Dense()
 }
 
-// newScheduler builds the second-step scheduler of plan with its ATC
-// clock started at start.
+// newScheduler builds the second-step scheduler of plan from its Stage-3
+// core groups, with its ATC clock started at start.
 func newScheduler(dc *model.DataCenter, plan *assign.ThreeStageResult, start float64) (*sched.Scheduler, error) {
-	s, err := sched.New(dc, plan.PStates, plan.Stage3.TC)
+	s3 := plan.Stage3
+	s, err := sched.New(dc, plan.PStates, s3.CoreGroup, s3.Tasks, s3.GroupRate)
 	if err != nil {
 		return nil, err
 	}

@@ -88,8 +88,9 @@ type journalRecord struct {
 // whenever either changes. v4 renumbered the ladder rungs (the retry rung
 // is gone), so a v3 journal's Rung and RungCounts would be misread. v5
 // journals each plan's Stage 3 by core group beside its dense TC, in
-// place of the per-core utilizations.
-const runTagVersion = 5
+// place of the per-core utilizations. v6 journals each plan's Stage 3 by
+// core group only.
+const runTagVersion = 6
 
 // runTag hashes every configuration field that influences results, so a
 // checkpoint directory can never be resumed under different parameters
@@ -253,8 +254,25 @@ func (ck *sweepCheckpoint) sink(key runKey) controller.CheckpointSink {
 		return nil
 	}
 	return func(d *controller.EpochDelta) error {
-		return ck.commit(&journalRecord{Epoch: &epochRecord{Key: key, Delta: d}})
+		return ck.commit(&journalRecord{Epoch: &epochRecord{Key: key, Delta: groupedOnly(d)}})
 	}
+}
+
+// groupedOnly returns d with its plan's dense TC left out, for the
+// journal: the plan's core groups determine it, and a resumed run rebuilds
+// it from them. d's plan is shared with the run's Result, so the plan and
+// its Stage 3 are shallow-copied and d is left as it is.
+func groupedOnly(d *controller.EpochDelta) *controller.EpochDelta {
+	p := d.Report.Plan
+	if p == nil || p.Stage3 == nil || p.Stage3.TC == nil || p.Stage3.CoreGroup == nil {
+		return d
+	}
+	plan, s3 := *p, *p.Stage3
+	s3.TC = nil
+	plan.Stage3 = &s3
+	c := *d
+	c.Report.Plan = &plan
+	return &c
 }
 
 // finishRun journals a run completion.

@@ -200,6 +200,11 @@ func TestStrategyAblation(t *testing.T) {
 	if !strings.Contains(res.Render(), "coarse-to-fine") {
 		t.Error("render missing strategy name")
 	}
+	for s := range res.Reward {
+		if res.Solved[s].Mean <= 0 || res.Solved[s].Mean > res.Evals[s].Mean {
+			t.Errorf("strategy %d: %g LP solves for %g candidates visited", s, res.Solved[s].Mean, res.Evals[s].Mean)
+		}
+	}
 }
 
 func TestSchedulerValidation(t *testing.T) {

@@ -290,13 +290,17 @@ func (r *SweepResult) Render() string {
 type StrategyAblationResult struct {
 	Config     SweepConfig
 	Strategies []assign.Strategy
-	// Reward[s] and Evals[s] summarize each strategy across trials.
+	// Reward[s], Evals[s] and Solved[s] summarize each strategy across
+	// trials: its reward, the outlet candidates its search visited and the
+	// Stage-1 LPs it solved (the rest were screened out by their bound).
 	Reward []stats.Summary
 	Evals  []stats.Summary
+	Solved []stats.Summary
 }
 
 // StrategyAblation runs the three-stage technique under each search
-// strategy on identical scenarios, comparing reward and LP-solve counts.
+// strategy on identical scenarios, comparing reward, candidates visited
+// and LP solves.
 // cfg.Values is ignored.
 func StrategyAblation(cfg SweepConfig, strategies []assign.Strategy) (*StrategyAblationResult, error) {
 	return StrategyAblationContext(context.Background(), cfg, strategies)
@@ -309,6 +313,7 @@ func StrategyAblationContext(ctx context.Context, cfg SweepConfig, strategies []
 	}
 	rewards := make([][]float64, len(strategies))
 	evals := make([][]float64, len(strategies))
+	solved := make([][]float64, len(strategies))
 	for t := 0; t < cfg.Trials; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -329,12 +334,14 @@ func StrategyAblationContext(ctx context.Context, cfg SweepConfig, strategies []
 			}
 			rewards[s] = append(rewards[s], res.RewardRate())
 			evals[s] = append(evals[s], float64(res.SearchEvals))
+			solved[s] = append(solved[s], float64(res.SearchSolved))
 		}
 	}
 	out := &StrategyAblationResult{Config: cfg, Strategies: strategies}
 	for s := range strategies {
 		out.Reward = append(out.Reward, stats.Summarize(rewards[s]))
 		out.Evals = append(out.Evals, stats.Summarize(evals[s]))
+		out.Solved = append(out.Solved, stats.Summarize(solved[s]))
 	}
 	return out, nil
 }
@@ -344,10 +351,11 @@ func (r *StrategyAblationResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Temperature-search strategy ablation (%d trials, %d nodes, %d CRACs)\n\n",
 		r.Config.Trials, r.Config.NNodes, r.Config.NCracs)
-	fmt.Fprintf(&b, "%-22s %-24s %-18s\n", "strategy", "three-stage reward", "Stage-1 LP solves")
+	fmt.Fprintf(&b, "%-22s %-24s %-18s %-18s\n", "strategy", "three-stage reward", "candidates visited", "LP solves")
 	for s, strat := range r.Strategies {
-		fmt.Fprintf(&b, "%-22s %10.2f ± %-10.2f %8.0f ± %-8.0f\n",
-			strat, r.Reward[s].Mean, r.Reward[s].HalfCI95, r.Evals[s].Mean, r.Evals[s].HalfCI95)
+		fmt.Fprintf(&b, "%-22s %10.2f ± %-10.2f %8.0f ± %-8.0f %8.0f ± %-8.0f\n",
+			strat, r.Reward[s].Mean, r.Reward[s].HalfCI95, r.Evals[s].Mean, r.Evals[s].HalfCI95,
+			r.Solved[s].Mean, r.Solved[s].HalfCI95)
 	}
 	return b.String()
 }

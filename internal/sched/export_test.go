@@ -18,7 +18,7 @@ func (s *Scheduler) checkIndex(freeAt []float64) error {
 	if len(x.freeAt) != len(freeAt) || (len(freeAt) > 0 && &x.freeAt[0] != &freeAt[0]) {
 		return fmt.Errorf("sched: index mirrors a different freeAt slice")
 	}
-	fresh := newDispatchIndex(s.execTime, s.tc, len(s.pstates))
+	fresh := newDispatchIndex(s)
 	fresh.fill(freeAt, s.counts)
 	for n := range fresh.free {
 		if math.Float64bits(x.free[n]) != math.Float64bits(fresh.free[n]) {

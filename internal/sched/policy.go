@@ -169,7 +169,7 @@ func (s *Scheduler) ScheduleWith(policy Policy, task workload.Task, now float64,
 	limit := task.Deadline + 1e-12
 	if _, paper := policy.(PaperPolicy); paper && elapsed > 0 {
 		if x := s.index(freeAt); x != nil && x.exact(elapsed) {
-			core, completion, ok = x.dispatch(task.Type, now, elapsed, limit, s.counts[task.Type])
+			core, completion, ok = x.dispatch(task.Type, now, elapsed, limit, s.counts[task.Type*s.ncores:(task.Type+1)*s.ncores])
 			return s.settle(task.Type, core, completion, ok)
 		}
 	}
@@ -179,27 +179,34 @@ func (s *Scheduler) ScheduleWith(policy Policy, task workload.Task, now float64,
 
 // scan builds the candidate set and lets the policy pick.
 func (s *Scheduler) scan(policy Policy, task workload.Task, now, elapsed, limit float64, freeAt []float64) (core int, completion float64, ok bool) {
-	execTime, tc, counts := s.execTime[task.Type], s.tc[task.Type], s.counts[task.Type]
+	typ := task.Type
+	counts := s.counts[typ*s.ncores : (typ+1)*s.ncores]
+	if s.cands == nil {
+		s.cands = make([]Candidate, 0, s.most)
+	}
 	cands := s.cands[:0]
-	for _, k := range s.eligible[task.Type] {
-		start := max(now, freeAt[k])
-		done := start + execTime[k]
-		if done > limit {
-			continue
+	for _, r := range s.runs[s.runStart[typ]:s.runStart[typ+1]] {
+		exec, tc := s.exec[int(r.g)*s.tasks+typ], s.rate[int(r.g)*s.tasks+typ]
+		for k := int(r.lo); k < int(r.hi); k++ {
+			start := max(now, freeAt[k])
+			done := start + exec
+			if done > limit {
+				continue
+			}
+			// Same branches and expression as Ratio.
+			var ratio float64
+			if tc <= 0 {
+				ratio = math.Inf(1)
+			} else if elapsed > 0 {
+				ratio = float64(counts[k]) / elapsed / tc
+			}
+			cands = append(cands, Candidate{
+				Core:       k,
+				Start:      start,
+				Completion: done,
+				Ratio:      ratio,
+			})
 		}
-		// Same branches and expression as Ratio.
-		var ratio float64
-		if t := tc[k]; t <= 0 {
-			ratio = math.Inf(1)
-		} else if elapsed > 0 {
-			ratio = float64(counts[k]) / elapsed / t
-		}
-		cands = append(cands, Candidate{
-			Core:       k,
-			Start:      start,
-			Completion: done,
-			Ratio:      ratio,
-		})
 	}
 	s.cands = cands
 	if len(cands) == 0 {
@@ -223,9 +230,13 @@ func (s *Scheduler) settle(typ, core int, completion float64, ok bool) (int, flo
 	if !ok {
 		return -1, 0, false
 	}
-	s.counts[typ][core]++
+	c := &s.counts[typ*s.ncores+core]
+	if *c == math.MaxInt32 {
+		panic(fmt.Sprintf("sched: count of task type %d on core %d overflows int32", typ, core))
+	}
+	*c++
 	if x := s.ix; x != nil && x.built {
-		x.setCount(typ, core, s.counts[typ][core])
+		x.setCount(typ, core, *c)
 		x.last = core
 	}
 	return core, completion, true
@@ -253,7 +264,7 @@ func (s *Scheduler) resync(freeAt []float64) {
 // and filling the trees as needed, or nil when the plan rules it out.
 func (s *Scheduler) index(freeAt []float64) *dispatchIndex {
 	if s.ix == nil {
-		s.ix = newDispatchIndex(s.execTime, s.tc, len(s.pstates))
+		s.ix = newDispatchIndex(s)
 	}
 	x := s.ix
 	if !x.disabled && !x.built {

@@ -10,7 +10,7 @@ import (
 func schedulerForPolicies(t *testing.T) *Scheduler {
 	t.Helper()
 	dc := twoCoreDC()
-	s, err := New(dc, []int{0, 1}, [][]float64{{1, 0.5}})
+	s, err := NewDense(dc, []int{0, 1}, [][]float64{{1, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func schedulerForPolicies(t *testing.T) *Scheduler {
 func TestScheduleWithMatchesSchedule(t *testing.T) {
 	dc := twoCoreDC()
 	mk := func() *Scheduler {
-		s, err := New(dc, []int{0, 0}, [][]float64{{0.7, 0.9}})
+		s, err := NewDense(dc, []int{0, 0}, [][]float64{{0.7, 0.9}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestMinCompletionIgnoresQuota(t *testing.T) {
 	// Unlike the paper policy, min-completion serves tasks even when every
 	// core is over its desired rate.
 	dc := twoCoreDC()
-	s, _ := New(dc, []int{0, 0}, [][]float64{{0.01, 0.01}})
+	s, _ := NewDense(dc, []int{0, 0}, [][]float64{{0.01, 0.01}})
 	freeAt := []float64{0, 0}
 	for i := 0; i < 5; i++ {
 		if core, done, ok := s.ScheduleWith(MinCompletionPolicy{}, workload.Task{Type: 0, Arrival: 0.1, Deadline: 50}, 0.1, freeAt); ok {
@@ -142,7 +142,7 @@ func TestScheduleWithNilPolicyPanics(t *testing.T) {
 
 func TestSoftRatioFallsBackInsteadOfDropping(t *testing.T) {
 	dc := twoCoreDC()
-	s, _ := New(dc, []int{0, 0}, [][]float64{{0.01, 0.02}})
+	s, _ := NewDense(dc, []int{0, 0}, [][]float64{{0.01, 0.02}})
 	freeAt := []float64{0, 0}
 	// Saturate both cores' quotas.
 	for i := 0; i < 4; i++ {
@@ -167,8 +167,8 @@ func TestSoftRatioFallsBackInsteadOfDropping(t *testing.T) {
 
 func TestSoftRatioAgreesWithPaperWithinQuota(t *testing.T) {
 	dc := twoCoreDC()
-	a, _ := New(dc, []int{0, 0}, [][]float64{{1, 1}})
-	b, _ := New(dc, []int{0, 0}, [][]float64{{1, 1}})
+	a, _ := NewDense(dc, []int{0, 0}, [][]float64{{1, 1}})
+	b, _ := NewDense(dc, []int{0, 0}, [][]float64{{1, 1}})
 	freeA := []float64{0, 0}
 	freeB := []float64{0, 0}
 	for i := 0; i < 10; i++ {

@@ -88,8 +88,10 @@ type Options struct {
 	Start float64
 	// Scheduler, when non-nil, is used instead of a freshly built one —
 	// the epoch controller carries one scheduler (and its ATC clock, via
-	// SetStartTime) across a re-optimization boundary. The caller must
-	// have built it against the same core layout as dc.
+	// SetStartTime) across a re-optimization boundary, and a caller
+	// holding a plan by core group builds it with sched.New. The caller
+	// must have built it against the same core layout as dc. The run then
+	// reads the plan from it, and RunOpts' pstates and tc may be nil.
 	Scheduler *sched.Scheduler
 	// FreeAt, when non-nil, is the per-core earliest-free-time state,
 	// mutated in place so core occupancy persists across per-epoch runs.
@@ -108,7 +110,8 @@ type Options struct {
 }
 
 // Run simulates the task stream against the first-step assignment
-// (pstates + TC) with the paper's scheduling policy.
+// (pstates + the dense TC, grouped by sched.Group) with the paper's
+// scheduling policy.
 func Run(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []workload.Task, horizon float64) (*Result, error) {
 	return RunOpts(dc, pstates, tc, tasks, horizon, Options{})
 }
@@ -139,7 +142,7 @@ func RunOpts(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []worklo
 	s := opts.Scheduler
 	if s == nil {
 		var err error
-		s, err = sched.New(dc, pstates, tc)
+		s, err = sched.NewDense(dc, pstates, tc)
 		if err != nil {
 			return nil, err
 		}
@@ -233,12 +236,13 @@ func RunOpts(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []worklo
 
 	// Desired-rate tracking error.
 	n := 0
-	for i := range tc {
-		for k := range tc[i] {
-			if tc[i][k] <= 0 {
+	for i, atc := range res.ATC {
+		for k := range atc {
+			tc := s.Rate(i, k)
+			if tc <= 0 {
 				continue
 			}
-			res.MeanRatioError += math.Abs(res.ATC[i][k]/tc[i][k] - 1)
+			res.MeanRatioError += math.Abs(atc[k]/tc - 1)
 			n++
 		}
 	}

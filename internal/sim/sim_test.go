@@ -150,7 +150,8 @@ func TestRunCarriedStateMatchesSingleRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := sched.New(sc.DC, res.PStates, res.Stage3.Dense())
+	s3 := res.Stage3
+	s, err := sched.New(sc.DC, res.PStates, s3.CoreGroup, s3.Tasks, s3.GroupRate)
 	if err != nil {
 		t.Fatal(err)
 	}

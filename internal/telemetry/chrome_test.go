@@ -9,7 +9,7 @@ import (
 
 // tracedWork records a small but structurally real span set: two runs,
 // an epoch containing a zone solve on another track.
-func tracedWork(t *testing.T) *Tracer {
+func tracedWork(t testing.TB) *Tracer {
 	t.Helper()
 	tr := NewTracer(16)
 	rec := &Recorder{Trace: tr}

@@ -175,7 +175,7 @@ func GenerateTasks(dc *DataCenter, horizon float64, seed int64) []Task {
 // Simulate runs the second-step dynamic scheduler on a first-step
 // assignment and a task stream.
 func Simulate(dc *DataCenter, res *ThreeStageResult, tasks []Task, horizon float64) (*SimResult, error) {
-	return sim.Run(dc, res.PStates, res.Stage3.Dense(), tasks, horizon)
+	return SimulateOpts(dc, res, tasks, horizon, SimOptions{})
 }
 
 // TableINodeTypes returns the two paper server models with the given
@@ -208,9 +208,22 @@ func PaperPolicy() SchedPolicy { return sched.PaperPolicy{} }
 func SoftRatioPolicy() SchedPolicy { return sched.SoftRatioPolicy{} }
 
 // SimulateOpts is Simulate with a custom scheduling policy and/or a
-// per-task trace recorder.
+// per-task trace recorder. Unless opts carries a scheduler, it builds one
+// from the plan's Stage-3 core groups (or from its dense TC, for a plan
+// that holds only that).
 func SimulateOpts(dc *DataCenter, res *ThreeStageResult, tasks []Task, horizon float64, opts SimOptions) (*SimResult, error) {
-	return sim.RunOpts(dc, res.PStates, res.Stage3.Dense(), tasks, horizon, opts)
+	if opts.Scheduler == nil {
+		var err error
+		if s3 := res.Stage3; s3.CoreGroup != nil {
+			opts.Scheduler, err = sched.New(dc, res.PStates, s3.CoreGroup, s3.Tasks, s3.GroupRate)
+		} else {
+			opts.Scheduler, err = sched.NewDense(dc, res.PStates, s3.TC)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return sim.RunOpts(dc, res.PStates, nil, tasks, horizon, opts)
 }
 
 // Energy computes the compute-energy ledger for a finished run, including
