@@ -25,8 +25,9 @@ race:
 # search splits its candidates), the weak-duality screening tests at the
 # same three settings (a screened search must match an unscreened one and
 # skip the same candidates at every worker count), the pivot-kernel
-# bit-identity tests at the same settings (split eliminations and skipped
-# dead columns must not change any LP result or α), the zone solver's
+# bit-identity tests at the same settings (split, batched and eager
+# eliminations and skipped dead columns must not change any LP result or
+# α), the zone solver's
 # cut-pool retention and parallelism-invariance tests at the same settings
 # (a cap sequence on retained cuts must match fresh solvers within Tol and
 # be bit-identical at every fan-out width), the full differential
@@ -45,7 +46,10 @@ race:
 # minimizer, so minimization is off), the concave-envelope builder and the
 # knapsack LP (held to its greedy optimum) and the small-DC first-step
 # pipeline (every plan passes assign.Verify or the solve fails with a typed
-# solvererr, never a panic), the simplex and fleet-scaling
+# solvererr, never a panic), the DataCenter JSON boundary (decode, Validate,
+# thermal model and a coarse first-step solve must fail with an error, never
+# a panic; its ~20 KB seed is too long for the minimizer, so minimization is
+# off), the simplex and fleet-scaling
 # performance gates at 1x into /tmp (each family runs 5 times and is
 # gated on its medians; the fleet family includes the
 # zone-warm-resolve 0-allocs gate and the 10k Stage-3 readback's
@@ -84,6 +88,7 @@ ci:
 	$(GO) test -run '^$$' -fuzz FuzzKnapsackLP -fuzztime 10s ./internal/linprog
 	$(GO) test -run '^$$' -fuzz FuzzPipelineSmallDC -fuzztime 10s ./internal/assign
 	$(GO) test -run '^$$' -fuzz FuzzReadChromeTrace -fuzztime 10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz FuzzDataCenterJSON -fuzztime 10s -fuzzminimizetime 0 .
 	$(call bench-gate,$(SIMPLEX_BENCH),1x,/tmp/tapo-ci-bench-simplex.json,5)
 	$(call bench-gate,$(FLEET_BENCH),$(FLEETBENCHTIME),/tmp/tapo-ci-bench-fleet.json,5)
 	$(call bench-gate,$(SCHED_BENCH),20x,/tmp/tapo-ci-bench-sched.json,5)

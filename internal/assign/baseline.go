@@ -7,6 +7,7 @@ import (
 
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
+	"thermaldc/internal/telemetry"
 	"thermaldc/internal/tempsearch"
 	"thermaldc/internal/thermal"
 )
@@ -240,13 +241,21 @@ func (r *BaselineResult) Assignment(dc *model.DataCenter) (pstates []int, tc [][
 // temperature search as the three-stage assignment, using the LP optimum
 // as the search criterion. Each search worker gets its own evaluator
 // owning one patched LP skeleton and workspace, so candidates reuse that
-// worker's LP and tableau buffers instead of building fresh ones.
+// worker's LP and tableau buffers instead of building fresh ones. With
+// opts.Recorder tracing, the search's candidate spans and every
+// Equation-21 LP solve's span go to its tracer.
 func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineResult, error) {
-	best, err := runSearch(context.Background(), dc.NCRAC(), opts, baselineFactory(dc, tm))
+	tr := opts.Recorder.Tracer()
+	if tr != nil {
+		opts.Search.Trace = tr
+	}
+	best, err := runSearch(context.Background(), dc.NCRAC(), opts, baselineFactory(dc, tm, tr))
 	if err != nil {
 		return nil, fmt.Errorf("assign: baseline temperature search: %w", err)
 	}
-	res, err := BaselineFixed(dc, tm, best.Out)
+	lp := newBaselineLP(dc, tm)
+	lp.ws.Trace = tr
+	res, err := lp.solveAt(best.Out)
 	if err != nil {
 		return nil, err
 	}
@@ -254,9 +263,14 @@ func Baseline(dc *model.DataCenter, tm *thermal.Model, opts Options) (*BaselineR
 	return res, nil
 }
 
-// baselineFactory hands every search worker its own Equation-21 evaluator.
-func baselineFactory(dc *model.DataCenter, tm *thermal.Model) tempsearch.Factory {
-	return func() tempsearch.Evaluator { return baselineEval{newBaselineLP(dc, tm)} }
+// baselineFactory hands every search worker its own Equation-21 evaluator,
+// its LP solves traced on tr (nil: untraced).
+func baselineFactory(dc *model.DataCenter, tm *thermal.Model, tr *telemetry.Tracer) tempsearch.Factory {
+	return func() tempsearch.Evaluator {
+		lp := newBaselineLP(dc, tm)
+		lp.ws.Trace = tr
+		return baselineEval{lp}
+	}
 }
 
 // baselineEval is one search worker's Equation-21 evaluator: values from

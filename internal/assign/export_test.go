@@ -23,7 +23,7 @@ func (s *ThreeStageSolver) SearchOnly(screened bool) (tempsearch.Result, error) 
 
 // BaselineSearchOnly is SearchOnly for the Equation-21 search.
 func BaselineSearchOnly(dc *model.DataCenter, tm *thermal.Model, opts Options, screened bool) (tempsearch.Result, error) {
-	f := baselineFactory(dc, tm)
+	f := baselineFactory(dc, tm, nil)
 	if !screened {
 		f = unscreened(f)
 	}
@@ -45,13 +45,20 @@ func BaselineLPAt(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) *l
 // BaselineWorker returns the Equation-21 solve of one search worker's
 // evaluator: every call patches and re-solves that worker's one LP.
 func BaselineWorker(dc *model.DataCenter, tm *thermal.Model) func(cracOut []float64) (*BaselineResult, error) {
-	return baselineFactory(dc, tm)().(baselineEval).solveAt
+	return baselineFactory(dc, tm, nil)().(baselineEval).solveAt
+}
+
+// BaselineWorkerStats is BaselineWorker together with the worker's simplex
+// counters.
+func BaselineWorkerStats(dc *model.DataCenter, tm *thermal.Model) (solve func(cracOut []float64) (*BaselineResult, error), stats *linprog.Stats) {
+	e := baselineFactory(dc, tm, nil)().(baselineEval)
+	return e.solveAt, &e.ws.Stats
 }
 
 // BaselineBound prices the Equation-21 LP at cracOut with the duals y
 // through a search evaluator's bound.
 func BaselineBound(dc *model.DataCenter, tm *thermal.Model, y, cracOut []float64) float64 {
-	e := baselineFactory(dc, tm)()
+	e := baselineFactory(dc, tm, nil)()
 	e.SetBoundDuals(y)
 	return e.Bound(cracOut)
 }

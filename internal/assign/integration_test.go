@@ -8,6 +8,7 @@ import (
 	"thermaldc/internal/linprog"
 	"thermaldc/internal/pwl"
 	"thermaldc/internal/scenario"
+	"thermaldc/internal/telemetry"
 	"thermaldc/internal/tempsearch"
 )
 
@@ -242,6 +243,49 @@ func TestBaselineEndToEnd(t *testing.T) {
 	}
 	if res.TotalPower > sc.DC.Pconst+1e-6 {
 		t.Errorf("baseline power %g exceeds Pconst %g", res.TotalPower, sc.DC.Pconst)
+	}
+}
+
+// TestBaselineTracesLPSolves runs the Equation-21 baseline with and
+// without a tracing recorder: the results match bit for bit, and the
+// traced run books the candidates' LP solves (a candidate whose base power
+// alone breaks a redline needs none) and the final solve at the winning
+// outlets as LP-solve spans carrying their pivots.
+func TestBaselineTracesLPSolves(t *testing.T) {
+	sc := smallScenario(t, 5)
+	opts := assign.DefaultOptions()
+	plain, err := assign.Baseline(sc.DC, sc.Thermal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := telemetry.NewRecorder()
+	rec.Trace = telemetry.NewTracer(1 << 16)
+	opts.Recorder = rec
+	traced, err := assign.Baseline(sc.DC, sc.Thermal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(traced.RewardRateLP) != math.Float64bits(plain.RewardRateLP) ||
+		traced.SearchEvals != plain.SearchEvals || traced.SearchSolved != plain.SearchSolved {
+		t.Fatalf("traced baseline: LP reward %v, %d/%d candidates; untraced %v, %d/%d",
+			traced.RewardRateLP, traced.SearchSolved, traced.SearchEvals,
+			plain.RewardRateLP, plain.SearchSolved, plain.SearchEvals)
+	}
+	byKind := rec.Trace.CountByKind()
+	if got, most := byKind[telemetry.SpanLPSolve], traced.SearchSolved+1; got < 2 || got > most {
+		t.Errorf("%d LP-solve spans, want 2 to %d (%d solved candidates and the final solve)", got, most, traced.SearchSolved)
+	}
+	if byKind[telemetry.SpanCandidate] == 0 {
+		t.Error("no candidate spans from the traced search")
+	}
+	pivots := int64(0)
+	for _, sp := range rec.Trace.Snapshot() {
+		if sp.Kind == telemetry.SpanLPSolve {
+			pivots += sp.Pivots
+		}
+	}
+	if pivots == 0 {
+		t.Error("LP-solve spans carry no pivots")
 	}
 }
 

@@ -151,6 +151,12 @@ func labelRanges(l model.NodeLabel, w float64) (ecLo, ecHi, rcLo, rcHi float64) 
 // ranges are infeasible (e.g. partial racks), the ranges are progressively
 // widened up to cfg.MaxRelaxations times.
 func GenerateAlpha(dc *model.DataCenter, cfg Config, rng *rand.Rand) error {
+	return generateAlpha(dc, cfg, rng, &linprog.Workspace{})
+}
+
+// generateAlpha is GenerateAlpha solving through ws, whose Stats count the
+// pivots of every attempt.
+func generateAlpha(dc *model.DataCenter, cfg Config, rng *rand.Rand, ws *linprog.Workspace) error {
 	cfg = cfg.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt <= cfg.MaxRelaxations; attempt++ {
@@ -158,7 +164,7 @@ func GenerateAlpha(dc *model.DataCenter, cfg Config, rng *rand.Rand) error {
 		if attempt > 0 {
 			w = float64(attempt) / float64(cfg.MaxRelaxations+1)
 		}
-		alpha, err := solveAlphaLP(dc, cfg, rng, w)
+		alpha, err := solveAlphaLP(dc, cfg, rng, w, ws)
 		if err == nil {
 			dc.Alpha = alpha
 			return nil
@@ -170,7 +176,7 @@ func GenerateAlpha(dc *model.DataCenter, cfg Config, rng *rand.Rand) error {
 }
 
 // solveAlphaLP builds and solves one instance of the Appendix-B LP.
-func solveAlphaLP(dc *model.DataCenter, cfg Config, rng *rand.Rand, widen float64) ([][]float64, error) {
+func solveAlphaLP(dc *model.DataCenter, cfg Config, rng *rand.Rand, widen float64, ws *linprog.Workspace) ([][]float64, error) {
 	ncrac := dc.NCRAC()
 	ncn := dc.NCN()
 	n := ncrac + ncn
@@ -277,7 +283,7 @@ func solveAlphaLP(dc *model.DataCenter, cfg Config, rng *rand.Rand, widen float6
 		p.AddRangeRow(rcLo*flows[dst], rcHi*flows[dst], terms...)
 	}
 
-	sol, err := p.Solve()
+	sol, err := p.SolveWith(ws)
 	if err != nil {
 		return nil, err
 	}

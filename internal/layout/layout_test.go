@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"thermaldc/internal/linprog"
 	"thermaldc/internal/model"
 	"thermaldc/internal/stats"
 	"thermaldc/internal/thermal"
@@ -265,16 +266,28 @@ func TestPaperScaleGeneration(t *testing.T) {
 	}
 }
 
-// BenchmarkGenerateAlphaPaperScale times one paper-scale Appendix-B LP.
-// Every iteration re-seeds the objective, so each solves the same LP
-// whatever b.N is; run it at -cpu 1,2 to see the split eliminations.
-func BenchmarkGenerateAlphaPaperScale(b *testing.B) {
+// benchmarkGenerateAlpha times one Appendix-B LP on an nCracs × nNodes
+// floor and reports its pivots per op next to ns/op. Every iteration
+// re-seeds the objective, so each solves the same LP whatever b.N is; run
+// it at -cpu 1,2 to see split eliminations.
+func benchmarkGenerateAlpha(b *testing.B, nCracs, nNodes int) {
 	cfg := DefaultConfig()
-	dc := buildDC(b, 3, 150, cfg)
+	dc := buildDC(b, nCracs, nNodes, cfg)
+	ws := &linprog.Workspace{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := GenerateAlpha(dc, cfg, stats.NewRand(1)); err != nil {
+		*ws = linprog.Workspace{} // GenerateAlpha solves on fresh buffers
+		if err := generateAlpha(dc, cfg, stats.NewRand(1), ws); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(ws.Stats.Pivots), "pivots/op")
 }
+
+// BenchmarkGenerateAlphaPaperScale times one paper-scale Appendix-B LP
+// (3 CRACs, 150 nodes).
+func BenchmarkGenerateAlphaPaperScale(b *testing.B) { benchmarkGenerateAlpha(b, 3, 150) }
+
+// BenchmarkGenerateAlphaFleetZone times the α LP of one fleet zone
+// (2 CRACs, 100 nodes), the shape zones.BuildFleet solves once per variant.
+func BenchmarkGenerateAlphaFleetZone(b *testing.B) { benchmarkGenerateAlpha(b, 2, 100) }

@@ -95,8 +95,7 @@ func bitsOf(v []float64) []uint64 {
 // TestKernelBitIdentical solves the fixture zoo, the differential
 // generator's LPs and transportation LPs with flipped and redundant
 // equality rows under every combination of the pivot kernel's switches
-// (eliminations split across two goroutines at any size; dead columns
-// skipped or eliminated) and requires bit-identical x, duals, objective,
+// (KernelSettings) and requires bit-identical x, duals, objective,
 // iteration and pivot counts. make ci runs it at -cpu 1,2,4.
 func TestKernelBitIdentical(t *testing.T) {
 	type lp struct {
@@ -114,8 +113,8 @@ func TestKernelBitIdentical(t *testing.T) {
 		lps = append(lps, lp{fmt.Sprintf("transport-%d", seed), func() *Problem { return transportLP(seed) }})
 	}
 
-	solve := func(split, skipDead bool) (runs []kernelRun, flipped, redundant int) {
-		defer SetKernelSwitches(split, skipDead)()
+	solve := func(sw KernelSwitches) (runs []kernelRun, flipped, redundant int) {
+		defer sw.Set()()
 		ws := &Workspace{} // shared, so buffer reuse across shapes is covered too
 		for _, c := range lps {
 			pivots0 := ws.Stats.Pivots
@@ -142,15 +141,16 @@ func TestKernelBitIdentical(t *testing.T) {
 		return runs, flipped, redundant
 	}
 
-	ref, flipped, redundant := solve(false, false)
+	settings := KernelSettings()
+	ref, flipped, redundant := solve(settings[0])
 	if flipped < 50 || redundant < 50 {
 		t.Fatalf("coverage: %d LPs with flipped rows, %d with a basic artificial in phase 2", flipped, redundant)
 	}
-	for _, sw := range [][2]bool{{true, false}, {false, true}, {true, true}} {
-		got, _, _ := solve(sw[0], sw[1])
+	for _, sw := range settings[1:] {
+		got, _, _ := solve(sw)
 		for k, c := range lps {
 			w, g := ref[k], got[k]
-			tag := fmt.Sprintf("%s (split %v, skip dead %v)", c.name, sw[0], sw[1])
+			tag := fmt.Sprintf("%s (%v)", c.name, sw)
 			if g.status != w.status || g.iterations != w.iterations || g.pivots != w.pivots || g.objective != w.objective {
 				t.Fatalf("%s: status %v, %d iterations, %d pivots, objective %x; want %v, %d, %d, %x",
 					tag, g.status, g.iterations, g.pivots, g.objective, w.status, w.iterations, w.pivots, w.objective)

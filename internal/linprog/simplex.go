@@ -59,6 +59,14 @@ const (
 // eliminations leave stale (see markDeadSlacks and reviveSlacks). Every
 // column's arithmetic is independent of every other column's, so leaving
 // one out changes no value in the columns that are kept.
+//
+// A tableau larger than a core's L2 cache delays its row eliminations:
+// pivot queues them and flush applies batchSize pivots at a time, row by
+// row, so each row stays in cache across the batch instead of the whole
+// tableau streaming through it once per pivot. Everything but the tableau
+// rows (reduced costs, basic values, statuses, extents) stays eager. Each
+// entry still receives the same operations in the same pivot order, so the
+// values are bit-identical to applying every pivot at once.
 type tableauState struct {
 	m, n   int // rows, total columns (structural + slack + artificial)
 	stride int // row stride of a (≥ n)
@@ -66,9 +74,24 @@ type tableauState struct {
 
 	a            []float64 // m×stride flat row-major working tableau
 	extLo, extHi []int32   // per-row nonzero extent [extLo, extHi)
-	runs         []int32   // scratch: nonzero runs of the scaled pivot row, (start, end) pairs
+	runs         []int32   // nonzero runs of the queued scaled pivot rows, (start, end) pairs
 	colBuf       []float64 // scratch: the entering column, gathered once per pivot
 	dead         []bool    // per column: left out of the eliminations (stale)
+
+	// The elimination queue (see pivot and flush). batch pivots are queued
+	// before a flush applies them to every row; nq are pending. Pending
+	// pivot q eliminates with the scaled row qVals[q] (indexed by column)
+	// over runs[qRunOff[q]:qRunOff[q+1]] and enters column qEnter[q]. Row i
+	// still has to receive it while its factor qF[i*batch+q] is nonzero;
+	// applying a pivot to a row clears the row's factor. qSplit records
+	// that a pending pivot reached splitMinWork.
+	batch, nq int
+	qEnter    [batchSize]int32
+	qRunOff   [batchSize + 1]int32
+	qVals     [batchSize][]float64
+	qF        []float64 // m×batch factors; colBuf itself when batch is 1
+	qv        []float64 // batch×stride copies of the scaled pivot rows (batch > 1)
+	qSplit    bool
 
 	// artRow and artSign record, per artificial, its row and the sign σ
 	// (−1 if newState flipped the row, else +1) that makes the row's slack
@@ -338,7 +361,8 @@ func (p *Problem) newState(ws *Workspace) *tableauState {
 	st.extLo = ws.i32(ws.extLo, m)
 	st.extHi = ws.i32(ws.extHi, m)
 	ws.aM, ws.aStride = m, st.stride
-	st.runs = ws.runs
+	st.runs = ws.runs[:0]
+	st.batch = batchFor(m, st.stride)
 	st.dead = ws.bools(ws.dead, st.stride)
 	ws.dead = st.dead
 	clear(st.dead)
@@ -380,6 +404,15 @@ func (p *Problem) newState(ws *Workspace) *tableauState {
 	ws.xB = st.xB
 	st.colBuf = ws.f64(ws.colBuf, m)
 	ws.colBuf = st.colBuf
+	// A batch of one is flushed before the next gather, so its factors
+	// can live in the gathered column itself.
+	st.qF = st.colBuf
+	if st.batch > 1 {
+		st.qF = ws.f64(ws.qF, m*st.batch)
+		ws.qF = st.qF
+		st.qv = ws.f64(ws.qv, st.batch*st.stride)
+		ws.qv = st.qv
+	}
 	st.cost = ws.cost
 	st.d = ws.d
 	st.psign = ws.psign
@@ -534,6 +567,7 @@ func (st *tableauState) evictArtificials() {
 			continue
 		}
 		pivCol, pivAbs := -1, tolPivot
+		st.applyPending(i) // earlier evictions may still be queued
 		row := st.row(i)
 		hi := st.n - st.nArt
 		if h := int(st.extHi[i]); h < hi {
@@ -585,6 +619,7 @@ func (st *tableauState) reviveSlacks() {
 	if !skipDeadColumns {
 		return
 	}
+	st.flush()
 	for i := 0; i < st.m; i++ {
 		row := st.row(i)
 		lo, hi := int(st.extLo[i]), int(st.extHi[i])
@@ -619,6 +654,7 @@ func (st *tableauState) reviveSlacks() {
 // d_j = c_j − Σ_i c_{B(i)}·T[i][j]. Each row contributes only over its
 // nonzero extent; entries outside it are exact zeros and cannot change d.
 func (st *tableauState) recomputeReducedCosts() {
+	st.flush()
 	st.d = append(st.d[:0], st.cost...)
 	d := st.d
 	for i := 0; i < st.m; i++ {
@@ -831,6 +867,10 @@ func (st *tableauState) initPricingSigns() {
 // multipliers read it sequentially instead of each re-walking the strided
 // tableau. Entries outside a row's extent are exact zeros and are never
 // read (every consumer repeats the extent check), so they are not written.
+// Then each pending pivot that changes the column, by a run covering it or
+// by having entered it, is applied to the column's entries in queue order,
+// exactly as flush will apply it to the rows: a row it touches holds the
+// column inside its extent, which took in the pivot row's.
 func (st *tableauState) gatherColumn(enter int) {
 	col := st.colBuf
 	e32 := int32(enter)
@@ -839,6 +879,32 @@ func (st *tableauState) gatherColumn(enter int) {
 			continue
 		}
 		col[i] = st.a[i*st.stride+enter]
+	}
+	for q := 0; q < st.nq; q++ {
+		hit, x := false, 0.0
+		runs := st.runs[st.qRunOff[q]:st.qRunOff[q+1]]
+		for k := 0; k < len(runs) && runs[k] <= e32; k += 2 {
+			if e32 < runs[k+1] {
+				hit, x = true, st.qVals[q][enter]
+				break
+			}
+		}
+		entered := st.qEnter[q] == e32
+		if !hit && !entered {
+			continue
+		}
+		for i := range col {
+			f := st.qF[i*st.batch+q]
+			if f == 0 {
+				continue
+			}
+			if hit {
+				col[i] -= float64(f * x) // rounded product, as axpyNeg: never fused
+			}
+			if entered {
+				col[i] = 0
+			}
+		}
 	}
 }
 
@@ -933,26 +999,53 @@ func (st *tableauState) updateBasics(enter int, dir, theta float64) {
 const runGap = 8
 
 // splitMinWork is the smallest pivot, in rows times scaled-pivot-row run
-// width, whose row eliminations pivot splits between two goroutines when
+// width, whose row eliminations a flush splits between two goroutines when
 // more than one processor is available. Only the Appendix-B α LP (up to
 // ~1.5M per pivot) reaches it; the Eq.-21 (~0.5M) and Stage-1 LPs stay
 // below, so the searches that already run their candidates in parallel
 // never split.
 const splitMinWork = 1 << 20
 
-// forceSplit makes pivot split every elimination regardless of its size
-// and of GOMAXPROCS; tests set it to exercise the concurrent path.
-var forceSplit bool
+// batchSize is the number of pivots a tableau of at least batchMinBytes
+// (m rows × stride × 8 B, more than a core's 2 MB L2 cache) queues before
+// a flush applies them. A smaller tableau stays in cache across pivots and
+// flushes every pivot, the eager elimination.
+const (
+	batchSize     = 8
+	batchMinBytes = 2 << 20
+)
 
-// pivot makes column enter basic in row r with the entering value entVal,
-// performing the row elimination on the tableau and the reduced-cost row.
-// The scaled pivot row's nonzero columns are packed once into contiguous
-// runs and every elimination walks only those slices; the update order
-// over columns is ascending, exactly as the dense loop's, so all produced
-// values are bit-identical. Dead columns are left out of the runs like
-// zeros. Each row's elimination depends only on itself, the pivot row and
-// its entry of the entering column, so a large pivot hands the upper half
-// of the rows to a helper goroutine without changing any value.
+// forceSplit makes every flush split regardless of its size and of
+// GOMAXPROCS; forceBatch, when positive, sets every tableau's batch size
+// regardless of its size. Tests set them to exercise the concurrent and
+// delayed paths.
+var (
+	forceSplit bool
+	forceBatch int
+)
+
+// batchFor is the number of pivots an m-row tableau of the given stride
+// queues before a flush.
+func batchFor(m, stride int) int {
+	switch {
+	case forceBatch > 0:
+		return forceBatch
+	case m*stride*8 >= batchMinBytes:
+		return batchSize
+	default:
+		return 1
+	}
+}
+
+// pivot makes column enter basic in row r with the entering value entVal.
+// It brings row r current, scales it, packs its nonzero columns once into
+// contiguous runs, and queues the row elimination: every other row whose
+// extent holds the entering column and whose entry there (colBuf) is
+// nonzero takes that entry as its factor and has its extent widened now.
+// The reduced-cost row d is updated at once; the rows wait for flush, which
+// runs when the queue is full. The update order over columns is ascending,
+// exactly as the dense loop's, so all produced values are bit-identical.
+// Dead columns are left out of the runs like zeros.
 func (st *tableauState) pivot(r, enter int, entVal float64) {
 	leave := st.basis[r]
 	// Classify the leaving variable at whichever bound it reached.
@@ -966,14 +1059,16 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 	}
 	st.psign[leave] = pricingSign(st.status[leave], st.lo[leave], st.hi[leave])
 
+	st.applyPending(r)
 	prow := st.row(r)
 	piv := prow[enter]
 	inv := 1 / piv
-	exLo, exHi := int(st.extLo[r]), int(st.extHi[r])
+	exLo, exHi := st.extLo[r], st.extHi[r]
 	dead := st.dead[:exHi]
-	runs := st.runs[:0]
+	q := st.nq
+	runs := st.runs
 	curStart, lastNz, width := -1, -1, 0
-	for j := exLo; j < exHi; j++ {
+	for j := int(exLo); j < int(exHi); j++ {
 		v := prow[j] * inv
 		prow[j] = v
 		if v != 0 && !dead[j] {
@@ -992,21 +1087,44 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 		width += lastNz + 1 - curStart
 	}
 	st.runs = runs
+	st.qRunOff[q+1] = int32(len(runs))
+	runs = runs[st.qRunOff[q]:]
 
-	if work := st.m * width; forceSplit || work >= splitMinWork && runtime.GOMAXPROCS(0) > 1 {
-		mid := st.m / 2
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			st.eliminate(r, enter, mid, st.m)
-			wg.Done()
-		}()
-		st.eliminate(r, enter, 0, mid)
-		st.eliminateCosts(r, enter)
-		wg.Wait()
-	} else {
-		st.eliminate(r, enter, 0, st.m)
-		st.eliminateCosts(r, enter)
+	// A later queued pivot may rewrite row r before the flush, so a batch
+	// keeps a copy of the scaled runs; a flush every pivot reads the row.
+	vals := prow
+	if st.batch > 1 {
+		vals = st.qv[q*st.stride : (q+1)*st.stride]
+		for k := 0; k < len(runs); k += 2 {
+			s, e := runs[k], runs[k+1]
+			copy(vals[s:e], prow[s:e])
+		}
+	}
+	st.qVals[q], st.qEnter[q] = vals, int32(enter)
+	e32 := int32(enter)
+	for i := 0; i < st.m; i++ {
+		f := 0.0 // an exact zero in the entering column: the row skips the pivot
+		if i != r && e32 >= st.extLo[i] && e32 < st.extHi[i] {
+			f = st.colBuf[i]
+		}
+		st.qF[i*st.batch+q] = f
+		if f != 0 {
+			// Fill-in can only land on the pivot row's extent: union it.
+			st.extLo[i] = min(st.extLo[i], exLo)
+			st.extHi[i] = max(st.extHi[i], exHi)
+		}
+	}
+	st.nq++
+	if st.m*width >= splitMinWork {
+		st.qSplit = true
+	}
+
+	if f := st.d[enter]; f != 0 {
+		for k := 0; k < len(runs); k += 2 {
+			s, e := int(runs[k]), int(runs[k+1])
+			axpyNeg(f, prow[s:e], st.d[s:e])
+		}
+		st.d[enter] = 0
 	}
 	st.basis[r] = enter
 	st.status[enter] = basic
@@ -1014,63 +1132,75 @@ func (st *tableauState) pivot(r, enter int, entVal float64) {
 	st.xB[r] = entVal
 	st.dFresh = false
 	st.stats.Pivots++
+	if st.nq == st.batch {
+		st.flush()
+	}
 }
 
-// eliminate subtracts the scaled pivot row r (packed in st.runs) from rows
-// [from, to) of the tableau, each times its entry of the entering column.
-// It writes only those rows and their extents, so disjoint row blocks may
-// run concurrently.
-func (st *tableauState) eliminate(r, enter, from, to int) {
-	prow := st.row(r)
-	exLo, exHi := st.extLo[r], st.extHi[r]
-	runs := st.runs
-	e32 := int32(enter)
+// flush applies every pending pivot to every row and empties the queue.
+// Each row's eliminations depend only on itself and the queue, so a batch
+// holding a pivot of at least splitMinWork hands the upper half of the rows
+// to a helper goroutine without changing any value.
+func (st *tableauState) flush() {
+	if st.nq == 0 {
+		return
+	}
+	if forceSplit || st.qSplit && runtime.GOMAXPROCS(0) > 1 {
+		mid := st.m / 2
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			st.applyRows(mid, st.m)
+			wg.Done()
+		}()
+		st.applyRows(0, mid)
+		wg.Wait()
+	} else {
+		st.applyRows(0, st.m)
+	}
+	st.nq, st.qSplit = 0, false
+	st.runs = st.runs[:0]
+}
+
+// applyRows brings rows [from, to) current. It writes only those rows, so
+// disjoint row blocks may run concurrently. Most rows of a small tableau
+// skip a pivot, so only rows with a nonzero factor pay for the call.
+func (st *tableauState) applyRows(from, to int) {
 	for i := from; i < to; i++ {
-		if i == r {
-			continue
+		for _, f := range st.qF[i*st.batch : i*st.batch+st.nq] {
+			if f != 0 {
+				st.applyPending(i)
+				break
+			}
 		}
-		if e32 < st.extLo[i] || e32 >= st.extHi[i] {
-			continue // exact zero in the entering column
-		}
-		f := st.colBuf[i]
+	}
+}
+
+// applyPending applies to row i, in queue order, the pending pivots it has
+// not received yet.
+func (st *tableauState) applyPending(i int) {
+	ri := st.row(i)
+	fs := st.qF[i*st.batch : i*st.batch+st.nq]
+	for q, f := range fs {
 		if f == 0 {
 			continue
 		}
-		ib := i * st.stride
-		ri := st.a[ib : ib+st.n]
+		x := st.qVals[q]
+		runs := st.runs[st.qRunOff[q]:st.qRunOff[q+1]]
 		for k := 0; k < len(runs); k += 2 {
 			s, e := int(runs[k]), int(runs[k+1])
-			axpyNeg(f, prow[s:e], ri[s:e])
+			axpyNeg(f, x[s:e], ri[s:e])
 		}
-		ri[enter] = 0 // exact zero to stop drift
-		// Fill-in can only land on the pivot row's extent: union it.
-		if st.extLo[i] > exLo {
-			st.extLo[i] = exLo
-		}
-		if st.extHi[i] < exHi {
-			st.extHi[i] = exHi
-		}
+		ri[st.qEnter[q]] = 0 // exact zero to stop drift
+		fs[q] = 0
 	}
-}
-
-// eliminateCosts applies the pivot on row r to the reduced-cost row d.
-func (st *tableauState) eliminateCosts(r, enter int) {
-	f := st.d[enter]
-	if f == 0 {
-		return
-	}
-	prow, d, runs := st.row(r), st.d, st.runs
-	for k := 0; k < len(runs); k += 2 {
-		s, e := int(runs[k]), int(runs[k+1])
-		axpyNeg(f, prow[s:e], d[s:e])
-	}
-	d[enter] = 0
 }
 
 // finish extracts the solution vector, objective and row duals. With reuse
 // the Solution and its vectors live in ws and are overwritten by the next
 // solve through ws; otherwise they are freshly allocated.
 func (p *Problem) finish(st *tableauState, status Status, ws *Workspace, reuse bool) (*Solution, error) {
+	st.flush()
 	var sol *Solution
 	if reuse {
 		sol = &ws.sol

@@ -65,7 +65,9 @@ type Workspace struct {
 	a            []float64 // flat row-major tableau, m×stride
 	aM, aStride  int       // shape of the last tableau built in a
 	extLo, extHi []int32   // per-row nonzero extents
-	runs         []int32   // nonzero runs of the scaled pivot row, [start,end) pairs
+	runs         []int32   // nonzero runs of the queued scaled pivot rows, [start,end) pairs
+	qF           []float64 // queued pivots' per-row factors (batched tableaus)
+	qv           []float64 // queued pivots' scaled rows (batched tableaus)
 	dead         []bool    // per-column dead mask
 	artRow       []int32   // per artificial: its row
 	artSign      []float64 // per artificial: its row's flip sign σ
@@ -111,10 +113,15 @@ func (ws *Workspace) stash(st *tableauState) {
 func (ws *Workspace) Reserve(m, nStruct int) {
 	nCols := nStruct + m
 	n := nCols + m
+	batch := batchFor(m, n)
 	ws.a = reserve(ws.a, m*n)
 	ws.extLo = reserve(ws.extLo, m)
 	ws.extHi = reserve(ws.extHi, m)
-	ws.runs = reserve(ws.runs, n)[:0]
+	ws.runs = reserve(ws.runs, batch*n)[:0]
+	if batch > 1 {
+		ws.qF = reserve(ws.qF, m*batch)
+		ws.qv = reserve(ws.qv, batch*n)
+	}
 	ws.dead = reserve(ws.dead, n)
 	ws.artRow = reserve(ws.artRow, m)[:0]
 	ws.artSign = reserve(ws.artSign, m)[:0]

@@ -355,19 +355,7 @@ func (s *Scheduler) Schedule(task workload.Task, now float64, freeAt []float64) 
 	return s.ScheduleWith(PaperPolicy{}, task, now, freeAt)
 }
 
-// ATC returns the achieved execution-rate matrix at the given time:
-// counts/elapsed.
-func (s *Scheduler) ATC(elapsed float64) [][]float64 {
-	out := make([][]float64, s.tasks)
-	flat := make([]float64, s.tasks*s.ncores)
-	for i := range out {
-		out[i] = flat[i*s.ncores : (i+1)*s.ncores : (i+1)*s.ncores]
-		if elapsed <= 0 {
-			continue
-		}
-		for k, c := range s.counts[i*s.ncores : (i+1)*s.ncores] {
-			out[i][k] = float64(c) / elapsed
-		}
-	}
-	return out
-}
+// LiveCounts returns the ATC assignment counts without copying them:
+// tasks of type i assigned to core k so far at index i·cores + k. The slice
+// aliases the scheduler, changes as it schedules, and must not be written.
+func (s *Scheduler) LiveCounts() []int32 { return s.counts }

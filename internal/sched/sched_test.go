@@ -184,13 +184,15 @@ func TestATCMatrix(t *testing.T) {
 			freeAt[core] = done
 		}
 	}
-	atc := s.ATC(4)
-	total := atc[0][0] + atc[0][1]
+	live := s.LiveCounts()
+	total := float64(live[0])/4 + float64(live[1])/4
 	if math.Abs(total-1) > 1e-9 {
 		t.Errorf("total ATC = %g, want 1 (4 tasks / 4 s)", total)
 	}
-	zero := s.ATC(0)
-	if zero[0][0] != 0 {
-		t.Error("ATC at elapsed=0 should be zero")
+	counts := s.Counts()
+	for k := 0; k < 2; k++ {
+		if int(live[k]) != counts[0][k] {
+			t.Errorf("live count of core %d = %d, Counts reads %d", k, live[k], counts[0][k])
+		}
 	}
 }

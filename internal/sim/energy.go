@@ -58,10 +58,11 @@ func Energy(dc *model.DataCenter, pstates []int, res *Result, idleFraction float
 			busy, weighted := 0.0, 0.0
 			for i := range dc.TaskTypes {
 				ecs := dc.ECS[i][typ][pstates[k]]
-				if ecs <= 0 || res.ATC[i][k] == 0 {
+				atc := res.ATC(i, k)
+				if ecs <= 0 || atc == 0 {
 					continue
 				}
-				t := res.ATC[i][k] * res.Horizon / ecs // total execution time
+				t := atc * res.Horizon / ecs // total execution time
 				busy += t
 				weighted += t * taskPowerFactor(&dc.TaskTypes[i])
 			}

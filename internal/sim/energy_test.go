@@ -94,10 +94,7 @@ func TestEnergyIdleFractionScalesIdle(t *testing.T) {
 
 func TestEnergyValidation(t *testing.T) {
 	sc, res := buildAssigned(t, 9)
-	out := &sim.Result{Horizon: 10, ATC: make([][]float64, sc.DC.T())}
-	for i := range out.ATC {
-		out.ATC[i] = make([]float64, sc.DC.NumCores())
-	}
+	out := &sim.Result{Horizon: 10}
 	if _, err := sim.Energy(sc.DC, res.PStates[:1], out, 1); err == nil {
 		t.Error("short P-state slice accepted")
 	}

@@ -41,8 +41,6 @@ type Result struct {
 	// CompletedByType and DroppedByType break the counts down per task
 	// type.
 	CompletedByType, DroppedByType []int
-	// ATC is the achieved execution-rate matrix at the horizon.
-	ATC [][]float64
 	// MeanRatioError is the mean of |ATC(i,k)/TC(i,k) − 1| over entries
 	// with TC > 0: how closely the dynamic scheduler tracked the desired
 	// rates.
@@ -59,6 +57,22 @@ type Result struct {
 	MaxPower       float64
 	MaxPowerExcess float64
 	MaxInletExcess float64
+
+	// counts aliases the run's scheduler's assignment counts (see
+	// sched.Scheduler.LiveCounts) over ncores cores; ATC reads them.
+	counts []int32
+	ncores int
+}
+
+// ATC returns the achieved execution rate of task type task on core over
+// the window: the tasks the run's scheduler assigned there per second. It
+// reads the scheduler's counts, so a scheduler passed in Options.Scheduler
+// and used again afterwards moves it; a Result built by hand reads 0.
+func (r *Result) ATC(task, core int) float64 {
+	if r.counts == nil {
+		return 0
+	}
+	return float64(r.counts[task*r.ncores+core]) / r.Horizon
 }
 
 // TaskRecord is one trace entry: the fate of a single task.
@@ -232,17 +246,17 @@ func RunOpts(dc *model.DataCenter, pstates []int, tc [][]float64, tasks []worklo
 	fire(horizon)
 	res.RewardRate = rate(res.TotalReward, window)
 	res.WindowRewardRate = rate(res.WindowReward, window)
-	res.ATC = s.ATC(window)
+	res.counts, res.ncores = s.LiveCounts(), ncores
 
 	// Desired-rate tracking error.
 	n := 0
-	for i, atc := range res.ATC {
-		for k := range atc {
+	for i := 0; i < dc.T(); i++ {
+		for k := 0; k < ncores; k++ {
 			tc := s.Rate(i, k)
 			if tc <= 0 {
 				continue
 			}
-			res.MeanRatioError += math.Abs(atc[k]/tc - 1)
+			res.MeanRatioError += math.Abs(res.ATC(i, k)/tc - 1)
 			n++
 		}
 	}

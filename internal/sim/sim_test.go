@@ -260,10 +260,10 @@ func TestRunAccountingConsistency(t *testing.T) {
 		t.Errorf("busy fraction %g", out.BusyFraction)
 	}
 	// ATC sums to completed counts / horizon.
-	for i := range out.ATC {
+	for i := 0; i < sc.DC.T(); i++ {
 		sum := 0.0
-		for _, v := range out.ATC[i] {
-			sum += v
+		for k := 0; k < sc.DC.NumCores(); k++ {
+			sum += out.ATC(i, k)
 		}
 		if math.Abs(sum-float64(out.CompletedByType[i])/horizon) > 1e-9 {
 			t.Errorf("type %d ATC sum %g != %g", i, sum, float64(out.CompletedByType[i])/horizon)
