@@ -155,7 +155,7 @@ func BenchmarkFleetReadback(b *testing.B) {
 				pstates[k] = k % 3
 			}
 			s := assign.NewStage3Solver(dc)
-			if _, err := s.Solve(pstates); err != nil {
+			if _, err := s.Solve(context.Background(), pstates); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -163,7 +163,7 @@ func BenchmarkFleetReadback(b *testing.B) {
 			runtime.ReadMemStats(&m0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Solve(pstates); err != nil {
+				if _, err := s.Solve(context.Background(), pstates); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,6 +5,7 @@
 package thermaldc_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -147,7 +148,7 @@ func BenchmarkStage3LP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := assign.NewStage3Solver(sc.DC).Solve(res.PStates); err != nil {
+		if _, err := assign.NewStage3Solver(sc.DC).Solve(context.Background(), res.PStates); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -364,7 +365,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 		})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			best, err := tempsearch.CoarseToFine(sc.DC.NCRAC(), cfg, eval)
+			best, err := tempsearch.CoarseToFine(context.Background(), sc.DC.NCRAC(), cfg, eval)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -376,7 +377,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := assign.NewStage3Solver(sc.DC).Solve(pstates); err != nil {
+			if _, err := assign.NewStage3Solver(sc.DC).Solve(context.Background(), pstates); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -437,7 +438,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 		s := assign.NewStage1Solver(sc.DC, sc.Thermal, arrs)
 		outs := [][]float64{{15, 15, 15}, {14, 16, 15}}
 		for _, out := range outs {
-			res, err := s.SolveScratch(out)
+			res, err := s.SolveScratch(context.Background(), out)
 			if err != nil || !res.Feasible {
 				b.Fatalf("warm-up solve at %v: %v (feasible=%v)", out, err, res != nil && res.Feasible)
 			}
@@ -445,7 +446,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SolveScratch(outs[i%2]); err != nil {
+			if _, err := s.SolveScratch(context.Background(), outs[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -469,7 +470,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 		s.SetRecorder(telemetry.NewRecorder())
 		outs := [][]float64{{15, 15, 15}, {14, 16, 15}}
 		for _, out := range outs {
-			res, err := s.SolveScratch(out)
+			res, err := s.SolveScratch(context.Background(), out)
 			if err != nil || !res.Feasible {
 				b.Fatalf("warm-up solve at %v: %v (feasible=%v)", out, err, res != nil && res.Feasible)
 			}
@@ -477,7 +478,7 @@ func BenchmarkThreeStagePaperScale(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.SolveScratch(outs[i%2]); err != nil {
+			if _, err := s.SolveScratch(context.Background(), outs[i%2]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -493,7 +494,7 @@ func BenchmarkFig6ReducedExperiment(b *testing.B) {
 	cfg.NNodes = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure6(cfg, nil); err != nil {
+		if _, err := experiments.Figure6(context.Background(), cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@
 //	tapo table2
 //	tapo fig345
 //	tapo bounds   [-nodes N] [-cracs N] [-seed S] [-static F] [-vprop F]
-//	tapo sweep    -kind {powercap|psi|vprop|static} [-values a,b,c] [...]
+//	tapo sweep    -kind {powercap|psi|vprop|static|hetero} [-values a,b,c] [...]
 //	tapo ablation [-trials N] [-nodes N] [-cracs N]
 //	tapo simulate [-trials N] [-nodes N] [-cracs N] [-horizon SEC]
 //	tapo degraded [-trials N] [-nodes N] [-cracs N] [-horizon SEC]
@@ -205,7 +205,7 @@ func signalContext() (context.Context, func()) {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `tapo — thermal-aware performance optimization experiments
+	fmt.Fprintf(os.Stderr, `tapo — thermal-aware performance optimization experiments
 
 commands:
   fig6      Figure 6: %% improvement of three-stage vs Equation-21 baseline
@@ -213,7 +213,7 @@ commands:
   table2    Table II: EC/RC ranges per rack label
   fig345    Figures 3-5: worked reward-rate function example
   bounds    Equation 17/18: Pmin, Pmax and Pconst for one scenario
-  sweep     extension sweeps: -kind powercap|psi|vprop|static
+  sweep     extension sweeps: -kind %s
   ablation  temperature-search strategy ablation
   simulate  second-step dynamic-scheduler validation
   minpower  §VIII extension: minimize power under a reward-rate floor
@@ -235,7 +235,7 @@ a second signal exits immediately. "degraded -checkpoint DIR" makes every
 completed epoch durable; "degraded -resume DIR" continues a killed sweep.
 
 run "tapo <cmd> -h" for flags; paper scale is -trials 25 -nodes 150 -cracs 3
-`)
+`, strings.Join(experiments.SweepKinds(), "|"))
 }
 
 // scaleFlags registers the shared size/seed flags.
@@ -273,7 +273,7 @@ func runFig6(ctx context.Context, args []string) error {
 	if *quiet {
 		progress = nil
 	}
-	res, err := experiments.Figure6Context(ctx, cfg, progress)
+	res, err := experiments.Figure6(ctx, cfg, progress)
 	if err != nil {
 		return err
 	}
@@ -342,7 +342,7 @@ func parseValues(s string) ([]float64, error) {
 func runSweep(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	trials, nodes, cracs, seed := scaleFlags(fs)
-	kind := fs.String("kind", "powercap", "powercap | psi | vprop | static | hetero")
+	kind := fs.String("kind", "powercap", strings.Join(experiments.SweepKinds(), " | "))
 	csvPath := fs.String("csv", "", "also write sweep points to this CSV file")
 	valuesFlag := fs.String("values", "", "comma-separated sweep values (defaults per kind)")
 	static := fs.Float64("static", 0.3, "static power share (non-swept)")
@@ -351,41 +351,18 @@ func runSweep(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	defaults := map[string][]float64{
-		"powercap": {0.2, 0.35, 0.5, 0.65, 0.8},
-		"psi":      {12.5, 25, 50, 75, 100},
-		"vprop":    {0.05, 0.1, 0.2, 0.3, 0.4},
-		"static":   {0.1, 0.2, 0.3, 0.4},
-		"hetero":   {0.02, 0.25, 0.5, 0.75, 0.98},
-	}
-	values := defaults[*kind]
+	var values []float64
 	if *valuesFlag != "" {
 		var err error
 		if values, err = parseValues(*valuesFlag); err != nil {
 			return err
 		}
 	}
-	if values == nil {
-		return fmt.Errorf("unknown sweep kind %q", *kind)
-	}
 	cfg := experiments.DefaultSweepConfig(values)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.StaticShare, cfg.Vprop = *static, *vprop
 	cfg.Options.Search.Parallelism = *searchPar
-	var res *experiments.SweepResult
-	var err error
-	switch *kind {
-	case "powercap":
-		res, err = experiments.PowerCapSweepContext(ctx, cfg)
-	case "psi":
-		res, err = experiments.PsiSweepContext(ctx, cfg)
-	case "vprop":
-		res, err = experiments.VpropSweepContext(ctx, cfg)
-	case "static":
-		res, err = experiments.StaticShareSweepContext(ctx, cfg)
-	case "hetero":
-		res, err = experiments.HeterogeneitySweepContext(ctx, cfg)
-	}
+	res, err := experiments.Sweep(ctx, *kind, cfg)
 	if err != nil {
 		return err
 	}
@@ -403,7 +380,7 @@ func runAblation(ctx context.Context, args []string) error {
 	cfg := experiments.DefaultSweepConfig(nil)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.Options.Search.Parallelism = *searchPar
-	res, err := experiments.StrategyAblationContext(ctx, cfg, []assign.Strategy{
+	res, err := experiments.StrategyAblation(ctx, cfg, []assign.Strategy{
 		assign.CoarseToFine, assign.FullGrid, assign.CoordDescent,
 	})
 	if err != nil {
@@ -464,7 +441,7 @@ func runPolicies(ctx context.Context, args []string) error {
 	}
 	cfg := experiments.DefaultSweepConfig(nil)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
-	res, err := experiments.PolicyAblationContext(ctx, cfg, *horizon)
+	res, err := experiments.PolicyAblation(ctx, cfg, *horizon)
 	if err != nil {
 		return err
 	}
@@ -485,7 +462,7 @@ func runDynamic(ctx context.Context, args []string) error {
 	cfg := experiments.DefaultDynamicConfig(*seed)
 	cfg.NNodes, cfg.NCracs = *nodes, *cracs
 	cfg.Horizon, cfg.Epoch, cfg.Amplitude, cfg.Period = *horizon, *epoch, *amp, *period
-	res, err := experiments.DynamicReassignmentContext(ctx, cfg)
+	res, err := experiments.DynamicReassignment(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -582,7 +559,7 @@ func runDegraded(ctx context.Context, args []string) error {
 	if *traceOut != "" {
 		cfg.Recorder.Trace = telemetry.NewTracer(*traceCap)
 	}
-	res, err := experiments.DegradedSweepContext(ctx, cfg)
+	res, err := experiments.DegradedSweep(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -623,7 +600,7 @@ func runCompare(ctx context.Context, args []string) error {
 	cfg := experiments.DefaultSweepConfig(nil)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
 	cfg.StaticShare, cfg.Vprop = *static, *vprop
-	res, err := experiments.TechniqueComparisonContext(ctx, cfg)
+	res, err := experiments.TechniqueComparison(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -645,7 +622,7 @@ func runBurst(ctx context.Context, args []string) error {
 	}
 	cfg := experiments.DefaultSweepConfig(vs)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
-	res, err := experiments.BurstinessSweepContext(ctx, cfg, *horizon)
+	res, err := experiments.BurstinessSweep(ctx, cfg, *horizon)
 	if err != nil {
 		return err
 	}
@@ -685,7 +662,7 @@ func runSimulate(ctx context.Context, args []string) error {
 	}
 	cfg := experiments.DefaultSweepConfig(nil)
 	cfg.Trials, cfg.NNodes, cfg.NCracs, cfg.BaseSeed = *trials, *nodes, *cracs, *seed
-	res, err := experiments.SchedulerValidationContext(ctx, cfg, *horizon)
+	res, err := experiments.SchedulerValidation(ctx, cfg, *horizon)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"testing"
 )
@@ -48,8 +49,13 @@ func TestRunSweepTiny(t *testing.T) {
 }
 
 func TestRunSweepUnknownKind(t *testing.T) {
-	if err := runSweep(context.Background(), []string{"-kind", "nope"}); err == nil {
-		t.Fatal("unknown sweep kind accepted")
+	// -values supplies the points itself, so the kind must be rejected on
+	// its own, not by finding no default values for it.
+	for _, args := range [][]string{{"-kind", "nope"}, {"-kind", "bogus", "-values", "0.5"}} {
+		err := runSweep(context.Background(), args)
+		if want := fmt.Sprintf("unknown sweep kind %q", args[1]); err == nil || err.Error() != want {
+			t.Errorf("runSweep(%q) = %v, want %s", args, err, want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -17,7 +18,7 @@ func BaselineFresh(dc *model.DataCenter, tm *thermal.Model, cracOut []float64) (
 		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)},
 			fmt.Errorf("assign: redline %d violated by base power alone at outlets %v", lp.badRow, cracOut)
 	}
-	sol, err := lp.p.Solve()
+	sol, err := lp.p.Solve(context.Background(), nil)
 	if err != nil {
 		return &BaselineResult{CracOut: append([]float64(nil), cracOut...)}, err
 	}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"fmt"
 
 	"thermaldc/internal/model"
@@ -35,24 +36,13 @@ func PowerBounds(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Conf
 			return -tm.TotalPower(cracOut, pcn), true
 		})
 	}
-	minRes, err := tempsearch.CoarseToFine(dc.NCRAC(), search, evalFor(minPCN))
+	minRes, err := tempsearch.CoarseToFine(context.Background(), dc.NCRAC(), search, evalFor(minPCN))
 	if err != nil {
 		return 0, 0, fmt.Errorf("assign: Pmin search: %w", err)
 	}
-	maxRes, err := tempsearch.CoarseToFine(dc.NCRAC(), search, evalFor(maxPCN))
+	maxRes, err := tempsearch.CoarseToFine(context.Background(), dc.NCRAC(), search, evalFor(maxPCN))
 	if err != nil {
 		return 0, 0, fmt.Errorf("assign: Pmax search (the fully loaded data center cannot be cooled within the redlines): %w", err)
 	}
 	return -minRes.Value, -maxRes.Value, nil
-}
-
-// SetPconst computes Pmin/Pmax and stores the paper's Equation-18 power
-// constraint Pconst = (Pmin + Pmax)/2 in dc. It returns the bounds.
-func SetPconst(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Config) (pmin, pmax float64, err error) {
-	pmin, pmax, err = PowerBounds(dc, tm, search)
-	if err != nil {
-		return 0, 0, err
-	}
-	dc.Pconst = (pmin + pmax) / 2
-	return pmin, pmax, nil
 }

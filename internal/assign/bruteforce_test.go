@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"testing"
 
 	"thermaldc/internal/assign"
@@ -95,7 +96,7 @@ func bruteForceOptimum(t *testing.T, dc *model.DataCenter, tm *thermal.Model) fl
 			if !feasibleSomewhere {
 				continue
 			}
-			s3, err := assign.NewStage3Solver(dc).Solve(pstates)
+			s3, err := assign.NewStage3Solver(dc).Solve(context.Background(), pstates)
 			if err != nil {
 				t.Fatal(err)
 			}

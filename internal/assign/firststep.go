@@ -227,7 +227,7 @@ func (s *ThreeStageSolver) SolveContext(ctx context.Context) (*ThreeStageResult,
 		return nil, solvererr.Wrap("search", fmt.Errorf("assign: temperature search: %w", err))
 	}
 	clk = tr.Begin()
-	s1, err := s.base.SolveContext(ctx, best.Out)
+	s1, err := s.base.Solve(ctx, best.Out)
 	tr.End(clk, telemetry.SpanStage, StageLabelStage1, 0, errBit(err))
 	if err != nil {
 		return nil, solvererr.Wrap("stage1", err)
@@ -239,7 +239,7 @@ func (s *ThreeStageSolver) SolveContext(ctx context.Context) (*ThreeStageResult,
 		return nil, solvererr.Wrap("stage2", err)
 	}
 	clk = tr.Begin()
-	s3, err := s.stage3.SolveContext(ctx, pstates)
+	s3, err := s.stage3.Solve(ctx, pstates)
 	tr.End(clk, telemetry.SpanStage, StageLabelStage3, 0, errBit(err))
 	if err != nil {
 		return nil, solvererr.Wrap("stage3", err)
@@ -271,10 +271,10 @@ type stage1Eval struct {
 }
 
 // Eval returns the Stage-1 LP optimum at cracOut. The scratch solve is
-// bit-identical to SolveContext and allocation-free; the search keeps only
+// bit-identical to Solve and allocation-free; the search keeps only
 // (value, ok), never the solver-owned result.
 func (e stage1Eval) Eval(cracOut []float64) (float64, bool) {
-	res, err := e.SolveScratchContext(e.ctx, cracOut)
+	res, err := e.SolveScratch(e.ctx, cracOut)
 	if err != nil || !res.Feasible {
 		return 0, false
 	}
@@ -297,7 +297,7 @@ func (s *ThreeStageSolver) FinishFromStage1(ctx context.Context, s1 *Stage1Resul
 		return nil, solvererr.Wrap("stage2", err)
 	}
 	clk = tr.Begin()
-	s3, err := s.stage3.SolveContext(ctx, pstates)
+	s3, err := s.stage3.Solve(ctx, pstates)
 	tr.End(clk, telemetry.SpanStage, StageLabelStage3, 0, errBit(err))
 	if err != nil {
 		return nil, solvererr.Wrap("stage3", err)
@@ -318,10 +318,10 @@ func errBit(err error) int32 {
 func runSearch(ctx context.Context, ncrac int, opts Options, newEval tempsearch.Factory) (tempsearch.Result, error) {
 	switch opts.Strategy {
 	case FullGrid:
-		return tempsearch.GridContext(ctx, ncrac, opts.Search, opts.Search.FineStep, newEval)
+		return tempsearch.Grid(ctx, ncrac, opts.Search, opts.Search.FineStep, newEval)
 	case CoordDescent:
-		return tempsearch.CoordinateDescentContext(ctx, ncrac, opts.Search, nil, newEval)
+		return tempsearch.CoordinateDescent(ctx, ncrac, opts.Search, nil, newEval)
 	default:
-		return tempsearch.CoarseToFineContext(ctx, ncrac, opts.Search, newEval)
+		return tempsearch.CoarseToFine(ctx, ncrac, opts.Search, newEval)
 	}
 }

@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -160,7 +161,7 @@ func TestStage1AggregationExactness(t *testing.T) {
 		}
 		p.AddRow(linprog.LE, rhs, terms...)
 	}
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -76,7 +77,7 @@ func TestStage1OptimumMonotoneInCap(t *testing.T) {
 		for _, c := range caps {
 			dc.Pconst = c
 			for o, out := range outlets {
-				res, err := s1.Solve(out)
+				res, err := s1.Solve(context.Background(), out)
 				ok := err == nil && res.Feasible
 				value := 0.0
 				if ok {
@@ -125,7 +126,7 @@ func TestStage1OptimumMonotoneInRedline(t *testing.T) {
 			dc.RedlineNode = redline
 			s1 := assign.NewStage1Solver(dc, sc.Thermal, arrs)
 			for o, out := range outlets {
-				res, err := s1.Solve(out)
+				res, err := s1.Solve(context.Background(), out)
 				ok := err == nil && res.Feasible
 				value := 0.0
 				if ok {
@@ -239,8 +240,8 @@ func TestStage1OptimumInvariantUnderRelabeling(t *testing.T) {
 	ps1 := assign.NewStage1Solver(pdc, ptm, arrs)
 	feasible := 0
 	for _, o := range [][]float64{best.Out, {10, 10, 10}, {12.5, 15, 17.5}, {15, 15, 15}, {20, 17.5, 12.5}} {
-		res, err := s1.Solve(o)
-		pres, perr := ps1.Solve(o)
+		res, err := s1.Solve(context.Background(), o)
+		pres, perr := ps1.Solve(context.Background(), o)
 		ok := err == nil && res.Feasible
 		if pok := perr == nil && pres.Feasible; ok != pok {
 			t.Fatalf("outlets %v: feasible %v (err %v), relabeled %v (err %v)", o, ok, err, pok, perr)

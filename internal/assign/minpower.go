@@ -91,7 +91,7 @@ func minPowerFixed(dc *model.DataCenter, tm *thermal.Model, arrs []*pwl.Func, cr
 		p.AddRow(linprog.LE, rhs, terms...)
 	}
 
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func MinPowerForReward(dc *model.DataCenter, tm *thermal.Model, rewardFloor floa
 	if err != nil {
 		return nil, err
 	}
-	s3, err := NewStage3Solver(dc).Solve(pstates)
+	s3, err := NewStage3Solver(dc).Solve(context.Background(), pstates)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"fmt"
 
 	"thermaldc/internal/model"
@@ -45,7 +46,7 @@ func NaiveOndemand(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Co
 			}
 			return -tm.TotalPower(cracOut, pcn), true
 		}
-		res, err := tempsearch.CoarseToFine(dc.NCRAC(), search, tempsearch.Shared(eval))
+		res, err := tempsearch.CoarseToFine(context.Background(), dc.NCRAC(), search, tempsearch.Shared(eval))
 		if err != nil {
 			return nil, 0, false
 		}
@@ -67,7 +68,7 @@ func NaiveOndemand(dc *model.DataCenter, tm *thermal.Model, search tempsearch.Co
 	}
 	out, power, _ := feasible(lo)
 	pstates := pstatesForActiveCores(dc, lo)
-	s3, err := NewStage3Solver(dc).Solve(pstates)
+	s3, err := NewStage3Solver(dc).Solve(context.Background(), pstates)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -164,7 +165,7 @@ func TestOutletBoundMatchesDualBound(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		s1 := s.Stage1Warm()
-		if _, err := s1.Solve(best.Out); err != nil {
+		if _, err := s1.Solve(context.Background(), best.Out); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		y := scramble(s1.AppendDuals(nil))
@@ -178,7 +179,7 @@ func TestOutletBoundMatchesDualBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		sol, err := assign.BaselineLPAt(c.dc, c.tm, best.Out).Solve()
+		sol, err := assign.BaselineLPAt(c.dc, c.tm, best.Out).Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -217,7 +218,7 @@ func checkBound(t *testing.T, tag string, got float64, p *linprog.Problem, y []f
 	if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 		t.Fatalf("%s: cached bound %v, DualBound %v + %v", tag, got, g, margin)
 	}
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err == nil && sol.Objective > got {
 		t.Fatalf("%s: bound %v below the optimum %v", tag, got, sol.Objective)
 	}
@@ -233,7 +234,7 @@ func TestStage1BoundZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := s.Stage1Warm()
-	if _, err := s1.Solve([]float64{15, 15}); err != nil {
+	if _, err := s1.Solve(context.Background(), []float64{15, 15}); err != nil {
 		t.Fatal(err)
 	}
 	y := s1.AppendDuals(nil)

@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -80,7 +81,7 @@ func TestStage1SolverMatchesFixed(t *testing.T) {
 				if pi%2 == 1 {
 					s = clone
 				}
-				got, gotErr := s.Solve(out)
+				got, gotErr := s.Solve(context.Background(), out)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d point %v pass %d: error mismatch: fixed=%v solver=%v",
 						tc.seed, out, pass, wantErr, gotErr)

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"fmt"
 
 	"thermaldc/internal/linprog"
@@ -153,7 +154,7 @@ func Stage1Fixed(dc *model.DataCenter, tm *thermal.Model, arrs []*pwl.Func, crac
 		p.AddRow(linprog.LE, rhs, terms...)
 	}
 
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		return &Stage1Result{CracOut: append([]float64(nil), cracOut...), Feasible: false}, err
 	}

@@ -33,7 +33,7 @@ type Stage1Solver struct {
 	outletLP
 	arrs []*pwl.Func
 
-	// Scratch result + buffers for the zero-allocation SolveScratchContext
+	// Scratch result + buffers for the zero-allocation SolveScratch
 	// path. All are overwritten by the next scratch solve.
 	scratch    Stage1Result
 	scrCracOut []float64
@@ -99,18 +99,13 @@ func (s *Stage1Solver) TakeStats() linprog.Stats {
 func (s *Stage1Solver) Workspace() *linprog.Workspace { return &s.ws }
 
 // Solve patches the skeleton for cracOut and runs the simplex, returning
-// the same result (and errors) Stage1Fixed would for the same inputs.
-func (s *Stage1Solver) Solve(cracOut []float64) (*Stage1Result, error) {
-	return s.SolveContext(context.Background(), cracOut)
-}
-
-// SolveContext is Solve under a context: the simplex polls ctx between
-// pivot batches, so an expired deadline surfaces as a Canceled status
-// error instead of a runaway solve. It is SolveScratchContext with the
-// result copied out of the solver and a redline error that names the row
-// and outlets.
-func (s *Stage1Solver) SolveContext(ctx context.Context, cracOut []float64) (*Stage1Result, error) {
-	scr, err := s.SolveScratchContext(ctx, cracOut)
+// the same result (and errors) Stage1Fixed would for the same inputs. The
+// simplex polls ctx between pivot batches, so an expired deadline surfaces
+// as a Canceled status error instead of a runaway solve. It is
+// SolveScratch with the result copied out of the solver and a redline
+// error that names the row and outlets.
+func (s *Stage1Solver) Solve(ctx context.Context, cracOut []float64) (*Stage1Result, error) {
+	scr, err := s.SolveScratch(ctx, cracOut)
 	res := *scr
 	res.CracOut = append([]float64(nil), scr.CracOut...)
 	res.NodeCorePower = append([]float64(nil), scr.NodeCorePower...)
@@ -118,19 +113,14 @@ func (s *Stage1Solver) SolveContext(ctx context.Context, cracOut []float64) (*St
 	return &res, s.redlineErr(err, cracOut)
 }
 
-// SolveScratch is SolveScratchContext without a context.
-func (s *Stage1Solver) SolveScratch(cracOut []float64) (*Stage1Result, error) {
-	return s.SolveScratchContext(context.Background(), cracOut)
-}
-
-// SolveScratchContext is the zero-allocation solve for search and epoch hot
+// SolveScratch is the zero-allocation solve for search and epoch hot
 // loops: the returned Stage1Result and all its slices live in the solver
 // and are overwritten by the next scratch solve — callers that keep a
-// result copy it first (SolveContext does). A redline that base power
-// alone violates fails with an allocation-free error that names neither
-// the row nor the outlets. On the warm path (shapes unchanged since the
-// last call) it performs no heap allocations at all.
-func (s *Stage1Solver) SolveScratchContext(ctx context.Context, cracOut []float64) (*Stage1Result, error) {
+// result copy it first (Solve does). A redline that base power alone
+// violates fails with an allocation-free error that names neither the row
+// nor the outlets. On the warm path (shapes unchanged since the last call)
+// it performs no heap allocations at all.
+func (s *Stage1Solver) SolveScratch(ctx context.Context, cracOut []float64) (*Stage1Result, error) {
 	dc, tm := s.dc, s.tm
 	ncn := dc.NCN()
 

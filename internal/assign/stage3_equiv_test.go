@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestStage3GroupingExactness(t *testing.T) {
 			p.AddRow(linprog.LE, dc.TaskTypes[i].ArrivalRate, terms...)
 		}
 	}
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func Stage3OneShot(ctx context.Context, dc *model.DataCenter, pstates []int) (*O
 		}
 	}
 
-	sol, err := p.SolveContext(ctx)
+	sol, err := p.Solve(ctx, nil)
 	if err != nil {
 		return nil, fmt.Errorf("assign: Stage-3 LP: %w", err)
 	}

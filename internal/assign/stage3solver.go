@@ -170,15 +170,10 @@ func (s *Stage3Solver) TakeStats() linprog.Stats {
 	return st
 }
 
-// Solve is SolveContext with a background context.
-func (s *Stage3Solver) Solve(pstates []int) (*Stage3Result, error) {
-	return s.SolveContext(context.Background(), pstates)
-}
-
-// SolveContext solves the Stage-3 LP for the given per-core P-states,
+// Solve solves the Stage-3 LP for the given per-core P-states,
 // reusing the cached skeleton when the group signature is unchanged. A
 // P-state outside [0, OffState()] is an error naming the core.
-func (s *Stage3Solver) SolveContext(ctx context.Context, pstates []int) (*Stage3Result, error) {
+func (s *Stage3Solver) Solve(ctx context.Context, pstates []int) (*Stage3Result, error) {
 	dc := s.dc
 	if len(pstates) != dc.NumCores() {
 		return nil, fmt.Errorf("assign: got %d P-states for %d cores", len(pstates), dc.NumCores())
@@ -193,7 +188,7 @@ func (s *Stage3Solver) SolveContext(ctx context.Context, pstates []int) (*Stage3
 		s.patch()
 	}
 
-	sol, err := s.p.SolveWithContext(ctx, &s.ws)
+	sol, err := s.p.Solve(ctx, &s.ws)
 	if err != nil {
 		return nil, fmt.Errorf("assign: Stage-3 LP: %w", err)
 	}

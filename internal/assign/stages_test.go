@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -163,7 +164,7 @@ func TestStage3SingleCoreKnownOptimum(t *testing.T) {
 	// One node, 2 cores at P-state 0 (ECS 1.2), one task type with reward
 	// 1 and λ = 10: cores saturate at rate 1.2 each → reward rate 2.4.
 	dc := figureExampleDC(100)
-	res, err := NewStage3Solver(dc).Solve([]int{0, 0})
+	res, err := NewStage3Solver(dc).Solve(context.Background(), []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestStage3ArrivalRateBinds(t *testing.T) {
 	// λ = 1 < capacity 2.4: reward rate capped at 1·r = 1.
 	dc := figureExampleDC(100)
 	dc.TaskTypes[0].ArrivalRate = 1
-	res, err := NewStage3Solver(dc).Solve([]int{0, 0})
+	res, err := NewStage3Solver(dc).Solve(context.Background(), []int{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestStage3ArrivalRateBinds(t *testing.T) {
 
 func TestStage3OffCoresProduceNothing(t *testing.T) {
 	dc := figureExampleDC(100)
-	res, err := NewStage3Solver(dc).Solve([]int{3, 3})
+	res, err := NewStage3Solver(dc).Solve(context.Background(), []int{3, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestStage3OffCoresProduceNothing(t *testing.T) {
 func TestStage3DeadlineInfeasiblePStateExcluded(t *testing.T) {
 	// m = 1.5: P-state 2 (ECS 0.5 → exec time 2) must get TC = 0.
 	dc := figureExampleDC(1.5)
-	res, err := NewStage3Solver(dc).Solve([]int{2, 2})
+	res, err := NewStage3Solver(dc).Solve(context.Background(), []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestStage3DeadlineInfeasiblePStateExcluded(t *testing.T) {
 		t.Errorf("reward rate = %g, want 0 (deadline-infeasible P-state)", res.RewardRate)
 	}
 	// P-state 1 (exec time 1/0.9 ≈ 1.11 < 1.5) is fine.
-	res, err = NewStage3Solver(dc).Solve([]int{1, 1})
+	res, err = NewStage3Solver(dc).Solve(context.Background(), []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestStage3MixedPStatesGrouping(t *testing.T) {
 	// Cores at different P-states end up in different groups with the
 	// right capacities: one at P0 (1.2) + one at P1 (0.9) → 2.1 total.
 	dc := figureExampleDC(100)
-	res, err := NewStage3Solver(dc).Solve([]int{0, 1})
+	res, err := NewStage3Solver(dc).Solve(context.Background(), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestStage3MixedPStatesGrouping(t *testing.T) {
 func TestStage3RewardMatchesTC(t *testing.T) {
 	dc := figureExampleDC(100)
 	dc.TaskTypes[0].ArrivalRate = 1.7
-	res, err := NewStage3Solver(dc).Solve([]int{0, 1})
+	res, err := NewStage3Solver(dc).Solve(context.Background(), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestStage3RewardMatchesTC(t *testing.T) {
 
 func TestStage3WrongPStateCount(t *testing.T) {
 	dc := figureExampleDC(100)
-	if _, err := NewStage3Solver(dc).Solve([]int{0}); err == nil {
+	if _, err := NewStage3Solver(dc).Solve(context.Background(), []int{0}); err == nil {
 		t.Fatal("expected error for wrong P-state slice length")
 	}
 }

@@ -28,11 +28,11 @@ func warmScenario(t *testing.T, seed int64, nnodes, ncracs int) *scenario.Scenar
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestScratchSolveMatchesSolveContext drives the allocating and the
+// TestScratchSolveMatchesSolve drives the allocating and the
 // scratch Stage-1 solve over the same outlet vectors (on identically built
 // solvers, so the pivot history matches) and requires every output to be
 // bit-identical, including the infeasible corners.
-func TestScratchSolveMatchesSolveContext(t *testing.T) {
+func TestScratchSolveMatchesSolve(t *testing.T) {
 	sc := warmScenario(t, 5, 20, 2)
 	arrs := buildARRs(t, sc, 50)
 	ref := assign.NewStage1Solver(sc.DC, sc.Thermal, arrs)
@@ -46,8 +46,8 @@ func TestScratchSolveMatchesSolveContext(t *testing.T) {
 		for i := range out {
 			out[i] = lo + (hi-lo)*rng.Float64()
 		}
-		want, errW := ref.SolveContext(context.Background(), out)
-		got, errG := scr.SolveScratchContext(context.Background(), out)
+		want, errW := ref.Solve(context.Background(), out)
+		got, errG := scr.SolveScratch(context.Background(), out)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("trial %d: err mismatch: %v vs %v", trial, errW, errG)
 		}
@@ -93,7 +93,7 @@ func TestScratchSolveWarmZeroAllocs(t *testing.T) {
 		{mid - 1, mid + 1},
 	}
 	for _, out := range outs {
-		if res, err := s.SolveScratch(out); err != nil || !res.Feasible {
+		if res, err := s.SolveScratch(context.Background(), out); err != nil || !res.Feasible {
 			t.Fatalf("warm-up solve at %v: %v (feasible=%v)", out, err, res != nil && res.Feasible)
 		}
 	}
@@ -101,7 +101,7 @@ func TestScratchSolveWarmZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(30, func() {
 		out := outs[i%2]
 		i++
-		if _, err := s.SolveScratch(out); err != nil {
+		if _, err := s.SolveScratch(context.Background(), out); err != nil {
 			t.Fatalf("scratch solve: %v", err)
 		}
 	})
@@ -202,7 +202,7 @@ func checkStage3MatchesOneShot(t *testing.T, dc *model.DataCenter, vectors [][]i
 		if err != nil {
 			t.Fatalf("vector %d one-shot: %v", vi, err)
 		}
-		got, err := warm.SolveContext(context.Background(), ps)
+		got, err := warm.Solve(context.Background(), ps)
 		if err != nil {
 			t.Fatalf("vector %d warm: %v", vi, err)
 		}
@@ -243,7 +243,7 @@ func TestStage3SolverRejectsOutOfRangePStates(t *testing.T) {
 	for _, bad := range []int{-1, nt.OffState() + 1} {
 		ps := make([]int, sc.DC.NumCores())
 		ps[core] = bad
-		_, err := s.Solve(ps)
+		_, err := s.Solve(context.Background(), ps)
 		if err == nil {
 			t.Fatalf("P-state %d: no error", bad)
 		}
@@ -252,7 +252,7 @@ func TestStage3SolverRejectsOutOfRangePStates(t *testing.T) {
 		}
 	}
 	// The solver stays usable after a rejected vector.
-	if _, err := s.Solve(make([]int, sc.DC.NumCores())); err != nil {
+	if _, err := s.Solve(context.Background(), make([]int, sc.DC.NumCores())); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -68,7 +68,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 		return nil
 	}
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
-	golden, err := controller.Run(sc.DC, schedule, tasks, cfg)
+	golden, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestResumeMatrixBitIdentical(t *testing.T) {
 				rcfg.Resume = ck
 				// Fresh inputs, as a resuming process would regenerate them.
 				rtasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
-				res, err := controller.Run(sc.DC, schedule, rtasks, rcfg)
+				res, err := controller.RunContext(context.Background(), sc.DC, schedule, rtasks, rcfg)
 				if err != nil {
 					t.Fatalf("grouped=%v: %v", grouped, err)
 				}
@@ -134,7 +134,7 @@ func TestResumeFoldEquivalence(t *testing.T) {
 	var full []*controller.EpochDelta
 	cfg.Checkpoint = func(d *controller.EpochDelta) error { full = append(full, d); return nil }
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(33))
-	if _, err := controller.Run(sc.DC, schedule, tasks, cfg); err != nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, cfg); err != nil {
 		t.Fatal(err)
 	}
 	want := foldAll(t, controller.NewCheckpoint(), full)
@@ -145,7 +145,7 @@ func TestResumeFoldEquivalence(t *testing.T) {
 	rcfg.Resume = gobRoundTrip(t, ck)
 	rcfg.Checkpoint = ck.Fold
 	rtasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(33))
-	if _, err := controller.Run(sc.DC, schedule, rtasks, rcfg); err != nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, schedule, rtasks, rcfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,7 +168,7 @@ func TestResumeValidation(t *testing.T) {
 	var deltas []*controller.EpochDelta
 	ccfg := cfg
 	ccfg.Checkpoint = func(d *controller.EpochDelta) error { deltas = append(deltas, d); return nil }
-	if _, err := controller.Run(sc.DC, schedule, tasks, ccfg); err != nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, ccfg); err != nil {
 		t.Fatal(err)
 	}
 	valid := foldAll(t, controller.NewCheckpoint(), deltas[:2])
@@ -176,7 +176,7 @@ func TestResumeValidation(t *testing.T) {
 	t.Run("empty checkpoint", func(t *testing.T) {
 		rcfg := cfg
 		rcfg.Resume = controller.NewCheckpoint()
-		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
+		if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, rcfg); err == nil {
 			t.Error("resume from an empty checkpoint succeeded")
 		}
 	})
@@ -202,7 +202,7 @@ func TestResumeValidation(t *testing.T) {
 			tc.mutate(bad)
 			rcfg := cfg
 			rcfg.Resume = bad
-			if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
+			if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, rcfg); err == nil {
 				t.Errorf("resume with %s succeeded", tc.name)
 			}
 		})
@@ -211,12 +211,12 @@ func TestResumeValidation(t *testing.T) {
 		rcfg := cfg
 		rcfg.Mode = controller.OpenLoop
 		rcfg.Resume = valid
-		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
+		if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, rcfg); err == nil {
 			t.Error("open-loop resume succeeded")
 		}
 		rcfg.Resume = nil
 		rcfg.Checkpoint = func(*controller.EpochDelta) error { return nil }
-		if _, err := controller.Run(sc.DC, schedule, tasks, rcfg); err == nil {
+		if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, rcfg); err == nil {
 			t.Error("open-loop checkpointing succeeded")
 		}
 	})
@@ -249,7 +249,7 @@ func TestCheckpointSinkErrorAborts(t *testing.T) {
 	sinkErr := errors.New("disk gone")
 	cfg.Checkpoint = func(*controller.EpochDelta) error { return sinkErr }
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(39))
-	_, err := controller.Run(sc.DC, schedule, tasks, cfg)
+	_, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, cfg)
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("run error %v, want the sink's", err)
 	}
@@ -271,7 +271,7 @@ func FuzzResumeCheckpoint(f *testing.F) {
 	var deltas []*controller.EpochDelta
 	ccfg := cfg
 	ccfg.Checkpoint = func(d *controller.EpochDelta) error { deltas = append(deltas, d); return nil }
-	if _, err := controller.Run(sc.DC, schedule, tasks, ccfg); err != nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, ccfg); err != nil {
 		f.Fatal(err)
 	}
 	// The valid checkpoint folds two deltas; the fuzz body decodes the

@@ -251,17 +251,12 @@ type Result struct {
 	ResultState
 }
 
-// Run drives the data center through the fault schedule. The base model is
-// never mutated; every epoch plans against a fresh faults.Degrade
-// projection. Tasks must be sorted by arrival time.
-func Run(base *model.DataCenter, schedule faults.Schedule, tasks []workload.Task, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), base, schedule, tasks, cfg)
-}
-
-// RunContext is Run under a context: canceling ctx stops the run between
-// epochs and cuts short any in-flight solve. Independently,
-// cfg.SolveTimeout derives a per-epoch deadline from ctx for each trip
-// down the degradation ladder.
+// RunContext drives the data center through the fault schedule. The base
+// model is never mutated; every epoch plans against a fresh faults.Degrade
+// projection. Tasks must be sorted by arrival time. Canceling ctx stops
+// the run between epochs and cuts short any in-flight solve.
+// Independently, cfg.SolveTimeout derives a per-epoch deadline from ctx
+// for each trip down the degradation ladder.
 func RunContext(ctx context.Context, base *model.DataCenter, schedule faults.Schedule, tasks []workload.Task, cfg Config) (*Result, error) {
 	if cfg.Horizon <= 0 || cfg.Epoch <= 0 {
 		return nil, fmt.Errorf("controller: horizon and epoch must be positive")

@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestClosedLoopHoldsConstraints(t *testing.T) {
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
 	schedule := handSchedule(horizon)
 
-	res, err := controller.Run(sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
+	res, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +97,12 @@ func TestClosedLoopBeatsOpenLoopUnderNodeFailures(t *testing.T) {
 	s.Sort()
 
 	cfg := controller.DefaultConfig(horizon, 15)
-	closed, err := controller.Run(sc.DC, s, tasks, cfg)
+	closed, err := controller.RunContext(context.Background(), sc.DC, s, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = controller.OpenLoop
-	open, err := controller.Run(sc.DC, s, tasks, cfg)
+	open, err := controller.RunContext(context.Background(), sc.DC, s, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,12 @@ func TestOpenLoopViolatesWhereClosedLoopHolds(t *testing.T) {
 	s.Sort()
 
 	cfg := controller.DefaultConfig(horizon, 10)
-	closed, err := controller.Run(sc.DC, s, tasks, cfg)
+	closed, err := controller.RunContext(context.Background(), sc.DC, s, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = controller.OpenLoop
-	open, err := controller.Run(sc.DC, s, tasks, cfg)
+	open, err := controller.RunContext(context.Background(), sc.DC, s, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +166,12 @@ func TestNoFaultsMatchesPlainRun(t *testing.T) {
 	const horizon = 30.0
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(41))
 	cfg := controller.DefaultConfig(horizon, 7)
-	closed, err := controller.Run(sc.DC, faults.Schedule{}, tasks, cfg)
+	closed, err := controller.RunContext(context.Background(), sc.DC, faults.Schedule{}, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = controller.OpenLoop
-	open, err := controller.Run(sc.DC, faults.Schedule{}, tasks, cfg)
+	open, err := controller.RunContext(context.Background(), sc.DC, faults.Schedule{}, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +199,11 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := controller.DefaultConfig(horizon, 10)
-	a, err := controller.Run(sc.DC, schedule, tasks, cfg)
+	a, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := controller.Run(sc.DC, schedule, tasks, cfg)
+	b, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +214,14 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	sc := buildScenario(t, 5, 8)
-	if _, err := controller.Run(sc.DC, faults.Schedule{}, nil, controller.DefaultConfig(0, 10)); err == nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, faults.Schedule{}, nil, controller.DefaultConfig(0, 10)); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := controller.Run(sc.DC, faults.Schedule{}, nil, controller.DefaultConfig(10, 0)); err == nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, faults.Schedule{}, nil, controller.DefaultConfig(10, 0)); err == nil {
 		t.Error("zero epoch accepted")
 	}
 	bad := faults.Schedule{Events: []faults.Event{{Time: 1, Kind: faults.NodeFail, Unit: 99}}}
-	if _, err := controller.Run(sc.DC, bad, nil, controller.DefaultConfig(10, 5)); err == nil {
+	if _, err := controller.RunContext(context.Background(), sc.DC, bad, nil, controller.DefaultConfig(10, 5)); err == nil {
 		t.Error("out-of-range schedule accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func TestInvariantFuzzedSchedules(t *testing.T) {
 		}
 		tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(seed+1000))
 
-		res, err := controller.Run(sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
+		res, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -111,7 +112,7 @@ func TestInvariantTightSolveDeadline(t *testing.T) {
 
 		run := controller.DefaultConfig(horizon, 10)
 		run.SolveTimeout = time.Nanosecond // no solve can finish in this
-		res, err := controller.Run(sc.DC, schedule, tasks, run)
+		res, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, run)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

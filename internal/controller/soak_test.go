@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestSoakConcurrentControllers(t *testing.T) {
 			// All copies share the base model on purpose: Run must treat it
 			// as read-only (every plan works on a Degrade projection), and
 			// the race detector holds it to that.
-			res, err := controller.Run(sc.DC, schedule, tasks, run)
+			res, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, run)
 			if err != nil {
 				t.Error(err)
 				return

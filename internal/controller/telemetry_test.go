@@ -1,6 +1,7 @@
 package controller_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func TestRecorderPublishes(t *testing.T) {
 	tasks := workload.GenerateTasks(sc.DC, horizon, stats.NewRand(31))
 	schedule := handSchedule(horizon)
 
-	plain, err := controller.Run(sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
+	plain, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, controller.DefaultConfig(horizon, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestRecorderPublishes(t *testing.T) {
 	rec.NextRun()
 	cfg := controller.DefaultConfig(horizon, 10)
 	cfg.Recorder = rec
-	res, err := controller.Run(sc.DC, schedule, tasks, cfg)
+	res, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRecorderPublishes(t *testing.T) {
 	ocfg := controller.DefaultConfig(horizon, 10)
 	ocfg.Mode = controller.OpenLoop
 	ocfg.Recorder = orec
-	open, err := controller.Run(sc.DC, schedule, tasks, ocfg)
+	open, err := controller.RunContext(context.Background(), sc.DC, schedule, tasks, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}

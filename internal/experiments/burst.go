@@ -30,13 +30,9 @@ type BurstinessResult struct {
 }
 
 // BurstinessSweep sweeps the MMPP burst factor (cfg.Values; 0 = plain
-// Poisson) and simulates both scheduling policies on identical streams.
-func BurstinessSweep(cfg SweepConfig, horizon float64) (*BurstinessResult, error) {
-	return BurstinessSweepContext(context.Background(), cfg, horizon)
-}
-
-// BurstinessSweepContext is BurstinessSweep under a cancelable context.
-func BurstinessSweepContext(ctx context.Context, cfg SweepConfig, horizon float64) (*BurstinessResult, error) {
+// Poisson) and simulates both scheduling policies on identical streams;
+// canceling ctx stops it between trials.
+func BurstinessSweep(ctx context.Context, cfg SweepConfig, horizon float64) (*BurstinessResult, error) {
 	if cfg.Trials <= 0 || len(cfg.Values) == 0 || horizon <= 0 {
 		return nil, fmt.Errorf("experiments: burstiness sweep needs Trials, Values and a horizon")
 	}

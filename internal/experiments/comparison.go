@@ -30,14 +30,9 @@ type ComparisonResult struct {
 	ThreeStageOverBaseline stats.Summary
 }
 
-// TechniqueComparison runs the three techniques. cfg.Values is ignored.
-func TechniqueComparison(cfg SweepConfig) (*ComparisonResult, error) {
-	return TechniqueComparisonContext(context.Background(), cfg)
-}
-
-// TechniqueComparisonContext is TechniqueComparison under a cancelable
-// context.
-func TechniqueComparisonContext(ctx context.Context, cfg SweepConfig) (*ComparisonResult, error) {
+// TechniqueComparison runs the three techniques; canceling ctx stops it
+// between trials. cfg.Values is ignored.
+func TechniqueComparison(ctx context.Context, cfg SweepConfig) (*ComparisonResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: Trials must be positive")
 	}

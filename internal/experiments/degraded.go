@@ -119,15 +119,10 @@ type DegradedResult struct {
 	Rows   []DegradedRow
 }
 
-// DegradedSweep runs the experiment.
-func DegradedSweep(cfg DegradedConfig) (*DegradedResult, error) {
-	return DegradedSweepContext(context.Background(), cfg)
-}
-
-// DegradedSweepContext is DegradedSweep under a context: canceling ctx
-// stops the sweep between epochs (flushing any journal first, so a
-// canceled checkpointed sweep resumes exactly where it stopped).
-func DegradedSweepContext(ctx context.Context, cfg DegradedConfig) (*DegradedResult, error) {
+// DegradedSweep runs the experiment. Canceling ctx stops the sweep between
+// epochs (flushing any journal first, so a canceled checkpointed sweep
+// resumes exactly where it stopped).
+func DegradedSweep(ctx context.Context, cfg DegradedConfig) (*DegradedResult, error) {
 	if cfg.Horizon <= 0 || cfg.Epoch <= 0 || cfg.Trials <= 0 || len(cfg.Levels) == 0 {
 		return nil, fmt.Errorf("experiments: degraded sweep needs positive horizon, epoch, trials and at least one level")
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -80,7 +81,7 @@ func TestResumeRejectsBadEpochRecords(t *testing.T) {
 			cfg := replayConfig(t)
 			writeJournal(t, cfg, tc.payload)
 			cfg.Resume = true
-			_, err := DegradedSweep(cfg)
+			_, err := DegradedSweep(context.Background(), cfg)
 			var pe *persist.Error
 			if !errors.As(err, &pe) || pe.Kind != persist.KindCorrupt {
 				t.Fatalf("resume over the record returned %v, want KindCorrupt", err)
@@ -114,7 +115,7 @@ func TestResumeRejectsV3Journal(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Resume = true
-		_, err = DegradedSweep(cfg)
+		_, err = DegradedSweep(context.Background(), cfg)
 		var pe *persist.Error
 		if !errors.As(err, &pe) || pe.Kind != persist.KindMismatch {
 			t.Fatalf("resume over a v%d journal returned %v, want KindMismatch", v, err)
@@ -166,7 +167,7 @@ func FuzzSweepReplay(f *testing.F) {
 	// A valid prefix of a real sweep: its first closed-loop run is two
 	// epochs in, with one epoch left to go.
 	cfg := replayConfig(f)
-	if _, err := DegradedSweep(cfg); err != nil {
+	if _, err := DegradedSweep(context.Background(), cfg); err != nil {
 		f.Fatal(err)
 	}
 	j, recs, err := persist.OpenJournal(filepath.Join(cfg.CheckpointDir, journalFile), cfg.runTag())

@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,7 +51,7 @@ func runWithCrash(cfg experiments.DegradedConfig, k int) (crashed bool, err erro
 		}
 	}()
 	cfg.CommitHook = crashAt{k}.hook
-	_, err = experiments.DegradedSweep(cfg)
+	_, err = experiments.DegradedSweep(context.Background(), cfg)
 	return false, err
 }
 
@@ -67,7 +68,7 @@ func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 	}
 	base := persistSweepConfig()
 
-	clean, err := experiments.DegradedSweep(base)
+	clean, err := experiments.DegradedSweep(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 	full := base
 	full.CheckpointDir = filepath.Join(t.TempDir(), "ck")
 	full.CommitHook = func(n int) { commits = n }
-	res, err := experiments.DegradedSweep(full)
+	res, err := experiments.DegradedSweep(context.Background(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestDegradedSweepCrashResumeMatrix(t *testing.T) {
 			}
 			cfg.CommitHook = nil
 			cfg.Resume = true
-			res, err := experiments.DegradedSweep(cfg)
+			res, err := experiments.DegradedSweep(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -131,7 +132,7 @@ func seriesRuns(t *testing.T, cfg experiments.DegradedConfig, crashAfter int) []
 		if err != nil || !crashed {
 			t.Fatalf("pre-crash sweep: crashed=%v err=%v", crashed, err)
 		}
-	} else if _, err := experiments.DegradedSweep(cfg); err != nil {
+	} else if _, err := experiments.DegradedSweep(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var rows [][2]int
@@ -175,7 +176,7 @@ func TestDegradedSweepResumeKeepsRunNumbers(t *testing.T) {
 // table (over-truncation recomputes the lost epoch deterministically).
 func TestDegradedSweepResumeTornTail(t *testing.T) {
 	base := persistSweepConfig()
-	clean, err := experiments.DegradedSweep(base)
+	clean, err := experiments.DegradedSweep(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestDegradedSweepResumeTornTail(t *testing.T) {
 
 	cfg.CommitHook = nil
 	cfg.Resume = true
-	res, err := experiments.DegradedSweep(cfg)
+	res, err := experiments.DegradedSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("resume over torn tail: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestDegradedSweepResumeRejectsCorruption(t *testing.T) {
 
 	cfg.CommitHook = nil
 	cfg.Resume = true
-	_, err = experiments.DegradedSweep(cfg)
+	_, err = experiments.DegradedSweep(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("resume silently accepted a corrupted journal")
 	}
@@ -239,8 +240,8 @@ func TestDegradedSweepResumeRejectsCorruption(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %v is not a persist.Error", err)
 	}
-	if solvererr.KindOf(err) != solvererr.Persist {
-		t.Errorf("error classifies as %v, want Persist", solvererr.KindOf(err))
+	if solvererr.Classify(err) != solvererr.Persist {
+		t.Errorf("error classifies as %v, want Persist", solvererr.Classify(err))
 	}
 }
 
@@ -256,7 +257,7 @@ func TestDegradedSweepResumeRejectsConfigChange(t *testing.T) {
 	cfg.CommitHook = nil
 	cfg.Resume = true
 	cfg.Seed++ // a different experiment entirely
-	_, err = experiments.DegradedSweep(cfg)
+	_, err = experiments.DegradedSweep(context.Background(), cfg)
 	var pe *persist.Error
 	if !errors.As(err, &pe) || pe.Kind != persist.KindMismatch {
 		t.Fatalf("resume under a changed config returned %v, want KindMismatch", err)
@@ -268,7 +269,7 @@ func TestDegradedSweepResumeRejectsConfigChange(t *testing.T) {
 func TestDegradedSweepResumeWithoutDir(t *testing.T) {
 	cfg := persistSweepConfig()
 	cfg.Resume = true
-	if _, err := experiments.DegradedSweep(cfg); err == nil {
+	if _, err := experiments.DegradedSweep(context.Background(), cfg); err == nil {
 		t.Fatal("resume without a checkpoint directory succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func TestDegradedSweepRejectsImpossibleLevels(t *testing.T) {
 		cfg := experiments.DefaultDegradedConfig(3)
 		cfg.NNodes = 10
 		cfg.Levels = []experiments.DegradedLevel{{0, 0}, lvl}
-		if _, err := experiments.DegradedSweep(cfg); err == nil {
+		if _, err := experiments.DegradedSweep(context.Background(), cfg); err == nil {
 			t.Errorf("level %+v on %d nodes accepted", lvl, cfg.NNodes)
 		}
 	}
@@ -28,7 +29,7 @@ func TestDegradedSweep(t *testing.T) {
 	cfg.Horizon = 40
 	cfg.Epoch = 10
 	cfg.Levels = []experiments.DegradedLevel{{0, 0}, {2, 1}, {3, 1}}
-	res, err := experiments.DegradedSweep(cfg)
+	res, err := experiments.DegradedSweep(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +80,12 @@ func TestDegradedSweep(t *testing.T) {
 func TestDegradedSweepRejectsBadConfig(t *testing.T) {
 	cfg := experiments.DefaultDegradedConfig(1)
 	cfg.Trials = 0
-	if _, err := experiments.DegradedSweep(cfg); err == nil {
+	if _, err := experiments.DegradedSweep(context.Background(), cfg); err == nil {
 		t.Error("zero trials accepted")
 	}
 	cfg = experiments.DefaultDegradedConfig(1)
 	cfg.Levels = nil
-	if _, err := experiments.DegradedSweep(cfg); err == nil {
+	if _, err := experiments.DegradedSweep(context.Background(), cfg); err == nil {
 		t.Error("empty levels accepted")
 	}
 }
@@ -103,7 +104,7 @@ func TestDegradedSweepSpansCarryRuns(t *testing.T) {
 	const capacity = 1 << 14
 	tr := telemetry.NewTracer(capacity)
 	cfg.Recorder = &telemetry.Recorder{Trace: tr}
-	if _, err := experiments.DegradedSweep(cfg); err != nil {
+	if _, err := experiments.DegradedSweep(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if n := tr.Count(); n > capacity {

@@ -121,14 +121,9 @@ func generateDriftingTasks(dc *model.DataCenter, cfg *DynamicConfig, rng interfa
 	return tasks
 }
 
-// DynamicReassignment runs the drift experiment.
-func DynamicReassignment(cfg DynamicConfig) (*DynamicResult, error) {
-	return DynamicReassignmentContext(context.Background(), cfg)
-}
-
-// DynamicReassignmentContext is DynamicReassignment under a cancelable
-// context: canceling ctx stops between epochs.
-func DynamicReassignmentContext(ctx context.Context, cfg DynamicConfig) (*DynamicResult, error) {
+// DynamicReassignment runs the drift experiment; canceling ctx stops it
+// between epochs.
+func DynamicReassignment(ctx context.Context, cfg DynamicConfig) (*DynamicResult, error) {
 	if cfg.Epoch <= 0 || cfg.Horizon <= 0 || cfg.Period <= 0 {
 		return nil, fmt.Errorf("experiments: horizon, epoch and period must be positive")
 	}

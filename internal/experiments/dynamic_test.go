@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func smallDynamic(seed int64) DynamicConfig {
 }
 
 func TestDynamicReassignmentRuns(t *testing.T) {
-	res, err := DynamicReassignment(smallDynamic(1))
+	res, err := DynamicReassignment(context.Background(), smallDynamic(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +44,12 @@ func TestDynamicReassignmentRuns(t *testing.T) {
 func TestDynamicReassignmentValidation(t *testing.T) {
 	cfg := smallDynamic(1)
 	cfg.Epoch = 0
-	if _, err := DynamicReassignment(cfg); err == nil {
+	if _, err := DynamicReassignment(context.Background(), cfg); err == nil {
 		t.Error("zero epoch accepted")
 	}
 	cfg = smallDynamic(1)
 	cfg.Horizon = -1
-	if _, err := DynamicReassignment(cfg); err == nil {
+	if _, err := DynamicReassignment(context.Background(), cfg); err == nil {
 		t.Error("negative horizon accepted")
 	}
 }
@@ -60,7 +61,7 @@ func TestDynamicAdaptiveHelpsUnderDriftOnAverage(t *testing.T) {
 	sum := 0.0
 	const trials = 3
 	for seed := int64(1); seed <= trials; seed++ {
-		res, err := DynamicReassignment(smallDynamic(seed))
+		res, err := DynamicReassignment(context.Background(), smallDynamic(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestPolicyAblationReducedScale(t *testing.T) {
 		t.Skip("policy ablation in -short mode")
 	}
 	cfg := smallSweep(nil)
-	res, err := PolicyAblation(cfg, 30)
+	res, err := PolicyAblation(context.Background(), cfg, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestPolicyAblationReducedScale(t *testing.T) {
 func TestPolicyAblationValidation(t *testing.T) {
 	cfg := smallSweep(nil)
 	cfg.Trials = 0
-	if _, err := PolicyAblation(cfg, 30); err == nil {
+	if _, err := PolicyAblation(context.Background(), cfg, 30); err == nil {
 		t.Error("Trials=0 accepted")
 	}
 	cfg = smallSweep(nil)
-	if _, err := PolicyAblation(cfg, 0); err == nil {
+	if _, err := PolicyAblation(context.Background(), cfg, 0); err == nil {
 		t.Error("horizon=0 accepted")
 	}
 }
@@ -169,7 +170,7 @@ func TestTechniqueComparisonReducedScale(t *testing.T) {
 		t.Skip("comparison in -short mode")
 	}
 	cfg := smallSweep(nil)
-	res, err := TechniqueComparison(cfg)
+	res, err := TechniqueComparison(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestTechniqueComparisonReducedScale(t *testing.T) {
 func TestTechniqueComparisonValidation(t *testing.T) {
 	cfg := smallSweep(nil)
 	cfg.Trials = 0
-	if _, err := TechniqueComparison(cfg); err == nil {
+	if _, err := TechniqueComparison(context.Background(), cfg); err == nil {
 		t.Error("Trials=0 accepted")
 	}
 }
@@ -197,7 +198,7 @@ func TestBurstinessSweepReducedScale(t *testing.T) {
 		t.Skip("burstiness sweep in -short mode")
 	}
 	cfg := smallSweep([]float64{0, 0.8})
-	res, err := BurstinessSweep(cfg, 20)
+	res, err := BurstinessSweep(context.Background(), cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestBurstinessSweepReducedScale(t *testing.T) {
 
 func TestBurstinessSweepValidation(t *testing.T) {
 	cfg := smallSweep(nil)
-	if _, err := BurstinessSweep(cfg, 20); err == nil {
+	if _, err := BurstinessSweep(context.Background(), cfg, 20); err == nil {
 		t.Error("empty values accepted")
 	}
 }
@@ -231,7 +232,7 @@ func TestHeterogeneitySweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := HeterogeneitySweep(smallSweep([]float64{0.02, 0.98}))
+	res, err := Sweep(context.Background(), "hetero", smallSweep([]float64{0.02, 0.98}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestHeterogeneitySweepRuns(t *testing.T) {
 }
 
 func TestDynamicTransientSafety(t *testing.T) {
-	res, err := DynamicReassignment(smallDynamic(4))
+	res, err := DynamicReassignment(context.Background(), smallDynamic(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -17,9 +18,45 @@ func reducedFig6() Fig6Config {
 	return cfg
 }
 
+// TestFigure6BestDominatesEachPsi is a metamorphic check of Figure 6's
+// third bar: on every trial, the best-ψ improvement is at least the
+// improvement at ψ = 25 and at ψ = 50, exactly (the improvement is
+// monotone in the reward, and rounding keeps it so), and it is attained
+// by one of them. Pointwise dominance carries to each group's mean.
+func TestFigure6BestDominatesEachPsi(t *testing.T) {
+	cfg := reducedFig6()
+	cfg.Psis = []float64{25, 50}
+	res, err := Figure6(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Groups {
+		for _, tr := range g.Trials {
+			attained := false
+			for p, imp := range tr.ImprovementByPsi {
+				if tr.BestImprovement < imp {
+					t.Errorf("%s seed %d: best %v < ψ=%g improvement %v",
+						g.Group.Label(), tr.Seed, tr.BestImprovement, cfg.Psis[p], imp)
+				}
+				attained = attained || tr.BestImprovement == imp
+			}
+			if !attained {
+				t.Errorf("%s seed %d: best %v is none of the ψ improvements %v",
+					g.Group.Label(), tr.Seed, tr.BestImprovement, tr.ImprovementByPsi)
+			}
+		}
+		for p, s := range g.PsiSummaries {
+			if g.BestSummary.Mean < s.Mean {
+				t.Errorf("%s: mean best %v < mean ψ=%g improvement %v",
+					g.Group.Label(), g.BestSummary.Mean, cfg.Psis[p], s.Mean)
+			}
+		}
+	}
+}
+
 func TestFigure6ReducedScale(t *testing.T) {
 	cfg := reducedFig6()
-	res, err := Figure6(cfg, nil)
+	res, err := Figure6(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +101,11 @@ func TestFigure6Deterministic(t *testing.T) {
 	cfg := reducedFig6()
 	cfg.Trials = 1
 	cfg.Groups = []Fig6Group{{StaticShare: 0.3, Vprop: 0.1}}
-	a, err := Figure6(cfg, nil)
+	a, err := Figure6(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Figure6(cfg, nil)
+	b, err := Figure6(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +117,12 @@ func TestFigure6Deterministic(t *testing.T) {
 func TestFigure6Validation(t *testing.T) {
 	cfg := reducedFig6()
 	cfg.Trials = 0
-	if _, err := Figure6(cfg, nil); err == nil {
+	if _, err := Figure6(context.Background(), cfg, nil); err == nil {
 		t.Error("Trials=0 accepted")
 	}
 	cfg = reducedFig6()
 	cfg.Psis = nil
-	if _, err := Figure6(cfg, nil); err == nil {
+	if _, err := Figure6(context.Background(), cfg, nil); err == nil {
 		t.Error("empty Psis accepted")
 	}
 }
@@ -151,7 +188,7 @@ func TestPowerCapSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := PowerCapSweep(smallSweep([]float64{0.3, 0.9}))
+	res, err := Sweep(context.Background(), "powercap", smallSweep([]float64{0.3, 0.9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +211,7 @@ func TestPsiSweepRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	res, err := PsiSweep(smallSweep([]float64{25, 50, 100}))
+	res, err := Sweep(context.Background(), "psi", smallSweep([]float64{25, 50, 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +227,7 @@ func TestStrategyAblation(t *testing.T) {
 		t.Skip("ablation in -short mode")
 	}
 	cfg := smallSweep(nil)
-	res, err := StrategyAblation(cfg, []assign.Strategy{assign.CoarseToFine, assign.CoordDescent})
+	res, err := StrategyAblation(context.Background(), cfg, []assign.Strategy{assign.CoarseToFine, assign.CoordDescent})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +249,7 @@ func TestSchedulerValidation(t *testing.T) {
 		t.Skip("validation in -short mode")
 	}
 	cfg := smallSweep(nil)
-	res, err := SchedulerValidation(cfg, 30)
+	res, err := SchedulerValidation(context.Background(), cfg, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +269,7 @@ func TestFigure6WithSimulation(t *testing.T) {
 	cfg.Trials = 1
 	cfg.Groups = []Fig6Group{{StaticShare: 0.3, Vprop: 0.1}}
 	cfg.SimHorizon = 20
-	res, err := Figure6(cfg, nil)
+	res, err := Figure6(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,14 +123,9 @@ type Fig6Result struct {
 // Figure6 runs the paper's headline experiment: for every group and trial,
 // build a §VI scenario, solve the Equation-21 baseline and the three-stage
 // assignment at each ψ, and summarize the percentage improvements with 95%
-// confidence intervals.
-func Figure6(cfg Fig6Config, progress func(string)) (*Fig6Result, error) {
-	return Figure6Context(context.Background(), cfg, progress)
-}
-
-// Figure6Context is Figure6 under a context: canceling ctx abandons
-// unstarted trials and returns the context's error.
-func Figure6Context(ctx context.Context, cfg Fig6Config, progress func(string)) (*Fig6Result, error) {
+// confidence intervals. Canceling ctx abandons unstarted trials and returns
+// the context's error.
+func Figure6(ctx context.Context, cfg Fig6Config, progress func(string)) (*Fig6Result, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("experiments: Trials must be positive")
 	}

@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ func TestFig6SmallGolden(t *testing.T) {
 	cfg.NNodes = 10
 	cfg.NCracs = 2
 	cfg.SimHorizon = 30
-	res, err := experiments.Figure6(cfg, nil)
+	res, err := experiments.Figure6(context.Background(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestFig6FullGolden(t *testing.T) {
 	if os.Getenv("TAPO_GOLDEN_FULL") == "" {
 		t.Skip("set TAPO_GOLDEN_FULL=1 to run the paper-scale golden comparison")
 	}
-	res, err := experiments.Figure6(experiments.DefaultFig6Config(), nil)
+	res, err := experiments.Figure6(context.Background(), experiments.DefaultFig6Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,9 @@ type PolicyAblationResult struct {
 	Predicted stats.Summary
 }
 
-// PolicyAblation runs each policy over the same streams. cfg.Values is
-// ignored.
-func PolicyAblation(cfg SweepConfig, horizon float64) (*PolicyAblationResult, error) {
-	return PolicyAblationContext(context.Background(), cfg, horizon)
-}
-
-// PolicyAblationContext is PolicyAblation under a cancelable context.
-func PolicyAblationContext(ctx context.Context, cfg SweepConfig, horizon float64) (*PolicyAblationResult, error) {
+// PolicyAblation runs each policy over the same streams; canceling ctx
+// stops it between trials. cfg.Values is ignored.
+func PolicyAblation(ctx context.Context, cfg SweepConfig, horizon float64) (*PolicyAblationResult, error) {
 	if cfg.Trials <= 0 || horizon <= 0 {
 		return nil, fmt.Errorf("experiments: need positive Trials and horizon")
 	}

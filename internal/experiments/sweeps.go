@@ -26,7 +26,8 @@ type SweepConfig struct {
 	StaticShare, Vprop float64
 	// Options for both techniques (ψ applies to the three-stage side).
 	Options assign.Options
-	// Values are the swept x-coordinates.
+	// Values are the swept x-coordinates; Sweep uses its kind's default
+	// values when Values is empty.
 	Values []float64
 }
 
@@ -61,10 +62,6 @@ type SweepResult struct {
 	Config       SweepConfig
 	Points       []SweepPoint
 }
-
-// trialEval runs both techniques on one scenario and returns their reward
-// rates.
-type trialEval func(x float64, seed int64) (baseline, threeStage float64, err error)
 
 // forEachCell evaluates eval on every cell of a points × trials grid on a
 // worker pool sized to GOMAXPROCS and returns the results stored by cell,
@@ -123,6 +120,73 @@ func forEachCell[T any](ctx context.Context, points, trials int, eval func(p, t 
 	return out, nil
 }
 
+// sweepKind is one row of the sweep table: the name a caller selects it
+// by, the Kind and XLabel its SweepResult prints, the x values it sweeps
+// when SweepConfig.Values is empty, and how x sets the scenario or the
+// options of each cell.
+type sweepKind struct {
+	name, kind, xlabel string
+	defaults           []float64
+	set                func(x float64, sc *scenario.Config, opts *assign.Options)
+}
+
+var sweepKinds = []sweepKind{
+	// Where Pconst sits between Pmin and Pmax (Equation 18 uses 0.5). The
+	// three-stage advantage should be largest in the heavily constrained
+	// regime and vanish as the cap approaches Pmax.
+	{"powercap", "power-cap", "Pconst fraction", []float64{0.2, 0.35, 0.5, 0.65, 0.8},
+		func(x float64, sc *scenario.Config, _ *assign.Options) { sc.PconstFraction = x }},
+	// ψ, which only the three-stage side reads.
+	{"psi", "psi", "ψ (%)", []float64{12.5, 25, 50, 75, 100},
+		func(x float64, _ *scenario.Config, opts *assign.Options) { opts.Psi = x }},
+	// The ECS frequency-proportionality variation factor.
+	{"vprop", "vprop", "Vprop", []float64{0.05, 0.1, 0.2, 0.3, 0.4},
+		func(x float64, sc *scenario.Config, _ *assign.Options) { sc.Vprop = x }},
+	// The static fraction of P-state-0 core power.
+	{"static", "static-share", "static share", []float64{0.1, 0.2, 0.3, 0.4},
+		func(x float64, sc *scenario.Config, _ *assign.Options) { sc.StaticShare = x }},
+	// The node-type mix from all-NEC (x = 0) to all-HP (x = 1). With a
+	// homogeneous fleet the task-machine affinity the title's
+	// "heterogeneous" refers to disappears on the node axis, leaving only
+	// P-state affinity; the sweep separates the two effects.
+	{"hetero", "heterogeneity", "type-1 fraction", []float64{0.02, 0.25, 0.5, 0.75, 0.98},
+		func(x float64, sc *scenario.Config, _ *assign.Options) { sc.Type1Fraction = x }},
+}
+
+// SweepKinds lists the kinds Sweep accepts, in table order.
+func SweepKinds() []string {
+	names := make([]string, len(sweepKinds))
+	for i, k := range sweepKinds {
+		names[i] = k.name
+	}
+	return names
+}
+
+// Sweep varies one knob of the scenario or the options (kind is one of
+// SweepKinds) over cfg.Values, or over the kind's default values when
+// cfg.Values is empty, and runs both techniques on every (value, trial)
+// cell. Canceling ctx abandons unstarted cells and returns the context's
+// error.
+func Sweep(ctx context.Context, kind string, cfg SweepConfig) (*SweepResult, error) {
+	for i := range sweepKinds {
+		k := &sweepKinds[i]
+		if k.name != kind {
+			continue
+		}
+		if len(cfg.Values) == 0 {
+			cfg.Values = append([]float64(nil), k.defaults...)
+		}
+		return runSweep(ctx, k.kind, k.xlabel, cfg, func(x float64, seed int64) (float64, float64, error) {
+			return k.eval(cfg, x, seed)
+		})
+	}
+	return nil, fmt.Errorf("unknown sweep kind %q", kind)
+}
+
+// trialEval returns the baseline and three-stage reward rates of one
+// sweep cell.
+type trialEval func(x float64, seed int64) (baseline, threeStage float64, err error)
+
 // runSweep evaluates all (value, trial) cells on a worker pool and
 // summarizes each point over its trials in trial order. Canceling ctx
 // abandons unstarted cells and returns the context's error.
@@ -159,8 +223,17 @@ func runSweep(ctx context.Context, kind, xlabel string, cfg SweepConfig, eval tr
 	return out, nil
 }
 
-// bothTechniques builds the scenario and runs baseline + three-stage once.
-func bothTechniques(sc *scenario.Scenario, opts assign.Options) (bl, ts float64, err error) {
+// eval builds the scenario of one cell with x applied and returns the
+// baseline and three-stage reward rates.
+func (k *sweepKind) eval(cfg SweepConfig, x float64, seed int64) (bl, ts float64, err error) {
+	scCfg := scenario.Default(cfg.StaticShare, cfg.Vprop, seed)
+	scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
+	opts := cfg.Options
+	k.set(x, &scCfg, &opts)
+	sc, err := scenario.Build(scCfg)
+	if err != nil {
+		return 0, 0, err
+	}
 	b, err := assign.Baseline(sc.DC, sc.Thermal, opts)
 	if err != nil {
 		return 0, 0, err
@@ -170,105 +243,6 @@ func bothTechniques(sc *scenario.Scenario, opts assign.Options) (bl, ts float64,
 		return 0, 0, err
 	}
 	return b.RewardRate, t.RewardRate(), nil
-}
-
-// PowerCapSweep varies where Pconst sits between Pmin and Pmax
-// (Equation 18 uses 0.5). The three-stage advantage should be largest in
-// the heavily constrained regime and vanish as the cap approaches Pmax.
-func PowerCapSweep(cfg SweepConfig) (*SweepResult, error) {
-	return PowerCapSweepContext(context.Background(), cfg)
-}
-
-// PowerCapSweepContext is PowerCapSweep under a cancelable context.
-func PowerCapSweepContext(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	return runSweep(ctx, "power-cap", "Pconst fraction", cfg, func(x float64, seed int64) (float64, float64, error) {
-		scCfg := scenario.Default(cfg.StaticShare, cfg.Vprop, seed)
-		scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
-		scCfg.PconstFraction = x
-		sc, err := scenario.Build(scCfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return bothTechniques(sc, cfg.Options)
-	})
-}
-
-// PsiSweep varies ψ, re-solving only the three-stage side per value.
-func PsiSweep(cfg SweepConfig) (*SweepResult, error) {
-	return PsiSweepContext(context.Background(), cfg)
-}
-
-// PsiSweepContext is PsiSweep under a cancelable context.
-func PsiSweepContext(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	return runSweep(ctx, "psi", "ψ (%)", cfg, func(x float64, seed int64) (float64, float64, error) {
-		scCfg := scenario.Default(cfg.StaticShare, cfg.Vprop, seed)
-		scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
-		sc, err := scenario.Build(scCfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		opts := cfg.Options
-		opts.Psi = x
-		return bothTechniques(sc, opts)
-	})
-}
-
-// VpropSweep varies the ECS frequency-proportionality variation factor.
-func VpropSweep(cfg SweepConfig) (*SweepResult, error) {
-	return VpropSweepContext(context.Background(), cfg)
-}
-
-// VpropSweepContext is VpropSweep under a cancelable context.
-func VpropSweepContext(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	return runSweep(ctx, "vprop", "Vprop", cfg, func(x float64, seed int64) (float64, float64, error) {
-		scCfg := scenario.Default(cfg.StaticShare, x, seed)
-		scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
-		sc, err := scenario.Build(scCfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return bothTechniques(sc, cfg.Options)
-	})
-}
-
-// HeterogeneitySweep varies the node-type mix from all-NEC (x = 0) to
-// all-HP (x = 1). With a homogeneous fleet the task-machine affinity the
-// title's "heterogeneous" refers to disappears on the node axis, leaving
-// only P-state affinity; the sweep separates the two effects.
-func HeterogeneitySweep(cfg SweepConfig) (*SweepResult, error) {
-	return HeterogeneitySweepContext(context.Background(), cfg)
-}
-
-// HeterogeneitySweepContext is HeterogeneitySweep under a cancelable context.
-func HeterogeneitySweepContext(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	return runSweep(ctx, "heterogeneity", "type-1 fraction", cfg, func(x float64, seed int64) (float64, float64, error) {
-		scCfg := scenario.Default(cfg.StaticShare, cfg.Vprop, seed)
-		scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
-		scCfg.Type1Fraction = x
-		sc, err := scenario.Build(scCfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return bothTechniques(sc, cfg.Options)
-	})
-}
-
-// StaticShareSweep varies the static fraction of P-state-0 core power.
-func StaticShareSweep(cfg SweepConfig) (*SweepResult, error) {
-	return StaticShareSweepContext(context.Background(), cfg)
-}
-
-// StaticShareSweepContext is StaticShareSweep under a cancelable context.
-func StaticShareSweepContext(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
-	return runSweep(ctx, "static-share", "static share", cfg, func(x float64, seed int64) (float64, float64, error) {
-		scCfg := scenario.Default(x, cfg.Vprop, seed)
-		scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
-		sc, err := scenario.Build(scCfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		return bothTechniques(sc, cfg.Options)
-	})
 }
 
 // Render prints a sweep as an aligned table.
@@ -300,14 +274,9 @@ type StrategyAblationResult struct {
 
 // StrategyAblation runs the three-stage technique under each search
 // strategy on identical scenarios, comparing reward, candidates visited
-// and LP solves.
-// cfg.Values is ignored.
-func StrategyAblation(cfg SweepConfig, strategies []assign.Strategy) (*StrategyAblationResult, error) {
-	return StrategyAblationContext(context.Background(), cfg, strategies)
-}
-
-// StrategyAblationContext is StrategyAblation under a cancelable context.
-func StrategyAblationContext(ctx context.Context, cfg SweepConfig, strategies []assign.Strategy) (*StrategyAblationResult, error) {
+// and LP solves; canceling ctx stops it between trials. cfg.Values is
+// ignored.
+func StrategyAblation(ctx context.Context, cfg SweepConfig, strategies []assign.Strategy) (*StrategyAblationResult, error) {
 	if len(strategies) == 0 {
 		strategies = []assign.Strategy{assign.CoarseToFine, assign.FullGrid, assign.CoordDescent}
 	}
@@ -360,8 +329,9 @@ func (r *StrategyAblationResult) Render() string {
 	return b.String()
 }
 
-// SchedulerValidation runs the second-step simulation against the Stage-3
-// prediction (Section V.C has no figure; this is the natural check).
+// SchedulerValidationResult compares the second-step simulation with the
+// Stage-3 prediction (Section V.C has no figure; this is the natural
+// check).
 type SchedulerValidationResult struct {
 	Config SweepConfig
 	// RatePct: admitted-reward rate / prediction (boundary-inclusive);
@@ -376,14 +346,9 @@ type SchedulerValidationResult struct {
 }
 
 // SchedulerValidation simulates the dynamic scheduler for each trial over
-// the given horizon (seconds). cfg.Values is ignored.
-func SchedulerValidation(cfg SweepConfig, horizon float64) (*SchedulerValidationResult, error) {
-	return SchedulerValidationContext(context.Background(), cfg, horizon)
-}
-
-// SchedulerValidationContext is SchedulerValidation under a cancelable
-// context.
-func SchedulerValidationContext(ctx context.Context, cfg SweepConfig, horizon float64) (*SchedulerValidationResult, error) {
+// the given horizon (seconds); canceling ctx stops it between trials.
+// cfg.Values is ignored.
+func SchedulerValidation(ctx context.Context, cfg SweepConfig, horizon float64) (*SchedulerValidationResult, error) {
 	var ratePct, windowPct, dropPct, ratioErr, pred, real []float64
 	for t := 0; t < cfg.Trials; t++ {
 		if err := ctx.Err(); err != nil {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"thermaldc/internal/assign"
+	"thermaldc/internal/scenario"
 	"thermaldc/internal/stats"
 )
 
@@ -57,6 +59,86 @@ func TestSweepMatchesSerialCells(t *testing.T) {
 			!same(pt.ThreeStage, stats.Summarize(ts)) || !same(pt.Improvement, stats.Summarize(imp)) {
 			t.Errorf("point %g: %+v, want the serial trial-order summaries %+v / %+v / %+v",
 				x, pt, stats.Summarize(bl), stats.Summarize(ts), stats.Summarize(imp))
+		}
+	}
+}
+
+// TestSweepKindsTable runs every sweep kind at tiny scale. Each result must
+// carry the kind's printed Kind and XLabel and one point per value, and x
+// must reach the cell: the last point must equal, bit for bit, both
+// techniques run directly on the same seed with the swept field set here
+// by hand.
+func TestSweepKindsTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps in -short mode")
+	}
+	cases := []struct {
+		kind, wantKind, wantLabel string
+		values                    []float64
+		set                       func(x float64, sc *scenario.Config, opts *assign.Options)
+	}{
+		{"powercap", "power-cap", "Pconst fraction", []float64{0.5, 0.35},
+			func(x float64, sc *scenario.Config, _ *assign.Options) { sc.PconstFraction = x }},
+		{"psi", "psi", "ψ (%)", []float64{50, 12.5},
+			func(x float64, _ *scenario.Config, opts *assign.Options) { opts.Psi = x }},
+		{"vprop", "vprop", "Vprop", []float64{0.3, 0.05},
+			func(x float64, sc *scenario.Config, _ *assign.Options) { sc.Vprop = x }},
+		{"static", "static-share", "static share", []float64{0.3, 0.1},
+			func(x float64, sc *scenario.Config, _ *assign.Options) { sc.StaticShare = x }},
+		{"hetero", "heterogeneity", "type-1 fraction", []float64{0.5, 0.98},
+			func(x float64, sc *scenario.Config, _ *assign.Options) { sc.Type1Fraction = x }},
+	}
+	if got := SweepKinds(); len(got) != len(cases) {
+		t.Fatalf("SweepKinds() = %q, want the %d kinds below", got, len(cases))
+	}
+	for _, c := range cases {
+		t.Run(c.kind, func(t *testing.T) {
+			cfg := DefaultSweepConfig(c.values)
+			cfg.Trials, cfg.NNodes, cfg.NCracs = 1, 10, 2
+			res, err := Sweep(context.Background(), c.kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kind != c.wantKind || res.XLabel != c.wantLabel {
+				t.Errorf("Kind, XLabel = %q, %q, want %q, %q", res.Kind, res.XLabel, c.wantKind, c.wantLabel)
+			}
+			if len(res.Points) != len(c.values) {
+				t.Fatalf("%d points, want %d", len(res.Points), len(c.values))
+			}
+			p := len(c.values) - 1
+			x := c.values[p]
+			scCfg := scenario.Default(cfg.StaticShare, cfg.Vprop, cfg.BaseSeed+int64(1000*p))
+			scCfg.NCracs, scCfg.NNodes = cfg.NCracs, cfg.NNodes
+			opts := cfg.Options
+			c.set(x, &scCfg, &opts)
+			sc, err := scenario.Build(scCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bl, err := assign.Baseline(sc.DC, sc.Thermal, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := assign.ThreeStage(sc.DC, sc.Thermal, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Points[p]
+			if got.X != x || got.Baseline.Mean != bl.RewardRate || got.ThreeStage.Mean != ts.RewardRate() {
+				t.Errorf("point %d = (x %g, baseline %g, three-stage %g), want (%g, %g, %g) from the scenario built at x",
+					p, got.X, got.Baseline.Mean, got.ThreeStage.Mean, x, bl.RewardRate, ts.RewardRate())
+			}
+		})
+	}
+}
+
+// TestSweepUnknownKind: an unknown kind fails on its own, whether or not
+// the config supplies values.
+func TestSweepUnknownKind(t *testing.T) {
+	for _, values := range [][]float64{nil, {0.5}} {
+		_, err := Sweep(context.Background(), "bogus", DefaultSweepConfig(values))
+		if err == nil || err.Error() != `unknown sweep kind "bogus"` {
+			t.Errorf("values %v: err = %v, want unknown sweep kind", values, err)
 		}
 	}
 }

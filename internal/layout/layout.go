@@ -11,6 +11,7 @@
 package layout
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -283,7 +284,7 @@ func solveAlphaLP(dc *model.DataCenter, cfg Config, rng *rand.Rand, widen float6
 		p.AddRangeRow(rcLo*flows[dst], rcHi*flows[dst], terms...)
 	}
 
-	sol, err := p.SolveWith(ws)
+	sol, err := p.Solve(context.Background(), ws)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package linprog_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestLargeLPKernelBitIdentical(t *testing.T) {
 	}
 	solve := func(p *linprog.Problem) run {
 		ws := &linprog.Workspace{}
-		sol, err := p.SolveWith(ws)
+		sol, err := p.Solve(context.Background(), ws)
 		if err != nil {
 			t.Fatal(err)
 		}

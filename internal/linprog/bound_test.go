@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,7 +51,7 @@ func TestDualBoundWeakDuality(t *testing.T) {
 			// infinite bound makes the bound infinite: valid, not tight.
 			continue
 		}
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

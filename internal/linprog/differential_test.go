@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -148,7 +149,7 @@ func TestDifferentialWarmRHSPerturbation(t *testing.T) {
 	for seed := int64(0); seed < 200 && trials < 40; seed++ {
 		warm := randomLP(seed)
 		ws := &Workspace{}
-		if s, err := warm.SolveWith(ws); err != nil || s.Status != Optimal {
+		if s, err := warm.Solve(context.Background(), ws); err != nil || s.Status != Optimal {
 			continue
 		}
 		trials++
@@ -157,13 +158,13 @@ func TestDifferentialWarmRHSPerturbation(t *testing.T) {
 			r := rng.Intn(warm.NumRows())
 			delta := float64(rng.Intn(7) - 3)
 			warm.SetRHS(r, warm.rows[r].rhs+delta)
-			wsol, werr := warm.SolveWith(ws)
+			wsol, werr := warm.Solve(context.Background(), ws)
 
 			cold := randomLP(seed)
 			for i := 0; i < cold.NumRows(); i++ {
 				cold.SetRHS(i, warm.rows[i].rhs)
 			}
-			csol, cerr := cold.Solve()
+			csol, cerr := cold.Solve(context.Background(), nil)
 			if (werr == nil) != (cerr == nil) || wsol.Status != csol.Status {
 				t.Fatalf("seed %d round %d: warm status %v (err %v), cold %v (err %v)",
 					seed, round, wsol.Status, werr, csol.Status, cerr)

@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -72,12 +73,12 @@ func TestDualFiniteDifferenceProperty(t *testing.T) {
 			return p
 		}
 		b := 1 + rng.Float64()*5
-		sol, err := build(b).Solve()
+		sol, err := build(b).Solve(context.Background(), nil)
 		if err != nil {
 			return false
 		}
 		const eps = 1e-6
-		up, err := build(b + eps).Solve()
+		up, err := build(b+eps).Solve(context.Background(), nil)
 		if err != nil {
 			return false
 		}
@@ -210,7 +211,7 @@ func TestDualStrongDualityProperty(t *testing.T) {
 	checked := 0
 	for seed := int64(0); seed < 250; seed++ {
 		p := randomLP(seed)
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil || sol.Status != Optimal {
 			continue
 		}

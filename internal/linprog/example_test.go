@@ -1,6 +1,7 @@
 package linprog_test
 
 import (
+	"context"
 	"fmt"
 
 	"thermaldc/internal/linprog"
@@ -15,7 +16,7 @@ func Example() {
 	p.AddRow(linprog.LE, 4, linprog.Term{Var: x, Coef: 1})
 	p.AddRow(linprog.LE, 12, linprog.Term{Var: y, Coef: 2})
 	p.AddRow(linprog.LE, 18, linprog.Term{Var: x, Coef: 3}, linprog.Term{Var: y, Coef: 2})
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -32,7 +33,7 @@ func Example_infeasible() {
 	p := linprog.NewProblem(linprog.Minimize)
 	x := p.AddVar("x", 0, 1, 1)
 	p.AddRow(linprog.GE, 5, linprog.Term{Var: x, Coef: 1})
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	fmt.Println(sol.Status, err != nil)
 	// Output:
 	// infeasible true

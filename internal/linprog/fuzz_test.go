@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -29,7 +30,7 @@ func FuzzKnapsackLP(f *testing.F) {
 			terms[i] = Term{v, 1}
 		}
 		p.AddRow(LE, budget, terms...)
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("solver failed on feasible knapsack: %v", err)
 		}

@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -118,7 +119,7 @@ func TestKernelBitIdentical(t *testing.T) {
 		ws := &Workspace{} // shared, so buffer reuse across shapes is covered too
 		for _, c := range lps {
 			pivots0 := ws.Stats.Pivots
-			sol, _ := c.build().SolveWith(ws) // a failed solve is compared by its status
+			sol, _ := c.build().Solve(context.Background(), ws) // a failed solve is compared by its status
 			run := kernelRun{status: sol.Status, iterations: sol.Iterations, pivots: ws.Stats.Pivots - pivots0}
 			if sol.Status == Optimal {
 				run.objective = math.Float64bits(sol.Objective)

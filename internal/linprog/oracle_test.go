@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -232,7 +233,7 @@ func oracleSolve(p *Problem) oracleResult {
 func checkAgainstOracle(t *testing.T, tag string, build func() *Problem) bool {
 	t.Helper()
 	p := build()
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	want := oracleSolve(build())
 	if sol.Status != want.status {
 		t.Fatalf("%s: status %v (err %v), oracle %v", tag, sol.Status, err, want.status)

@@ -65,7 +65,7 @@ const (
 	Unbounded
 	// IterLimit means the iteration limit was exhausted.
 	IterLimit
-	// Canceled means the context passed to SolveContext was done before
+	// Canceled means the context passed to Solve or SolveInto was done before
 	// the solve finished.
 	Canceled
 	// Malformed means the problem itself is invalid (NaN/Inf cost, bound,

@@ -50,7 +50,7 @@ func TestBlandRestartRegression(t *testing.T) {
 	// ...and the public Solve must recover via the Bland restart.
 	p := kleeMinty(n)
 	p.MaxIter = budget
-	sol, err = p.Solve()
+	sol, err = p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve with Bland restart: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestBlandRestartRegression(t *testing.T) {
 func TestIterLimitStillReported(t *testing.T) {
 	p := kleeMinty(10)
 	p.MaxIter = 50 // below Bland's 177 pivots too
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -144,7 +144,7 @@ func TestMalformedProblems(t *testing.T) {
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := mk()
-			sol, err := p.Solve()
+			sol, err := p.Solve(context.Background(), nil)
 			if err == nil {
 				t.Fatal("Solve accepted a malformed problem")
 			}
@@ -172,11 +172,11 @@ func TestDefectClearsAfterRepair(t *testing.T) {
 	x := p.AddVar("x", 0, 10, 1)
 	p.AddRow(LE, 5, Term{x, 1})
 	p.SetRHS(0, math.NaN())
-	if _, err := p.Solve(); !errors.Is(err, ErrMalformed) {
+	if _, err := p.Solve(context.Background(), nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("Solve with NaN rhs: err = %v, want ErrMalformed", err)
 	}
 	p.SetRHS(0, 5)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve after repair: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestSolveContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := kleeMinty(8)
-	sol, err := p.SolveContext(ctx)
+	sol, err := p.Solve(ctx, nil)
 	if err == nil {
 		t.Fatal("want error from canceled context")
 	}
@@ -233,7 +233,7 @@ func (c *countdownCtx) Err() error {
 func TestSolveContextMidSolveCancel(t *testing.T) {
 	p := kleeMinty(14) // 16383 Dantzig pivots: plenty of check windows
 	ctx := &countdownCtx{Context: context.Background(), polls: 8}
-	sol, err := p.SolveContext(ctx)
+	sol, err := p.Solve(ctx, nil)
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -245,14 +245,17 @@ func TestSolveContextMidSolveCancel(t *testing.T) {
 	}
 }
 
-// TestSolveContextBackgroundIdentical: plumbing a live context must not
-// change the result of a healthy solve.
+// TestSolveContextBackgroundIdentical: plumbing a live, cancelable context
+// must not change the result of a healthy solve against the background
+// context.
 func TestSolveContextBackgroundIdentical(t *testing.T) {
-	a, err := kleeMinty(8).Solve()
+	a, err := kleeMinty(8).Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := kleeMinty(8).SolveContext(context.Background())
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := kleeMinty(8).Solve(live, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +277,7 @@ func TestVerifySolutionCatchesGarbage(t *testing.T) {
 	p := NewProblem(Maximize)
 	x := p.AddVar("x", 0, 10, 1)
 	p.AddRow(LE, 5, Term{x, 1})
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,16 +312,16 @@ func TestRescaledCopyDeterministicAndEquivalent(t *testing.T) {
 		p.AddRangeRow(1, 9, Term{x, 1}, Term{y, 1})
 		return p
 	}
-	want, err := mk().Solve()
+	want, err := mk().Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c1, c2 := mk().rescaledCopy(), mk().rescaledCopy()
-	s1, err := c1.Solve()
+	s1, err := c1.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c2.Solve()
+	s2, err := c2.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +357,7 @@ func TestDegenerateLPTerminates(t *testing.T) {
 		}
 	}
 	p.AddRow(LE, float64(n), sumTerms(vars)...)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("degenerate LP: %v", err)
 	}

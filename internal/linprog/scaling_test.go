@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestBadlyScaledKnapsack(t *testing.T) {
 		x := p.AddVar("x", 0, 2*scale, 3/scale)
 		y := p.AddVar("y", 0, 5*scale, 1/scale)
 		p.AddRow(LE, 4*scale, Term{x, 1}, Term{y, 1})
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("scale %g: %v", scale, err)
 		}
@@ -33,7 +34,7 @@ func TestMixedMagnitudeRows(t *testing.T) {
 	y := p.AddVar("y", 0, Inf, 1e3)
 	p.AddRow(GE, 1e6, Term{x, 1e-4}, Term{y, 1e4})
 	p.AddRow(GE, 1, Term{x, 1e2}, Term{y, 1e-2})
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

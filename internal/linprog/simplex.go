@@ -142,27 +142,11 @@ type tableauState struct {
 // Solve optimizes the problem and returns the solution. A non-Optimal
 // outcome is reported both in Solution.Status and as an error wrapping
 // ErrNotOptimal, so callers may either branch on the status or simply
-// propagate the error.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveWithContext(nil, nil)
-}
-
-// SolveContext is Solve under cooperative cancellation: the context is
-// polled every few dozen pivots and a done context aborts the solve with
-// status Canceled (the error unwraps to ctx.Err()).
-func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
-	return p.SolveWithContext(ctx, nil)
-}
-
-// SolveWith is Solve reusing the buffers of ws (nil behaves like Solve).
-// The returned Solution does not alias workspace memory, so it stays valid
-// across subsequent SolveWith calls.
-func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
-	return p.SolveWithContext(nil, ws)
-}
-
-// SolveWithContext is the full-control entry point: ctx (may be nil) is
-// polled for cancellation, ws (may be nil) donates tableau buffers.
+// propagate the error. ctx is polled every few dozen pivots, and a done
+// context aborts the solve with status Canceled (the error unwraps to
+// ctx.Err()). ws, when non-nil, donates tableau buffers; nil means fresh
+// buffers. The returned Solution does not alias workspace memory, so it
+// stays valid across later solves through ws.
 //
 // Beyond the plain simplex run it layers three self-healing guards:
 //
@@ -179,18 +163,18 @@ func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 //
 // The guards only engage on failure, so healthy solves return bit-identical
 // results to the unguarded simplex.
-func (p *Problem) SolveWithContext(ctx context.Context, ws *Workspace) (*Solution, error) {
+func (p *Problem) Solve(ctx context.Context, ws *Workspace) (*Solution, error) {
 	if ws == nil {
 		ws = &Workspace{}
 	}
 	return p.solveGuarded(ctx, ws, false)
 }
 
-// SolveInto is the zero-allocation hot path: like SolveWithContext, but
-// the returned Solution and its vectors alias buffers owned by ws and stay
-// valid only until the next solve through ws. Callers that keep results
-// beyond that must copy what they need. The numbers are bit-identical to
-// SolveWithContext; only the buffer ownership differs. ws must be non-nil.
+// SolveInto is the zero-allocation hot path: like Solve, but the returned
+// Solution and its vectors alias buffers owned by ws and stay valid only
+// until the next solve through ws. Callers that keep results beyond that
+// must copy what they need. The numbers are bit-identical to Solve; only
+// the buffer ownership differs. ws must be non-nil.
 func (p *Problem) SolveInto(ctx context.Context, ws *Workspace) (*Solution, error) {
 	return p.solveGuarded(ctx, ws, true)
 }

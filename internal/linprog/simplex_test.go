@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -10,7 +11,7 @@ import (
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestInfeasible(t *testing.T) {
 	x := p.AddVar("x", 0, Inf, 1)
 	p.AddRow(LE, 1, Term{x, 1})
 	p.AddRow(GE, 2, Term{x, 1})
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if !errors.Is(err, ErrNotOptimal) {
 		t.Fatalf("err = %v, want ErrNotOptimal", err)
 	}
@@ -159,7 +160,7 @@ func TestInfeasibleEquality(t *testing.T) {
 	x := p.AddVar("x", 0, 1, 1)
 	y := p.AddVar("y", 0, 1, 1)
 	p.AddRow(EQ, 5, Term{x, 1}, Term{y, 1})
-	sol, _ := p.Solve()
+	sol, _ := p.Solve(context.Background(), nil)
 	if sol.Status != Infeasible {
 		t.Fatalf("status = %v, want Infeasible", sol.Status)
 	}
@@ -170,7 +171,7 @@ func TestUnbounded(t *testing.T) {
 	x := p.AddVar("x", 0, Inf, 1)
 	y := p.AddVar("y", 0, Inf, 1)
 	p.AddRow(GE, 1, Term{x, 1}, Term{y, 1})
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err == nil {
 		t.Fatal("expected error for unbounded problem")
 	}
@@ -288,7 +289,7 @@ func TestSetCost(t *testing.T) {
 func TestAddVarBadBoundsMarksMalformed(t *testing.T) {
 	p := NewProblem(Minimize)
 	p.AddVar("x", 2, 1, 0)
-	sol, err := p.Solve()
+	sol, err := p.Solve(context.Background(), nil)
 	if err == nil || sol.Status != Malformed {
 		t.Fatalf("Solve after AddVar(lo>hi) = (%v, %v), want Malformed error", sol.Status, err)
 	}
@@ -364,7 +365,7 @@ func TestKnapsackProperty(t *testing.T) {
 		}
 		b := rng.Float64() * 10
 		p.AddRow(LE, b, terms...)
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			return false
 		}
@@ -413,7 +414,7 @@ func TestRandomFeasibleLPProperty(t *testing.T) {
 			}
 			p.AddRow(ops[r], rhs[r], terms...)
 		}
-		sol, err := p.Solve()
+		sol, err := p.Solve(context.Background(), nil)
 		if err != nil {
 			// Unbounded is possible (upper bounds are finite, so it is
 			// not, actually — all vars bounded ⇒ bounded objective).
@@ -511,7 +512,7 @@ func BenchmarkSimplexStage1Scale(b *testing.B) {
 	p := build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Solve(); err != nil {
+		if _, err := p.Solve(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

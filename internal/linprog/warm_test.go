@@ -1,6 +1,7 @@
 package linprog
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -93,22 +94,22 @@ func solutionBitsEqual(t *testing.T, tag string, got, want *Solution) {
 // must never leak into a solve.
 func TestWorkspaceCrossShapeReuse(t *testing.T) {
 	pa, pb := smallLP(), bigLP()
-	refA, err := pa.Solve()
+	refA, err := pa.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refB, err := pb.Solve()
+	refB, err := pb.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := &Workspace{}
 	for round := 0; round < 3; round++ {
-		got, err := pa.SolveWith(ws)
+		got, err := pa.Solve(context.Background(), ws)
 		if err != nil {
 			t.Fatalf("round %d small: %v", round, err)
 		}
 		solutionBitsEqual(t, "small", got, refA)
-		got, err = pb.SolveWith(ws)
+		got, err = pb.Solve(context.Background(), ws)
 		if err != nil {
 			t.Fatalf("round %d big: %v", round, err)
 		}
@@ -151,7 +152,7 @@ func TestWarmSolveIntoZeroAllocs(t *testing.T) {
 // true optimum.
 func TestVerificationSweepResumesOnStaleD(t *testing.T) {
 	p := smallLP()
-	want, err := p.Solve()
+	want, err := p.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"strconv"
 
 	"thermaldc/internal/experiments"
-	"thermaldc/internal/sim"
 )
 
 // WriteJSON writes v as indented JSON.
@@ -82,26 +81,6 @@ func SweepCSV(w io.Writer, res *experiments.SweepResult) error {
 			f(p.Baseline.Mean), f(p.Baseline.HalfCI95),
 			f(p.ThreeStage.Mean), f(p.ThreeStage.HalfCI95),
 			f(p.Improvement.Mean), f(p.Improvement.HalfCI95),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// TraceCSV writes a simulation trace, one row per task.
-func TraceCSV(w io.Writer, records []sim.TaskRecord) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"id", "type", "arrival", "deadline", "dropped", "core", "start", "completion",
-	}); err != nil {
-		return err
-	}
-	for _, r := range records {
-		if err := cw.Write([]string{
-			strconv.Itoa(r.ID), strconv.Itoa(r.Type), f(r.Arrival), f(r.Deadline),
-			strconv.FormatBool(r.Dropped), strconv.Itoa(r.Core), f(r.Start), f(r.Completion),
 		}); err != nil {
 			return err
 		}

@@ -154,7 +154,3 @@ func Classify(err error) Kind {
 	}
 	return Unknown
 }
-
-// KindOf reports the taxonomy class of err: the kind of the outermost
-// SolveError if one is present, else the direct classification.
-func KindOf(err error) Kind { return Classify(err) }

@@ -52,8 +52,8 @@ func TestClassify(t *testing.T) {
 		if got := Classify(c.err); got != c.want {
 			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
 		}
-		if got := KindOf(c.err); got != c.want {
-			t.Errorf("KindOf(%v) = %v, want %v", c.err, got, c.want)
+		if got := Classify(c.err); got != c.want {
+			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func TestGridCancelMidSearch(t *testing.T) {
 	cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: 4}
 	// 3 CRACs at 1 °C over [5, 25] = 9261 candidates: far more than can
 	// finish before the 5th evaluation cancels.
-	_, err := GridContext(ctx, 3, cfg, 1, factory)
+	_, err := Grid(ctx, 3, cfg, 1, factory)
 	if err == nil {
 		t.Fatal("want cancellation error")
 	}
@@ -67,7 +67,7 @@ func TestCoarseToFineCancelSerial(t *testing.T) {
 		})
 	}
 	cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: 1}
-	_, err := CoarseToFineContext(ctx, 2, cfg, factory)
+	_, err := CoarseToFine(ctx, 2, cfg, factory)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -78,7 +78,7 @@ func TestCoordinateDescentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: 1}
-	_, err := CoordinateDescentContext(ctx, 2, cfg, nil, Shared(func(out []float64) (float64, bool) {
+	_, err := CoordinateDescent(ctx, 2, cfg, nil, Shared(func(out []float64) (float64, bool) {
 		return -out[0], true
 	}))
 	if !errors.Is(err, context.Canceled) {
@@ -86,9 +86,9 @@ func TestCoordinateDescentCancel(t *testing.T) {
 	}
 }
 
-// TestContextVariantsIdenticalWhenUncancelled: threading a live context
-// must not change any result bit — value, vector, or eval count — for any
-// strategy or worker count.
+// TestContextVariantsIdenticalWhenUncancelled: threading a live,
+// cancelable context must not change any result bit — value, vector, or
+// eval count — against the background context, at any worker count.
 func TestContextVariantsIdenticalWhenUncancelled(t *testing.T) {
 	eval := func(out []float64) (float64, bool) {
 		v := 0.0
@@ -99,11 +99,13 @@ func TestContextVariantsIdenticalWhenUncancelled(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: par}
-		plain, err := CoarseToFine(2, cfg, Shared(eval))
+		plain, err := CoarseToFine(context.Background(), 2, cfg, Shared(eval))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxed, err := CoarseToFineContext(context.Background(), 2, cfg, Shared(eval))
+		live, cancel := context.WithCancel(context.Background())
+		ctxed, err := CoarseToFine(live, 2, cfg, Shared(eval))
+		cancel()
 		if err != nil {
 			t.Fatal(err)
 		}

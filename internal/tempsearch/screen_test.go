@@ -1,6 +1,7 @@
 package tempsearch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -49,8 +50,8 @@ func (e *boundedEval) Bound(out []float64) float64 {
 // depend on the worker count.
 func TestScreeningInvisibleAndDeterministic(t *testing.T) {
 	searches := map[string]func(Config, Factory) (Result, error){
-		"grid":           func(c Config, f Factory) (Result, error) { return Grid(2, c, 1, f) },
-		"coarse-to-fine": func(c Config, f Factory) (Result, error) { return CoarseToFine(2, c, f) },
+		"grid":           func(c Config, f Factory) (Result, error) { return Grid(context.Background(), 2, c, 1, f) },
+		"coarse-to-fine": func(c Config, f Factory) (Result, error) { return CoarseToFine(context.Background(), 2, c, f) },
 	}
 	for name, search := range searches {
 		cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1, Parallelism: 1}

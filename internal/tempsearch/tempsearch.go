@@ -193,16 +193,10 @@ type Result struct {
 
 // Grid exhaustively evaluates the lattice with the given step and returns
 // the best feasible point. It is exponential in the number of CRACs and
-// exists as the ground truth for ablations on small instances.
-func Grid(ncrac int, cfg Config, step float64, newEval Factory) (Result, error) {
-	return GridContext(context.Background(), ncrac, cfg, step, newEval)
-}
-
-// GridContext is Grid under cooperative cancellation: a done context stops
-// the worker pool between candidate evaluations and returns an error
-// matching ctx.Err() via errors.Is. Uncancelled runs return exactly what
-// Grid returns.
-func GridContext(ctx context.Context, ncrac int, cfg Config, step float64, newEval Factory) (Result, error) {
+// exists as the ground truth for ablations on small instances. A done ctx
+// stops the worker pool between candidate evaluations and returns an error
+// matching ctx.Err() via errors.Is.
+func Grid(ctx context.Context, ncrac int, cfg Config, step float64, newEval Factory) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -214,14 +208,9 @@ func GridContext(ctx context.Context, ncrac int, cfg Config, step float64, newEv
 // pass over the full window, then repeated refinement around the incumbent
 // with the step halved until FineStep is reached. Lattice points shared
 // between rounds are evaluated once (memoized), and Evals counts every
-// actual evaluation including those of refinement rounds.
-func CoarseToFine(ncrac int, cfg Config, newEval Factory) (Result, error) {
-	return CoarseToFineContext(context.Background(), ncrac, cfg, newEval)
-}
-
-// CoarseToFineContext is CoarseToFine under cooperative cancellation (see
-// GridContext).
-func CoarseToFineContext(ctx context.Context, ncrac int, cfg Config, newEval Factory) (Result, error) {
+// actual evaluation including those of refinement rounds. ctx cancels the
+// search as in Grid.
+func CoarseToFine(ctx context.Context, ncrac int, cfg Config, newEval Factory) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -262,14 +251,9 @@ func CoarseToFineContext(ctx context.Context, ncrac int, cfg Config, newEval Fac
 // CoordinateDescent optimizes one CRAC outlet at a time on the FineStep
 // lattice, sweeping until no coordinate improves. It is the cheapest
 // strategy and the paper-scale default ablation point. The sweep order is
-// inherently sequential, so it runs on a single worker.
-func CoordinateDescent(ncrac int, cfg Config, start []float64, newEval Factory) (Result, error) {
-	return CoordinateDescentContext(context.Background(), ncrac, cfg, start, newEval)
-}
-
-// CoordinateDescentContext is CoordinateDescent under cooperative
-// cancellation: the context is checked before every coordinate scan.
-func CoordinateDescentContext(ctx context.Context, ncrac int, cfg Config, start []float64, newEval Factory) (Result, error) {
+// inherently sequential, so it runs on a single worker; ctx is checked
+// before every coordinate scan.
+func CoordinateDescent(ctx context.Context, ncrac int, cfg Config, start []float64, newEval Factory) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package tempsearch
 
 import (
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -40,7 +41,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestGridFindsLatticeOptimum(t *testing.T) {
 	cfg := Config{Lo: 0, Hi: 10, CoarseStep: 1, FineStep: 1}
-	res, err := Grid(2, cfg, 1, Shared(quadratic([]float64{3, 7})))
+	res, err := Grid(context.Background(), 2, cfg, 1, Shared(quadratic([]float64{3, 7})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestGridFindsLatticeOptimum(t *testing.T) {
 
 func TestGridInfeasible(t *testing.T) {
 	cfg := Config{Lo: 0, Hi: 2, CoarseStep: 1, FineStep: 1}
-	_, err := Grid(1, cfg, 1, Shared(func([]float64) (float64, bool) { return 0, false }))
+	_, err := Grid(context.Background(), 1, cfg, 1, Shared(func([]float64) (float64, bool) { return 0, false }))
 	if err == nil {
 		t.Fatal("expected error when nothing is feasible")
 	}
@@ -68,7 +69,7 @@ func TestGridInfeasible(t *testing.T) {
 
 func TestCoarseToFineInfeasibleSentinel(t *testing.T) {
 	cfg := Config{Lo: 0, Hi: 2, CoarseStep: 1, FineStep: 1}
-	res, err := CoarseToFine(1, cfg, Shared(func([]float64) (float64, bool) { return 0, false }))
+	res, err := CoarseToFine(context.Background(), 1, cfg, Shared(func([]float64) (float64, bool) { return 0, false }))
 	if !errors.Is(err, ErrNoFeasible) {
 		t.Fatalf("err = %v, want ErrNoFeasible", err)
 	}
@@ -76,7 +77,7 @@ func TestCoarseToFineInfeasibleSentinel(t *testing.T) {
 		t.Errorf("Evals = %d, want 3 (all lattice points tried before giving up)", res.Evals)
 	}
 	// Config errors must NOT look like infeasibility.
-	_, err = CoarseToFine(1, Config{Lo: 5, Hi: 0, CoarseStep: 1, FineStep: 1}, Shared(quadratic([]float64{1})))
+	_, err = CoarseToFine(context.Background(), 1, Config{Lo: 5, Hi: 0, CoarseStep: 1, FineStep: 1}, Shared(quadratic([]float64{1})))
 	if err == nil || errors.Is(err, ErrNoFeasible) {
 		t.Errorf("config error %v must not wrap ErrNoFeasible", err)
 	}
@@ -85,11 +86,11 @@ func TestCoarseToFineInfeasibleSentinel(t *testing.T) {
 func TestCoarseToFineMatchesGridOnSmooth(t *testing.T) {
 	cfg := Config{Lo: 0, Hi: 20, CoarseStep: 4, FineStep: 1}
 	peak := []float64{13, 6}
-	ctf, err := CoarseToFine(2, cfg, Shared(quadratic(peak)))
+	ctf, err := CoarseToFine(context.Background(), 2, cfg, Shared(quadratic(peak)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := Grid(2, cfg, 1, Shared(quadratic(peak)))
+	grid, err := Grid(context.Background(), 2, cfg, 1, Shared(quadratic(peak)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestCoarseToFineMatchesGridOnSmooth(t *testing.T) {
 func TestCoarseToFineRespectsBounds(t *testing.T) {
 	cfg := Config{Lo: 5, Hi: 25, CoarseStep: 5, FineStep: 1}
 	// Peak outside the window: search must clamp to the boundary.
-	res, err := CoarseToFine(3, cfg, Shared(quadratic([]float64{-10, 30, 15})))
+	res, err := CoarseToFine(context.Background(), 3, cfg, Shared(quadratic([]float64{-10, 30, 15})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestMemoizationSkipsRevisits(t *testing.T) {
 		return v, ok
 	})
 	cfg := Config{Lo: 0, Hi: 20, CoarseStep: 4, FineStep: 1}
-	res, err := CoarseToFine(2, cfg, counted)
+	res, err := CoarseToFine(context.Background(), 2, cfg, counted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestParallelismDeterminism(t *testing.T) {
 	var ref Result
 	for i, par := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
 		cfg := Config{Lo: 0, Hi: 20, CoarseStep: 4, FineStep: 1, Parallelism: par}
-		res, err := CoarseToFine(3, cfg, Shared(plateau))
+		res, err := CoarseToFine(context.Background(), 3, cfg, Shared(plateau))
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", par, err)
 		}
@@ -207,7 +208,7 @@ func TestFactoryOnePerWorker(t *testing.T) {
 		})
 	}
 	cfg := Config{Lo: 0, Hi: 10, CoarseStep: 1, FineStep: 1, Parallelism: 4}
-	if _, err := Grid(2, cfg, 1, factory); err != nil {
+	if _, err := Grid(context.Background(), 2, cfg, 1, factory); err != nil {
 		t.Fatal(err)
 	}
 	if made == 0 || made > 4 {
@@ -218,7 +219,7 @@ func TestFactoryOnePerWorker(t *testing.T) {
 func TestCoordinateDescentSeparableExact(t *testing.T) {
 	// Separable objectives are solved exactly by coordinate descent.
 	cfg := Config{Lo: 0, Hi: 10, CoarseStep: 1, FineStep: 1}
-	res, err := CoordinateDescent(3, cfg, nil, Shared(quadratic([]float64{2, 9, 4})))
+	res, err := CoordinateDescent(context.Background(), 3, cfg, nil, Shared(quadratic([]float64{2, 9, 4})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestCoordinateDescentSeparableExact(t *testing.T) {
 func TestCoordinateDescentWithStart(t *testing.T) {
 	cfg := Config{Lo: 0, Hi: 10, CoarseStep: 1, FineStep: 1}
 	start := []float64{0, 0}
-	res, err := CoordinateDescent(2, cfg, start, Shared(quadratic([]float64{8, 8})))
+	res, err := CoordinateDescent(context.Background(), 2, cfg, start, Shared(quadratic([]float64{8, 8})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestCoordinateDescentWithStart(t *testing.T) {
 
 func TestCoordinateDescentInfeasibleSentinel(t *testing.T) {
 	cfg := Config{Lo: 0, Hi: 2, CoarseStep: 1, FineStep: 1}
-	_, err := CoordinateDescent(1, cfg, nil, Shared(func([]float64) (float64, bool) { return 0, false }))
+	_, err := CoordinateDescent(context.Background(), 1, cfg, nil, Shared(func([]float64) (float64, bool) { return 0, false }))
 	if !errors.Is(err, ErrNoFeasible) {
 		t.Errorf("err = %v, want ErrNoFeasible", err)
 	}
@@ -261,7 +262,7 @@ func TestPartialFeasibility(t *testing.T) {
 		return s, s <= 10
 	}
 	cfg := Config{Lo: 0, Hi: 10, CoarseStep: 2, FineStep: 1}
-	res, err := CoarseToFine(2, cfg, Shared(obj))
+	res, err := CoarseToFine(context.Background(), 2, cfg, Shared(obj))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestCutPoolRetention(t *testing.T) {
 func testCutPoolRetention(t *testing.T, f *Fleet, baseWindow bool) {
 	dc, tm, part := assembled(t, f)
 	ctx := context.Background()
-	tol := (Config{}).withDefaults().Tol
+	tol := gapTol
 	home := feasibleOutlets(dc.NCRAC())
 	moved := append([]float64(nil), home...)
 	moved[1] = 14

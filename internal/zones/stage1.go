@@ -24,10 +24,31 @@ import (
 // unconstrained shortcut) and that the fleet's base power fits at all.
 const budgetTolerance = 1e-9
 
+// powerBudgetSlack mirrors the monolithic solver's absolute power
+// tolerance (assign's powerTolerance is 1e-6 kW) so the assembled
+// feasibility verdict uses the same yardstick.
+const powerBudgetSlack = 1e-6
+
+const (
+	// envelopePsi is the ARR-envelope ψ in percent, the paper's.
+	envelopePsi = 50
+	// gapTol is the master problem's relative optimality gap: the price
+	// iteration stops when upper and lower bounds agree to
+	// gapTol·max(1, |upper|). It is the tightest gap the cutting planes can
+	// certify in float64 at fleet scale — a 100-zone fleet's objective is
+	// O(1e5), so demanding much below 1e-8 relative stalls the loop on
+	// round-off and buries the master under near-duplicate cuts.
+	gapTol = 1e-8
+	// maxRounds bounds the price-coordination rounds. The master's
+	// cutting-plane model of each zone's concave value function is exact
+	// after finitely many cuts, so the bound is a safety net; an exceeded
+	// bound falls back to the monolithic solve when one is available and
+	// errors otherwise.
+	maxRounds = 200
+)
+
 // Config tunes the zone-decomposed Stage-1 solver.
 type Config struct {
-	// Psi is the ARR-envelope ψ in percent (default 50, the paper's).
-	Psi float64
 	// Method selected a simplex core when there were two.
 	//
 	// Deprecated: ignored; every zone LP runs on the flat tableau.
@@ -41,36 +62,10 @@ type Config struct {
 	// GOMAXPROCS, larger requests are clamped to it. Results are identical
 	// for every setting.
 	Parallelism int
-	// Tol is the master problem's relative optimality gap (default 1e-8):
-	// the price iteration stops when upper and lower bounds agree to
-	// Tol·max(1, |upper|). The default is the tightest gap the cutting
-	// planes can certify in float64 at fleet scale — a 100-zone fleet's
-	// objective is O(1e5), so demanding much below 1e-8 relative stalls the
-	// loop on round-off and buries the master under near-duplicate cuts.
-	Tol float64
-	// MaxRounds bounds the price-coordination rounds (default 200). The
-	// master's cutting-plane model of each zone's concave value function
-	// is exact after finitely many cuts, so the bound is a safety net; an
-	// exceeded bound falls back to the monolithic solve when one is
-	// available and errors otherwise.
-	MaxRounds int
 	// Recorder, when non-nil, sends coordination-round and zone-solve spans
 	// (and every zone LP's solve spans) to its tracer. Telemetry never
 	// changes results.
 	Recorder *telemetry.Recorder
-}
-
-func (c Config) withDefaults() Config {
-	if c.Psi == 0 {
-		c.Psi = 50
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-8
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = 200
-	}
-	return c
 }
 
 // Stats describes the last Solve's coordination work.
@@ -88,7 +83,7 @@ type Stats struct {
 	// under the shared cap, so no price coordination was needed (always
 	// the case with a single zone).
 	Shortcut bool
-	// Converged reports a proven gap ≤ Tol (Shortcut implies Converged).
+	// Converged reports a proven gap ≤ gapTol (Shortcut implies Converged).
 	Converged bool
 	// Fallback reports that the monolithic solver produced the result.
 	Fallback bool
@@ -203,7 +198,7 @@ func (z *zoneState) resetPool() {
 // zone's power row was slack there, round 0 at any cap the sample
 // settles is skipped. A cap step then typically needs one master pour
 // plus one confirming LP per zone. Results therefore depend on the
-// solve history, within Tol of a freshly built solver.
+// solve history, within gapTol of a freshly built solver.
 //
 // A Solver is NOT safe for concurrent use; it owns per-zone LP workspaces.
 type Solver struct {
@@ -232,12 +227,11 @@ type Solver struct {
 }
 
 // NewSolverFromPartition builds a zone solver over part, sharing one ARR
-// envelope set (built from the parent at cfg.Psi) across all zones and
+// envelope set (built from the parent at ψ = envelopePsi) across all zones and
 // retaining a monolithic fallback solver on the parent. tm is the parent's
 // thermal model, reused for the fallback and for single-zone partitions.
 func NewSolverFromPartition(part *Partition, tm *thermal.Model, cfg Config) (*Solver, error) {
-	cfg = cfg.withDefaults()
-	arrs, err := assign.NodeARRs(part.Parent, cfg.Psi)
+	arrs, err := assign.NodeARRs(part.Parent, envelopePsi)
 	if err != nil {
 		return nil, err
 	}
@@ -274,10 +268,9 @@ func NewSolverFromPartition(part *Partition, tm *thermal.Model, cfg Config) (*So
 // set, so per-zone setup cost is one LP skeleton, not a scenario build.
 // The fleet path has no monolithic fallback — materializing the fleet-wide
 // LP is exactly what it exists to avoid — so unconverged coordination
-// (never observed; see Config.MaxRounds) surfaces as an error.
+// (never observed; see maxRounds) surfaces as an error.
 func NewFleetSolver(f *Fleet, cfg Config) (*Solver, error) {
-	cfg = cfg.withDefaults()
-	arrs, err := assign.NodeARRs(f.Variants[0].DC, cfg.Psi)
+	arrs, err := assign.NodeARRs(f.Variants[0].DC, envelopePsi)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +444,7 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 	// cutting-plane model of each zone's value function, starting from the
 	// zone's retained cut pool.
 	ub, lb := math.Inf(1), math.Inf(-1)
-	for round := 1; round <= s.cfg.MaxRounds; round++ {
+	for round := 1; round <= maxRounds; round++ {
 		cRound := s.tr.Begin()
 		st.Rounds = round
 		mub, mdual := s.solveMaster(P)
@@ -478,7 +471,7 @@ func (s *Solver) SolveScratch(ctx context.Context, cracOut []float64) (*assign.S
 		}
 		st.UpperBound, st.LowerBound, st.Gap = ub, lb, ub-lb
 		s.tr.End(cRound, telemetry.SpanCoordRound, int32(round), 0, 0)
-		if ub-lb <= s.cfg.Tol*math.Max(1, math.Abs(ub)) {
+		if ub-lb <= gapTol*math.Max(1, math.Abs(ub)) {
 			st.Converged = true
 			break
 		}
@@ -566,7 +559,7 @@ func (z *zoneState) eval(ctx context.Context) {
 		c = z.tr.Begin()
 	}
 	z.dc.Pconst = z.budget
-	res, err := z.solver.SolveScratchContext(ctx, z.out)
+	res, err := z.solver.SolveScratch(ctx, z.out)
 	if z.tr != nil {
 		var code int32
 		if err != nil {
@@ -774,7 +767,7 @@ func (s *Solver) recover(ctx context.Context, cracOut []float64, st *Stats, caus
 	}
 	st.Fallback = true
 	s.last = *st
-	return s.fallback.SolveContext(ctx, cracOut)
+	return s.fallback.Solve(ctx, cracOut)
 }
 
 // assembleInto scatters the retained per-zone solutions into one
@@ -808,7 +801,7 @@ func (s *Solver) assembleInto(res *assign.Stage1Result, cracOut []float64, P flo
 		res.Feasible = res.Feasible && b.feasible
 	}
 	res.TotalPower = res.ComputePower + res.CRACPower
-	res.Feasible = res.Feasible && totOK <= P+powerBudgetSlack(P)
+	res.Feasible = res.Feasible && totOK <= P+powerBudgetSlack
 	if len(s.zones) == 1 {
 		res.PowerShadowPrice = s.zones[0].best.price
 	} else if !st.Shortcut {
@@ -825,8 +818,3 @@ func resize(buf []float64, n int) []float64 {
 	}
 	return buf[:n]
 }
-
-// powerBudgetSlack mirrors the monolithic solver's absolute power
-// tolerance (assign's powerTolerance is 1e-6 kW) so the assembled
-// feasibility verdict uses the same yardstick.
-func powerBudgetSlack(float64) float64 { return 1e-6 }

@@ -501,7 +501,7 @@ func TestParallelismInvariance(t *testing.T) {
 // even split is optimal for identical concave value functions. The
 // single zone settles in round 0; k = 4 under a binding cap must run the
 // price-coordination master and still land on k× the single-zone value
-// within Config.Tol. The property must also survive cap steps solved on
+// within gapTol. The property must also survive cap steps solved on
 // the cut pools retained from earlier caps.
 func TestFleetCopiesScaleLinearly(t *testing.T) {
 	solve := func(k int) (float64, Stats) {
@@ -527,7 +527,7 @@ func TestFleetCopiesScaleLinearly(t *testing.T) {
 		if k > 1 && st.Rounds == 0 {
 			t.Fatalf("k=%d: the cap never bound, so the master did not run: %+v", k, st)
 		}
-		if d := relDiff(got, float64(k)*one); d > (Config{}).withDefaults().Tol {
+		if d := relDiff(got, float64(k)*one); d > gapTol {
 			t.Errorf("k=%d: value %.12g, want %d × %.12g (rel. diff %.3g)", k, got, k, one, d)
 		}
 	}
@@ -567,7 +567,7 @@ func TestFleetCopiesScaleLinearly(t *testing.T) {
 		if i > 0 && st.Rounds > 0 {
 			retained++
 		}
-		if d := relDiff(got.PredictedARR, k*one.PredictedARR); d > (Config{}).withDefaults().Tol {
+		if d := relDiff(got.PredictedARR, k*one.PredictedARR); d > gapTol {
 			t.Errorf("step %d: value %.12g, want %d × %.12g (rel. diff %.3g)",
 				i, got.PredictedARR, k, one.PredictedARR, d)
 		}
